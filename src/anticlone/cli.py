@@ -350,8 +350,13 @@ def _campaign_feasibility(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
     mu = probclone.CopySpec(cfg.copies_aligned, cfg.copies_flipped)
     res = probclone.max_feasible_f(state_set, mu)
 
-    gram_rank = int(np.sum(np.linalg.eigvalsh(res.gram_G) > 1e-10))
-    dependent = gram_rank < len(states)
+    dependent = res.rank < len(states)
+    # State j repeats an earlier state up to a phase when their 2x2 Gram,
+    # with eigenvalues 1 -+ |<i|j>|, has rank 1 at the library's tolerance.
+    overlaps = np.abs(res.gram_G)
+    distinct = sum(
+        not np.any(overlaps[j, :j] >= 1.0 - probclone.RANK_TOL) for j in range(len(states))
+    )
     metrics = [
         MetricCheck("f_max", res.f_max),
         MetricCheck("certificate_negativity", -res.min_eigenvalue_at_f, 1e-9),
@@ -361,9 +366,11 @@ def _campaign_feasibility(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
         metrics.append(
             MetricCheck("binding_margin", float(np.linalg.eigvalsh(shifted)[0]), 0.0)
         )
-    if dependent:
+    # Three distinct qubit states are always dependent, and only then is f = 0
+    # forced; repeats of one or two states keep the f of the distinct ones.
+    if distinct > 2:
         metrics.append(MetricCheck("dependent_set_f_max", res.f_max, 1e-9))
-    elif len(states) == 2:
+    elif len(states) == 2 and not dependent:
         c = abs(np.vdot(states[0].ket(), states[1].ket()))
         closed = probclone.two_state_efficiency(c, mu.L, mu.M)
         metrics.append(MetricCheck("closed_form_deviation", abs(res.f_max - closed), 1e-9))

@@ -95,54 +95,14 @@ def _check_hermitian(h: np.ndarray, tol: float) -> np.ndarray:
 def hermitian_eigensystem(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian matrix.
 
-    Cyclic Jacobi rotations; fine for the dimensions used here. Convergence is
-    declared when the off-diagonal Frobenius norm drops below 1e-14 (scaled by
-    the matrix norm for badly scaled inputs).
+    LAPACK ``eigh`` after checking that ``h`` is Hermitian within ``tol``.
     """
-    a = _check_hermitian(_as_complex(h), tol)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    target = 1e-14 * scale
-
-    for _ in range(60):  # quadratic convergence; a handful of sweeps suffice
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off < target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < target / max(1, n * n):
-                    continue
-                # Unitary 2x2 rotation zeroing a[p,q]: factor out the phase of
-                # a[p,q], then a standard real Jacobi rotation.
-                phase = apq / abs(apq)
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * abs(apq))
-                t = -np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = c * a[:, p] + s * np.conj(phase) * a[:, q]
-                rq = -s * phase * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rp, rq
-                rp = c * a[p, :] + s * phase * a[q, :]
-                rq = -s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rp, rq
-                # keep exact Hermitian structure on the rotated pair
-                a[p, q] = np.conj(a[q, p])
-                vp = c * v[:, p] + s * np.conj(phase) * v[:, q]
-                vq = -s * phase * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vp, vq
-
-    eigvals = np.diag(a).real.copy()
-    order = np.argsort(eigvals, kind="stable")
-    return eigvals[order], v[:, order]
+    return np.linalg.eigh(_check_hermitian(_as_complex(h), tol))
 
 
 def hermitian_eigenvalues(h, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix."""
-    return hermitian_eigensystem(h, tol=tol)[0]
+    """Ascending real eigenvalues of a Hermitian matrix (LAPACK ``eigvalsh``)."""
+    return np.linalg.eigvalsh(_check_hermitian(_as_complex(h), tol))
 
 
 def _mgs_pass(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:

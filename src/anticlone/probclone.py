@@ -4,9 +4,10 @@ For a known finite set of linearly independent states, an ordinary unitary
 plus a probe measurement can anti-clone *exactly*, some of the time. The
 achievable success probability f is governed by positive semidefiniteness of
 G - f H, where G is the Gram matrix of the inputs and H the Gram matrix of
-the target output products. ``max_feasible_f`` finds the supremum by
-bisection on the minimum eigenvalue; for two states the answer has the
-closed form (1 - c) / (1 - c^(L+M)).
+the target output products. ``max_feasible_f`` solves for the supremum
+directly as a generalized eigenvalue of the pair (H, G) (Duan and Guo,
+PRL 80, 4999, 1998); for two states the answer has the closed form
+(1 - c) / (1 - c^(L+M)).
 
 ``build_two_state_anticloner`` realizes the optimal two-state machine as an
 explicit 8x8 unitary on (copy 1, copy 2, probe), and ``build_prob_spinflip``
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RankError, hermitian_eigenvalues, tensor, unitary_from_correspondence
+from .linalg import RankError, tensor, unitary_from_correspondence
 from .qubit import QubitState, antiunitary_flip
 from .rng import philox_stream
 
@@ -36,8 +37,7 @@ __all__ = [
     "build_prob_spinflip",
 ]
 
-PSD_TOLERANCE = 1e-12   # minimum-eigenvalue threshold for the PSD test
-BISECTION_WIDTH = 1e-12
+RANK_TOL = 1e-10  # Gram eigenvalues at or below this count as zero
 
 
 def _basis(dim: int, k: int) -> np.ndarray:
@@ -77,12 +77,17 @@ class CopySpec:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """Maximum exact-cloning probability with its eigenvalue certificate."""
+    """Maximum exact-cloning probability with its eigenvalue certificate.
+
+    ``rank`` is the rank of ``gram_G`` at ``RANK_TOL``; the set is linearly
+    dependent when it is below the number of states.
+    """
 
     f_max: float
     min_eigenvalue_at_f: float
     gram_G: np.ndarray
     gram_H: np.ndarray
+    rank: int
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,8 @@ class ShotStats:
 def two_state_efficiency(overlap: float, L: int = 1, M: int = 1) -> float:
     """Closed-form maximum success probability for two states.
 
-    ``overlap`` is |<m1|m2>|. Equals (1 - c) / (1 - c^(L+M)); the many-copy
+    ``overlap`` is |<m1|m2>|. Equals (1 - c) / (1 - c^(L+M)), evaluated as
+    1 / sum_{j<L+M} c^j, which does not cancel as c -> 1; the many-copy
     limit is the unambiguous-discrimination probability 1 - c.
     """
     c = float(overlap)
@@ -151,9 +157,7 @@ def two_state_efficiency(overlap: float, L: int = 1, M: int = 1) -> float:
     k = L + M
     if k < 1:
         raise ValueError("need at least one copy")
-    if c > 1.0 - 1e-12:
-        return 1.0 / k  # limit of (1-c)/(1-c^k) as c -> 1
-    return (1.0 - c) / (1.0 - c**k)
+    return 1.0 / sum(c**j for j in range(k))
 
 
 def _aligned_kets(states: list[QubitState]) -> list[np.ndarray]:
@@ -173,12 +177,14 @@ def _flip_ket(k: np.ndarray) -> np.ndarray:
 
 
 def max_feasible_f(state_set: StateSet, mu: CopySpec = CopySpec(1, 1)) -> FeasibilityResult:
-    """Largest f with G - f H positive semidefinite, by bisection.
+    """Largest f in [0, 1] with G - f H positive semidefinite, solved directly.
 
     G collects the input overlaps; H the overlaps of the target outputs,
-    i.e. elementwise G^L times the anti-aligned overlaps^M. Linearly
-    dependent sets drive f to zero: no machine can clone more states than
-    the dimension supports.
+    i.e. elementwise G^L times the anti-aligned overlaps^M. With G = Q Λ Q^†
+    split at ``RANK_TOL`` into range and null space: if H does not vanish on
+    null(G), every f > 0 is infeasible and f_max = 0 exactly (no machine can
+    clone more distinct states than the dimension supports). Otherwise
+    f_max = min(1, 1 / λ_max(W^† H W)) with W = Q_r Λ_r^(-1/2) on range(G).
     """
     kets = _aligned_kets(state_set.states)
     flipped = [_flip_ket(k) for k in kets]
@@ -187,22 +193,18 @@ def max_feasible_f(state_set: StateSet, mu: CopySpec = CopySpec(1, 1)) -> Feasib
     gf = np.array([[np.vdot(flipped[i], flipped[j]) for j in range(n)] for i in range(n)])
     h = (g**mu.L) * (gf**mu.M)
 
-    def feasible(f: float) -> bool:
-        return hermitian_eigenvalues(g - f * h)[0] >= -PSD_TOLERANCE
-
-    lo, hi = 0.0, 1.0
-    if feasible(hi):
-        f_max = 1.0
+    lam, q = np.linalg.eigh(g)
+    in_range = lam > RANK_TOL
+    null = q[:, ~in_range]
+    if np.max(np.abs(null.conj().T @ h @ null), initial=0.0) > RANK_TOL:
+        f_max = 0.0
     else:
-        while hi - lo > BISECTION_WIDTH:
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        f_max = lo
-    min_eig = float(hermitian_eigenvalues(g - f_max * h)[0])
-    return FeasibilityResult(f_max=f_max, min_eigenvalue_at_f=min_eig, gram_G=g, gram_H=h)
+        w = q[:, in_range] / np.sqrt(lam[in_range])
+        f_max = min(1.0, 1.0 / float(np.linalg.eigvalsh(w.conj().T @ h @ w)[-1]))
+    min_eig = float(np.linalg.eigvalsh(g - f_max * h)[0])
+    return FeasibilityResult(
+        f_max=f_max, min_eigenvalue_at_f=min_eig, gram_G=g, gram_H=h, rank=int(in_range.sum())
+    )
 
 
 def build_two_state_anticloner(theta: float) -> ProbCloner:

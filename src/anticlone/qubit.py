@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues
-
 __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
@@ -108,7 +106,10 @@ def check_density_matrix(rho, tol: float = 1e-10) -> np.ndarray:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
         raise ValueError("density matrix does not have unit trace")
-    if hermitian_eigenvalues(rho)[0] < -tol:
+    # smaller eigenvalue of a Hermitian 2x2: (tr - sqrt((a - d)^2 + 4|b|^2)) / 2
+    min_eig = 0.5 * (rho[0, 0].real + rho[1, 1].real
+                     - np.hypot(rho[0, 0].real - rho[1, 1].real, 2.0 * abs(rho[0, 1])))
+    if min_eig < -tol:
         raise ValueError("density matrix is not positive semidefinite")
     return rho
 

@@ -4,12 +4,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from anticlone.cli import parse_args, run
+
 sys.path.insert(0, str(Path(__file__).parent))  # makes oracles importable
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture(scope="session")
+def universal_optimize_run():
+    """(report, exit code) of the seed-0, 20-restart universal optimization.
+
+    It is the slowest computation in the suite; the tests that check it share
+    one run.
+    """
+    return run(parse_args(["optimize", "--restarts", "20"]))
 
 
 def random_ket(rng, dim):

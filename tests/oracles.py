@@ -133,3 +133,29 @@ def reduced_outputs_from_coefficients(
         + (abs(at) ** 2 + abs(ct) ** 2) * bb
     )
     return rho1, rho2
+
+
+def max_feasible_f_by_bisection(
+    gram_g: np.ndarray, gram_h: np.ndarray, psd_tol: float = 1e-12, width: float = 1e-12
+) -> float:
+    """Largest f in [0, 1] with G - f H positive semidefinite, by bisection.
+
+    Tests f against the minimum eigenvalue of G - f H until the bracket is
+    narrower than ``width``. Accepting eigenvalues down to ``-psd_tol`` lets
+    the answer overshoot by about psd_tol / (v^† H v) for the binding
+    eigenvector v, which reaches ~5e-9 when G is nearly singular.
+    """
+
+    def feasible(f: float) -> bool:
+        return np.linalg.eigvalsh(gram_g - f * gram_h)[0] >= -psd_tol
+
+    if feasible(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -15,6 +15,7 @@ from anticlone.cli import (
     run,
     write_report,
 )
+from anticlone.probclone import two_state_efficiency
 
 
 def cli(*args):
@@ -31,6 +32,10 @@ def write_states(path, states):
 TRIO = [[[1, 0], [0, 0]], [[0, 0], [1, 0]],
         [[0.7071067811865476, 0], [0.7071067811865476, 0]]]
 PAIR_60 = [[[1, 0], [0, 0]], [[0.5, 0], [0.8660254037844386, 0]]]
+
+
+def as_state_list(kets):
+    return [[[k.real, k.imag] for k in ket] for ket in kets]
 
 
 class TestParseArgs:
@@ -116,6 +121,42 @@ class TestFeasibilityCampaign:
         assert metrics["closed_form_deviation"].value < 1e-9
         assert report.parameters["dependent"] is False
 
+    def test_near_parallel_pair_meets_closed_form(self, tmp_path):
+        c = 0.9999
+        pair = [[[1, 0], [0, 0]], [[c, 0], [np.sqrt(1 - c * c), 0]]]
+        path = write_states(tmp_path / "pair.json", pair)
+        report, code = run(parse_args(["feasibility", "--states", path]))
+        assert code == EXIT_OK
+        metrics = {m.name: m for m in report.metrics}
+        assert metrics["closed_form_deviation"].value <= 1e-12
+
+    def test_random_four_states_give_exact_zero(self, tmp_path, rng):
+        kets = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        kets /= np.linalg.norm(kets, axis=1)[:, None]
+        path = write_states(tmp_path / "four.json", as_state_list(kets))
+        report, code = run(parse_args(["feasibility", "--states", path]))
+        assert code == EXIT_OK
+        metrics = {m.name: m for m in report.metrics}
+        assert metrics["f_max"].value == 0.0
+        assert metrics["dependent_set_f_max"].passed
+
+    def test_phase_only_duplicate_clones_with_certainty(self, tmp_path):
+        psi = np.array([0.6, 0.8j])
+        path = write_states(tmp_path / "dup.json", as_state_list([psi, np.exp(1.1j) * psi]))
+        report, code = run(parse_args(["feasibility", "--states", path]))
+        assert code == EXIT_OK
+        assert {m.name: m.value for m in report.metrics}["f_max"] == 1.0
+        assert report.parameters["dependent"] is True
+
+    def test_phase_duplicate_in_trio_keeps_pair_value(self, tmp_path):
+        a = np.array([1.0, 0.0])
+        b = np.array([0.5, 0.5j * np.sqrt(3)])
+        path = write_states(tmp_path / "trio.json", as_state_list([a, np.exp(2.0j) * a, b]))
+        report, code = run(parse_args(["feasibility", "--states", path, "--L", "2", "--M", "1"]))
+        assert code == EXIT_OK
+        f_max = {m.name: m.value for m in report.metrics}["f_max"]
+        assert abs(f_max - two_state_efficiency(0.5, 2, 1)) <= 1e-12
+
 
 class TestProbCampaign:
     def test_pi_third(self):
@@ -125,6 +166,11 @@ class TestProbCampaign:
         assert metrics["unitarity_residual"].value < 1e-12
         assert metrics["success_probability_deviation_input1"].value < 1e-12
         assert metrics["shot_frequency_sigma_input2"].value < 3.0
+
+    @pytest.mark.parametrize("theta", [1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3])
+    def test_small_angles_pass(self, theta):
+        report, code = run(parse_args(["prob", "--theta", repr(theta)]))
+        assert code == EXIT_OK, report.metrics
 
     def test_bad_theta_is_input_error(self):
         report, code = run(parse_args(["prob", "--theta", "9.9"]))
@@ -140,8 +186,8 @@ class TestBaselineCampaign:
 
 
 class TestOptimizeCampaign:
-    def test_twenty_restarts_reach_optimum(self):
-        report, code = run(parse_args(["optimize", "--restarts", "20"]))
+    def test_twenty_restarts_reach_optimum(self, universal_optimize_run):
+        report, code = universal_optimize_run
         assert code == EXIT_OK
         metrics = {m.name: m for m in report.metrics}
         eta = metrics["best_eta"].value

@@ -13,12 +13,25 @@ from anticlone.probclone import (
     two_state_efficiency,
 )
 from anticlone.qubit import QubitState, antiunitary_flip
+from conftest import random_ket
+from oracles import max_feasible_f_by_bisection
 
 THETA_GRID = (np.pi / 6, np.pi / 4, np.pi / 3, np.pi / 2)
 
 
 def pair_at_angle(theta):
     return StateSet([QubitState(1, 0), QubitState.normalized(np.cos(theta), np.sin(theta))])
+
+
+def state(ket):
+    return QubitState.normalized(*ket)
+
+
+def ket_at_overlap(rng, a, c):
+    """A random-phase ket b with |<a|b>| = c."""
+    orth = np.array([-np.conj(a[1]), np.conj(a[0])])
+    phases = np.exp(2j * np.pi * rng.uniform(size=2))
+    return phases[0] * (c * a + np.sqrt(1.0 - c * c) * phases[1] * orth)
 
 
 class TestMaxFeasibleF:
@@ -74,6 +87,43 @@ class TestMaxFeasibleF:
         assert abs(res.f_max - 2 / 3) < 1e-9
         assert abs(res.gram_G[0, 1].imag) < 1e-14
         assert res.gram_G[0, 1].real >= 0
+
+    def test_matches_bisection_oracle(self, rng):
+        # The oracle's -1e-12 eigenvalue slack overshoots by up to ~5e-9 here.
+        oracle_tol = 1e-8
+        copy_specs = [CopySpec(*mu) for mu in ((1, 1), (2, 1), (0, 3), (2, 0), (5, 5))]
+        for i, c in enumerate([*rng.uniform(0.0, 0.9999, 30), 0.999, 0.9999]):
+            a = random_ket(rng, 2)
+            pair = StateSet([state(a), state(ket_at_overlap(rng, a, c))])
+            overlap = abs(np.vdot(pair.states[0].ket(), pair.states[1].ket()))
+            mu = copy_specs[i % len(copy_specs)]
+            res = max_feasible_f(pair, mu)
+            assert res.rank == 2
+            assert abs(res.f_max - two_state_efficiency(overlap, mu.L, mu.M)) <= 1e-12
+            oracle = max_feasible_f_by_bisection(res.gram_G, res.gram_H)
+            assert abs(res.f_max - oracle) <= oracle_tol
+
+        for n in range(3, 17):
+            states = StateSet([state(random_ket(rng, 2)) for _ in range(n)])
+            res = max_feasible_f(states, CopySpec(*(int(k) for k in rng.integers(1, 3, size=2))))
+            assert res.rank == 2
+            assert res.f_max == 0.0
+            assert max_feasible_f_by_bisection(res.gram_G, res.gram_H) <= 1e-9
+
+        a = random_ket(rng, 2)
+        b = ket_at_overlap(rng, a, 0.6)
+        phase = np.exp(0.9j)
+        pair_f = two_state_efficiency(0.6, 2, 1)
+        for kets, expected in (
+            ([a, phase * a], 1.0),
+            ([a, phase * a, b], pair_f),
+            ([a, b, phase * b, phase * a], pair_f),
+            ([a, phase * a, b, random_ket(rng, 2)], 0.0),
+        ):
+            res = max_feasible_f(StateSet([state(k) for k in kets]), CopySpec(2, 1))
+            assert abs(res.f_max - expected) <= 1e-12
+            oracle = max_feasible_f_by_bisection(res.gram_G, res.gram_H)
+            assert abs(res.f_max - oracle) <= oracle_tol
 
     def test_flipped_gram_is_conjugate(self):
         s2 = QubitState.normalized(0.3 + 0.4j, np.sqrt(0.75))
