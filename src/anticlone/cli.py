@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import machine, optimize, probclone
-from .qubit import BlochVector, QubitState, bloch_to_state, state_to_bloch
+from .qubit import PAULI, QubitState, antiunitary_flip, direction_kets
 
 __all__ = ["RunConfig", "MetricCheck", "Report", "parse_args", "run", "write_report", "main"]
 
@@ -167,7 +167,7 @@ def load_state_file(path: str) -> list[QubitState]:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: state {i} is not a pair of [re, im] pairs") from exc
         norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:  # also rejects NaN
             raise ValueError(f"{path}: state {i} has norm {norm!r}, outside tolerance 1e-8")
         states.append(QubitState(alpha / norm, beta / norm))
     if not states:
@@ -245,27 +245,23 @@ def _campaign_verify(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
     v = machine.build_isometry(params)
     dirs = machine.haar_directions(cfg.samples, seed=cfg.seed)
 
-    dev_rho1 = dev_rho2 = dev_f = dev_bloch = 0.0
-    f1s = []
-    for row in dirs:
-        n = BlochVector.from_array(row)
-        out = machine.anticlone(bloch_to_state(n), v)
-        t1, t2 = machine.target_forms(n, machine.OPTIMAL_ETA)
-        dev_rho1 = max(dev_rho1, float(np.max(np.abs(out.rho1 - t1))))
-        dev_rho2 = max(dev_rho2, float(np.max(np.abs(out.rho2 - t2))))
-        dev_f = max(dev_f, abs(out.f1 - machine.OPTIMAL_FIDELITY), abs(out.f2 - machine.OPTIMAL_FIDELITY))
-        b1 = state_to_bloch(out.rho1).as_array()
-        b2 = state_to_bloch(out.rho2).as_array()
-        dev_bloch = max(dev_bloch, float(np.max(np.abs(b1 + b2))))
-        f1s.append(out.f1)
+    outs = [machine.anticlone(QubitState(*k), v) for k in direction_kets(dirs)]
+    rho1, rho2 = np.array([out.rho1 for out in outs]), np.array([out.rho2 for out in outs])
+    fidelities = np.array([(out.f1, out.f2) for out in outs])
+    t1, t2 = machine.target_forms(dirs, machine.OPTIMAL_ETA)
+    bloch_sum = np.einsum("nab,kba->nk", rho1 + rho2, np.array(PAULI)).real
 
     report = machine.constraint_residuals(params)
     metrics = [
-        MetricCheck("max_universality_deviation_rho1", dev_rho1, tol),
-        MetricCheck("max_universality_deviation_rho2", dev_rho2, tol),
-        MetricCheck("max_fidelity_deviation", dev_f, tol),
-        MetricCheck("max_bloch_opposition_deviation", dev_bloch, 1e-10),
-        MetricCheck("fidelity_stddev_across_inputs", float(np.std(f1s)), 1e-10),
+        MetricCheck("max_universality_deviation_rho1", float(np.max(np.abs(rho1 - t1))), tol),
+        MetricCheck("max_universality_deviation_rho2", float(np.max(np.abs(rho2 - t2))), tol),
+        MetricCheck(
+            "max_fidelity_deviation",
+            float(np.max(np.abs(fidelities - machine.OPTIMAL_FIDELITY))),
+            tol,
+        ),
+        MetricCheck("max_bloch_opposition_deviation", float(np.max(np.abs(bloch_sum))), 1e-10),
+        MetricCheck("fidelity_stddev_across_inputs", float(np.std(fidelities[:, 0])), 1e-10),
         MetricCheck("max_constraint_residual", report.max_residual, 1e-12),
         MetricCheck(
             "isometry_residual",
@@ -310,6 +306,8 @@ def _campaign_optimize(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
 
 
 def _campaign_prob(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
+    if cfg.shots < 0:
+        raise ValueError(f"shots must be >= 0, got {cfg.shots}")
     pc = probclone.build_two_state_anticloner(cfg.theta)
     metrics = [
         MetricCheck("efficiency", pc.f),
@@ -351,11 +349,12 @@ def _campaign_feasibility(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
     res = probclone.max_feasible_f(state_set, mu)
 
     dependent = res.rank < len(states)
-    # State j repeats an earlier state up to a phase when their 2x2 Gram,
-    # with eigenvalues 1 -+ |<i|j>|, has rank 1 at the library's tolerance.
-    overlaps = np.abs(res.gram_G)
+    # State j repeats an earlier state i up to a phase when |<flip(i)|j>|, which
+    # is sqrt(1 - |<i|j>|^2) without the cancellation, is rounding-level.
+    flips = [antiunitary_flip(s).ket() for s in states]
     distinct = sum(
-        not np.any(overlaps[j, :j] >= 1.0 - probclone.RANK_TOL) for j in range(len(states))
+        all(abs(np.vdot(flips[i], states[j].ket())) > probclone.RANK_TOL for i in range(j))
+        for j in range(len(states))
     )
     metrics = [
         MetricCheck("f_max", res.f_max),
@@ -370,7 +369,7 @@ def _campaign_feasibility(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
     # forced; repeats of one or two states keep the f of the distinct ones.
     if distinct > 2:
         metrics.append(MetricCheck("dependent_set_f_max", res.f_max, 1e-9))
-    elif len(states) == 2 and not dependent:
+    elif len(states) == distinct == 2:
         c = abs(np.vdot(states[0].ket(), states[1].ket()))
         closed = probclone.two_state_efficiency(c, mu.L, mu.M)
         metrics.append(MetricCheck("closed_form_deviation", abs(res.f_max - closed), 1e-9))

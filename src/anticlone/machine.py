@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import partial_trace, tensor
+from .linalg import tensor
 from .rng import philox_stream
 from .qubit import PAULI, BlochVector, QubitState, fidelity_direction, state_to_bloch
 
@@ -30,6 +30,7 @@ __all__ = [
     "BaselineReport",
     "optimal_params",
     "build_isometry",
+    "output_states",
     "anticlone",
     "target_forms",
     "constraint_residuals",
@@ -178,11 +179,31 @@ def build_isometry(p: AnticlonerParams, tol: float = 1e-10) -> np.ndarray:
     return v
 
 
-def _split_dims(rows: int) -> list[int]:
-    if rows % 4 != 0 or rows < 4:
-        raise ValueError(f"isometry must map one qubit into (2 x 2 x k), got {rows} rows")
-    anc = rows // 4
-    return [2, 2] + ([anc] if anc > 1 else [])
+# Partial traces of the joint amplitudes j[..., n, q1, (q2,) k] onto each
+# leading output qubit, by the number of leading qubits.
+_KEEP_ONE_QUBIT = {
+    1: ("...ak,...dk->...ad",),
+    2: ("...ack,...dck->...ad", "...ack,...adk->...cd"),
+}
+
+
+def output_states(v, kets: np.ndarray, copies: int) -> tuple[np.ndarray, ...]:
+    """Reduced states of the leading output qubits for every input ket.
+
+    ``v`` holds isometries, shape (..., rows, 2), from one qubit into
+    ``copies`` output qubits (1 or 2) followed by an ancilla of any
+    dimension; ``kets`` holds N input kets, shape (N, 2). Returns one
+    (..., N, 2, 2) array per output qubit, in register order.
+    """
+    v = np.asarray(v, dtype=complex)
+    if copies not in _KEEP_ONE_QUBIT or v.ndim < 2 or v.shape[-1] != 2 or v.shape[-2] % 2**copies:
+        raise ValueError(
+            f"expected isometries into 1 or 2 qubits x ancilla, got copies={copies}, shape {v.shape}"
+        )
+    joint = np.einsum("...ri,ni->...nr", v, kets)
+    j = joint.reshape(joint.shape[:-1] + (2,) * copies + (-1,))
+    jc = j.conj()
+    return tuple(np.einsum(trace, j, jc) for trace in _KEEP_ONE_QUBIT[copies])
 
 
 def anticlone(psi: QubitState, v: np.ndarray, tol: float = 1e-10) -> CloneOutput:
@@ -196,30 +217,28 @@ def anticlone(psi: QubitState, v: np.ndarray, tol: float = 1e-10) -> CloneOutput
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 2:
         raise ValueError(f"expected an isometry with two columns, got {v.shape}")
-    dims = _split_dims(v.shape[0])
     if np.max(np.abs(v.conj().T @ v - np.eye(2))) > tol:
         raise ValueError("matrix is not an isometry within tolerance")
 
-    joint = v @ psi.ket()
-    rho_joint = np.outer(joint, joint.conj())
-    rho1 = partial_trace(rho_joint, dims, [0])
-    rho2 = partial_trace(rho_joint, dims, [1])
+    rho1, rho2 = (rho[0] for rho in output_states(v, psi.ket()[None], 2))
     n = state_to_bloch(psi.density())
     f1 = fidelity_direction(rho1, n)
     f2 = fidelity_direction(rho2, -n)
     return CloneOutput(
-        joint=joint, rho1=rho1, rho2=rho2,
+        joint=v @ psi.ket(), rho1=rho1, rho2=rho2,
         f1=f1, f2=f2, eta1=2 * f1 - 1, eta2=2 * f2 - 1,
     )
 
 
-def target_forms(n: BlochVector, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ideal output pair ((1 + eta n.sigma)/2, (1 - eta n.sigma)/2)."""
-    if abs(n.norm() - 1.0) > 1e-10:
+def target_forms(n, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ideal output pair ((1 + eta n.sigma)/2, (1 - eta n.sigma)/2) for a
+    BlochVector ``n``, or a pair of (N, 2, 2) stacks for an (N, 3) array."""
+    d = n.as_array() if isinstance(n, BlochVector) else np.asarray(n, dtype=float)
+    if np.any(np.abs(np.linalg.norm(d, axis=-1) - 1.0) > 1e-10):
         raise ValueError("direction must be a unit vector")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"shrinking factor must lie in [0, 1], got {eta}")
-    ndots = sum(comp * s for comp, s in zip(n.as_array(), PAULI))
+    ndots = sum(d[..., k, None, None] * s for k, s in enumerate(PAULI))
     eye = np.eye(2, dtype=complex)
     return 0.5 * (eye + eta * ndots), 0.5 * (eye - eta * ndots)
 

@@ -24,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .machine import output_states
+from .qubit import direction_kets
 from .rng import philox_stream
 
 __all__ = [
     "OptimizerConfig",
     "OptimizerResult",
     "direction_set",
-    "direction_kets",
     "parameterize_isometry",
     "objective_universal",
     "objective_spinflip",
@@ -99,18 +100,6 @@ def direction_set(samples: int = 62) -> np.ndarray:
     return np.vstack([pts, poles])
 
 
-def direction_kets(directions: np.ndarray) -> np.ndarray:
-    """Kets along each direction row, shape (N, 2); same phase convention as
-    ``bloch_to_state`` (real non-negative |0> amplitude)."""
-    d = np.asarray(directions, dtype=float)
-    nz = np.clip(d[:, 2], -1.0, 1.0)
-    ct2 = np.sqrt((1.0 + nz) / 2.0)
-    st2 = np.sqrt((1.0 - nz) / 2.0)
-    rxy = np.hypot(d[:, 0], d[:, 1])
-    phase = np.where(rxy > 1e-15, (d[:, 0] + 1j * d[:, 1]) / np.where(rxy > 1e-15, rxy, 1.0), 1.0)
-    return np.column_stack([ct2.astype(complex), phase * st2])
-
-
 def _isometry_batch(x: np.ndarray, out_dim: int) -> np.ndarray:
     """Project a batch of flat real vectors onto isometries, shape (B, out_dim, 2).
 
@@ -162,53 +151,37 @@ def parameterize_isometry(x: np.ndarray, out_dim: int) -> np.ndarray:
     return _isometry_batch(x[None, :], out_dim)[0]
 
 
-def _fidelity_pair_batch(vb: np.ndarray, k_in: np.ndarray, k_opp: np.ndarray):
-    """Fidelities (f1, f2) for every (candidate, direction) pair.
-
-    ``vb``: (B, 4k, 2) anti-cloner isometries. Returns two (B, N) arrays.
-    """
-    bsz, rows, _ = vb.shape
-    anc = rows // 4
-    joint = np.einsum("bri,ni->bnr", vb, k_in)  # (B, N, rows)
-    j = joint.reshape(bsz, k_in.shape[0], 2, 2, anc)
-    rho1 = np.einsum("bnack,bndck->bnad", j, j.conj())
-    rho2 = np.einsum("bnack,bnadk->bncd", j, j.conj())
-    f1 = np.einsum("na,bnad,nd->bn", k_in.conj(), rho1, k_in).real
-    f2 = np.einsum("na,bnad,nd->bn", k_opp.conj(), rho2, k_opp).real
-    return f1, f2
+def _fidelities(kets: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Overlaps <k_n|rho_n|k_n> over the direction axis n of a state stack."""
+    return np.einsum("na,...nad,nd->...n", kets.conj(), rho, kets).real
 
 
 def _universal_values(vb: np.ndarray, k_in: np.ndarray, k_opp: np.ndarray) -> np.ndarray:
-    """Per-(candidate, direction, output) fidelities, shape (B, 2N)."""
-    f1, f2 = _fidelity_pair_batch(vb, k_in, k_opp)
-    return np.concatenate([f1, f2], axis=1)
+    """Per-(candidate, direction, output) fidelities, shape (..., 2N)."""
+    rho1, rho2 = output_states(vb, k_in, 2)
+    return np.concatenate([_fidelities(k_in, rho1), _fidelities(k_opp, rho2)], axis=-1)
 
 
 def _spinflip_values(vb: np.ndarray, k_in: np.ndarray, k_opp: np.ndarray) -> np.ndarray:
     """Per-(candidate, direction) flipped fidelity for (2 x anc) isometries."""
-    bsz, rows, _ = vb.shape
-    anc = rows // 2
-    joint = np.einsum("bri,ni->bnr", vb, k_in).reshape(bsz, k_in.shape[0], 2, anc)
-    rho = np.einsum("bnak,bndk->bnad", joint, joint.conj())
-    return np.einsum("na,bnad,nd->bn", k_opp.conj(), rho, k_opp).real
+    (rho,) = output_states(vb, k_in, 1)
+    return _fidelities(k_opp, rho)
 
 
 def objective_universal(v: np.ndarray, directions: np.ndarray) -> float:
     """Worst-direction anti-cloning fidelity of one isometry.
 
-    Equals min over the net of min(f1, f2) as computed by
-    ``machine.anticlone``; evaluated in batch form for speed.
+    Equals min over the net of min(f1, f2), the fidelities of the two
+    outputs against n and -n, from ``machine.output_states``.
     """
-    v = np.asarray(v, dtype=complex)
     d = np.atleast_2d(np.asarray(directions, dtype=float))
-    return float(_universal_values(v[None], direction_kets(d), direction_kets(-d)).min())
+    return float(_universal_values(v, direction_kets(d), direction_kets(-d)).min())
 
 
 def objective_spinflip(v: np.ndarray, directions: np.ndarray) -> float:
     """Worst-direction flip fidelity <-n|rho_out|-n> of a (2 x anc) isometry."""
-    v = np.asarray(v, dtype=complex)
     d = np.atleast_2d(np.asarray(directions, dtype=float))
-    return float(_spinflip_values(v[None], direction_kets(d), direction_kets(-d)).min())
+    return float(_spinflip_values(v, direction_kets(d), direction_kets(-d)).min())
 
 
 def _softmin(values: np.ndarray, temperature: float) -> np.ndarray:

@@ -15,6 +15,7 @@ __all__ = [
     "QubitState",
     "ShrinkReport",
     "check_density_matrix",
+    "direction_kets",
     "bloch_to_state",
     "state_to_bloch",
     "antiunitary_flip",
@@ -120,20 +121,23 @@ def _require_unit(n: BlochVector, tol: float = 1e-10) -> BlochVector:
     return n
 
 
-def bloch_to_state(n: BlochVector) -> QubitState:
-    """Pure state along a unit Bloch direction.
+def direction_kets(directions) -> np.ndarray:
+    """Kets alpha = cos(theta/2), beta = e^{i phi} sin(theta/2) along unit
+    Bloch directions, shape (N, 2) for an (N, 3) array. The first amplitude
+    above 1e-12 is real non-negative: where alpha is smaller it is set to 0."""
+    d = np.asarray(directions, dtype=float)
+    nz = np.clip(d[:, 2], -1.0, 1.0)
+    alpha = np.sqrt((1.0 + nz) / 2.0)
+    rxy = np.hypot(d[:, 0], d[:, 1])
+    real = (rxy <= 1e-15) | (alpha < 1e-12)
+    phase = np.where(real, 1.0, (d[:, 0] + 1j * d[:, 1]) / np.where(real, 1.0, rxy))
+    return np.column_stack([np.where(alpha < 1e-12, 0.0, alpha), phase * np.sqrt((1.0 - nz) / 2.0)])
 
-    alpha = cos(theta/2), beta = e^{i phi} sin(theta/2); the global phase is
-    fixed so the first non-negligible amplitude is real non-negative.
-    """
+
+def bloch_to_state(n: BlochVector) -> QubitState:
+    """Pure state along a unit Bloch direction, phased as in ``direction_kets``."""
     _require_unit(n)
-    theta = np.arccos(np.clip(n.nz, -1.0, 1.0))
-    phi = np.arctan2(n.ny, n.nx)
-    alpha = np.cos(theta / 2)
-    beta = np.exp(1j * phi) * np.sin(theta / 2)
-    if alpha < 1e-12:
-        alpha, beta = 0.0, abs(beta)
-    return QubitState.normalized(alpha, beta)
+    return QubitState.normalized(*direction_kets(n.as_array()[None])[0])
 
 
 def state_to_bloch(rho) -> BlochVector:

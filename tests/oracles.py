@@ -51,6 +51,53 @@ def partial_trace_by_sum(rho: np.ndarray, dims: list[int], keep: list[int]) -> n
     return out
 
 
+def ket_by_angles(direction) -> np.ndarray:
+    """cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> along a unit Bloch direction."""
+    x, y, z = direction
+    theta = np.arccos(np.clip(z, -1.0, 1.0))
+    phi = np.arctan2(y, x)
+    return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+
+
+def clone_outputs_by_sum(v: np.ndarray, ket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced states of the two leading qubits of ``v @ ket``, by explicit
+    partial-trace sums over the joint projector."""
+    joint = v @ ket
+    rho = np.outer(joint, joint.conj())
+    dims = [2, 2, v.shape[0] // 4]
+    return partial_trace_by_sum(rho, dims, [0]), partial_trace_by_sum(rho, dims, [1])
+
+
+def verify_metrics_by_direction(v: np.ndarray, dirs: np.ndarray, eta: float) -> dict:
+    """The verify campaign's per-direction metrics, one direction at a time:
+    trig kets, explicit partial traces and hand-built target forms."""
+    paulis = [np.array([[0, 1], [1, 0]], dtype=complex),
+              np.array([[0, -1j], [1j, 0]], dtype=complex),
+              np.array([[1, 0], [0, -1]], dtype=complex)]
+    eye = np.eye(2, dtype=complex)
+    dev_rho1 = dev_rho2 = dev_f = dev_bloch = 0.0
+    f1s = []
+    for d in dirs:
+        k_in, k_opp = ket_by_angles(d), ket_by_angles(-d)
+        rho1, rho2 = clone_outputs_by_sum(v, k_in)
+        ndots = d[0] * paulis[0] + d[1] * paulis[1] + d[2] * paulis[2]
+        dev_rho1 = max(dev_rho1, np.max(np.abs(rho1 - 0.5 * (eye + eta * ndots))))
+        dev_rho2 = max(dev_rho2, np.max(np.abs(rho2 - 0.5 * (eye - eta * ndots))))
+        f1 = np.vdot(k_in, rho1 @ k_in).real
+        f2 = np.vdot(k_opp, rho2 @ k_opp).real
+        dev_f = max(dev_f, abs(f1 - 2 / 3), abs(f2 - 2 / 3))
+        bloch_sum = [np.trace((rho1 + rho2) @ s).real for s in paulis]
+        dev_bloch = max(dev_bloch, max(abs(b) for b in bloch_sum))
+        f1s.append(f1)
+    return {
+        "max_universality_deviation_rho1": dev_rho1,
+        "max_universality_deviation_rho2": dev_rho2,
+        "max_fidelity_deviation": dev_f,
+        "max_bloch_opposition_deviation": dev_bloch,
+        "fidelity_stddev_across_inputs": float(np.std(f1s)),
+    }
+
+
 def flip_density(rho: np.ndarray) -> np.ndarray:
     """Spin flip lifted to density matrices: negate the Bloch vector."""
     sx = np.array([[0, 1], [1, 0]], dtype=complex)

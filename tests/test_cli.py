@@ -15,7 +15,9 @@ from anticlone.cli import (
     run,
     write_report,
 )
+from anticlone import machine
 from anticlone.probclone import two_state_efficiency
+from oracles import verify_metrics_by_direction
 
 
 def cli(*args):
@@ -81,6 +83,11 @@ class TestStateFile:
         with pytest.raises(ValueError):
             load_state_file(path)
 
+    def test_nan_amplitude_is_input_error(self, tmp_path):
+        path = write_states(tmp_path / "s.json", [[[float("nan"), 0], [0, 0]], [[1, 0], [0, 0]]])
+        report, code = run(parse_args(["feasibility", "--states", path]))
+        assert code == EXIT_INPUT_ERROR
+
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text('{"states": [[[1, 0]]]}')
@@ -96,6 +103,20 @@ class TestVerifyCampaign:
         assert metrics["max_universality_deviation_rho1"].value < 1e-9
         assert metrics["max_universality_deviation_rho2"].value < 1e-9
         assert all(m.passed for m in report.metrics if m.tolerance is not None)
+
+    @pytest.mark.parametrize("which", ["optimal", "random"])
+    def test_metrics_match_per_direction_oracle(self, which, rng, monkeypatch):
+        if which == "optimal":
+            v = machine.build_isometry(machine.optimal_params())
+        else:
+            m = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+            v = np.linalg.qr(m)[0]
+            monkeypatch.setattr(machine, "build_isometry", lambda params: v)
+        report, _ = run(parse_args(["verify", "--samples", "50", "--seed", "4"]))
+        metrics = {m.name: m.value for m in report.metrics}
+        oracle = verify_metrics_by_direction(v, machine.haar_directions(50, seed=4), 1 / 3)
+        for name, value in oracle.items():
+            assert abs(metrics[name] - value) <= 1e-12, name
 
     def test_impossible_tolerance_fails_with_exit_1(self):
         report, code = run(parse_args(["verify", "--samples", "50", "--tol", "1e-20"]))
@@ -129,6 +150,17 @@ class TestFeasibilityCampaign:
         assert code == EXIT_OK
         metrics = {m.name: m for m in report.metrics}
         assert metrics["closed_form_deviation"].value <= 1e-12
+
+    @pytest.mark.parametrize("gap", [5e-11, 1e-12])
+    def test_near_duplicate_pair_is_judged_by_closed_form(self, tmp_path, gap):
+        # G's small eigenvalue 1 - c lies below the rank tolerance, so the
+        # direct solve cannot resolve f_max; the closed form must catch it
+        c = 1.0 - gap
+        pair = [[[1, 0], [0, 0]], [[c, 0], [np.sqrt(1 - c * c), 0]]]
+        path = write_states(tmp_path / "pair.json", pair)
+        report, code = run(parse_args(["feasibility", "--states", path]))
+        assert code == EXIT_VERIFICATION_FAILED
+        assert not {m.name: m for m in report.metrics}["closed_form_deviation"].passed
 
     def test_random_four_states_give_exact_zero(self, tmp_path, rng):
         kets = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
@@ -174,6 +206,10 @@ class TestProbCampaign:
 
     def test_bad_theta_is_input_error(self):
         report, code = run(parse_args(["prob", "--theta", "9.9"]))
+        assert code == EXIT_INPUT_ERROR
+
+    def test_negative_shots_is_input_error(self):
+        report, code = run(parse_args(["prob", "--theta", "1", "--shots", "-5"]))
         assert code == EXIT_INPUT_ERROR
 
 

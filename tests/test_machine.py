@@ -11,6 +11,7 @@ from anticlone.machine import (
     haar_directions,
     measure_prepare_baseline,
     optimal_params,
+    output_states,
     target_forms,
 )
 from anticlone.qubit import BlochVector, QubitState, bloch_to_state, state_to_bloch
@@ -164,7 +165,41 @@ class TestAnticlone:
             anticlone(QubitState(1, 0), np.ones((16, 2)))
 
 
+class TestOutputStates:
+    def test_flip_channel_matches_brute_force(self, rng):
+        v = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))[0]
+        kets = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        kets /= np.linalg.norm(kets, axis=1)[:, None]
+        (rho,) = output_states(v, kets, 1)
+        assert rho.shape == (6, 2, 2)
+        for k, r in zip(kets, rho):
+            joint = v @ k
+            expected = partial_trace_by_sum(np.outer(joint, joint.conj()), [2, 4], [0])
+            assert np.allclose(r, expected, atol=1e-12)
+
+    def test_batch_axis_matches_single_isometries(self, isometry):
+        vb = np.stack([isometry, isometry[::-1]])
+        kets = np.array([[1.0, 0.0], [0.6, 0.8j]])
+        rho1, rho2 = output_states(vb, kets, 2)
+        assert rho1.shape == rho2.shape == (2, 2, 2, 2)
+        for b, v in enumerate(vb):
+            s1, s2 = output_states(v, kets, 2)
+            assert np.array_equal(rho1[b], s1) and np.array_equal(rho2[b], s2)
+
+    def test_rejects_rows_that_do_not_split(self):
+        with pytest.raises(ValueError):
+            output_states(np.zeros((6, 2)), np.array([[1.0, 0.0]]), 2)
+
+
 class TestTargetForms:
+    def test_stack_matches_single_directions(self):
+        dirs = haar_directions(5, seed=3)
+        t1, t2 = target_forms(dirs, 1 / 3)
+        assert t1.shape == t2.shape == (5, 2, 2)
+        for d, a, b in zip(dirs, t1, t2):
+            s1, s2 = target_forms(BlochVector.from_array(d), 1 / 3)
+            assert np.array_equal(a, s1) and np.array_equal(b, s2)
+
     def test_eta_zero(self):
         t1, t2 = target_forms(BlochVector(0, 0, 1), 0.0)
         assert np.allclose(t1, np.eye(2) / 2)

@@ -64,6 +64,10 @@ class TestBlochToState:
         s = bloch_to_state(BlochVector(0, 0, -1))
         assert s.alpha == 0 and s.beta == 1
 
+    def test_near_south_pole_keeps_beta_real(self):
+        s = bloch_to_state(BlochVector(1e-13, 1e-13, -1.0))
+        assert s.alpha == 0 and s.beta == 1
+
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             bloch_to_state(BlochVector(0.5, 0, 0))
