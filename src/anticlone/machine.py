@@ -14,6 +14,8 @@ measure-and-prepare strategy it has to beat.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,16 +196,69 @@ def output_states(v, kets: np.ndarray, copies: int) -> tuple[np.ndarray, ...]:
     ``copies`` output qubits (1 or 2) followed by an ancilla of any
     dimension; ``kets`` holds N input kets, shape (N, 2). Returns one
     (..., N, 2, 2) array per output qubit, in register order.
+
+    A stacked batch (``v.ndim >= 3``) is split along its leading axis into
+    one chunk per CPU in the process's affinity mask, computed on a thread
+    pool; the result is bit-identical to computing it on one thread.
     """
     v = np.asarray(v, dtype=complex)
     if copies not in _KEEP_ONE_QUBIT or v.ndim < 2 or v.shape[-1] != 2 or v.shape[-2] % 2**copies:
         raise ValueError(
             f"expected isometries into 1 or 2 qubits x ancilla, got copies={copies}, shape {v.shape}"
         )
+    chunks = min(_cpus(), v.shape[0]) if v.ndim >= 3 else 1
+    if chunks < 2:
+        return _reduced_states(v, kets, copies)
+    # The calling thread computes the first chunk. einsum releases the GIL,
+    # and it computes each batch row with the same inner loop whatever the
+    # chunk size, so the result is bit-identical to the single-thread call.
+    first, *rest = np.array_split(v, chunks)
+    pool = _executor()
+    pending = [pool.submit(_reduced_states, part, kets, copies) for part in rest]
+    parts = [_reduced_states(first, kets, copies)] + [f.result() for f in pending]
+    return tuple(np.concatenate(states) for states in zip(*parts))
+
+
+def _reduced_states(v: np.ndarray, kets: np.ndarray, copies: int) -> tuple[np.ndarray, ...]:
     joint = np.einsum("...ri,ni->...nr", v, kets)
     j = joint.reshape(joint.shape[:-1] + (2,) * copies + (-1,))
     jc = j.conj()
     return tuple(np.einsum(trace, j, jc) for trace in _KEEP_ONE_QUBIT[copies])
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    """The worker pool for ``output_states``, created on first use with one
+    thread fewer than the CPU count (the caller computes a chunk too)."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="output_states")
+        return _pool
+
+
+def _forget_pool_after_fork():
+    # A forked child inherits the pool object but none of its threads, so
+    # work submitted to it would never run.
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
 def anticlone(psi: QubitState, v: np.ndarray, tol: float = 1e-10) -> CloneOutput:

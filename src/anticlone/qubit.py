@@ -99,18 +99,20 @@ class ShrinkReport:
 
 
 def check_density_matrix(rho, tol: float = 1e-10) -> np.ndarray:
-    """Validate a 2x2 density matrix: Hermitian, unit trace, PSD."""
+    """Validate a 2x2 density matrix: Hermitian, unit trace, PSD, and no
+    NaN or infinite entries."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    # `not (x <= tol)` rather than `x > tol`: a NaN entry must fail the test
+    if not np.max(np.abs(rho - rho.conj().T)) <= tol:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
+    if not (abs(np.trace(rho).real - 1.0) <= tol and abs(np.trace(rho).imag) <= tol):
         raise ValueError("density matrix does not have unit trace")
     # smaller eigenvalue of a Hermitian 2x2: (tr - sqrt((a - d)^2 + 4|b|^2)) / 2
     min_eig = 0.5 * (rho[0, 0].real + rho[1, 1].real
                      - np.hypot(rho[0, 0].real - rho[1, 1].real, 2.0 * abs(rho[0, 1])))
-    if min_eig < -tol:
+    if not min_eig >= -tol:
         raise ValueError("density matrix is not positive semidefinite")
     return rho
 

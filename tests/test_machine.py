@@ -1,6 +1,9 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
+from anticlone import machine
 from anticlone.machine import (
     COEFF_KEYS,
     OPTIMAL_ETA,
@@ -14,7 +17,8 @@ from anticlone.machine import (
     output_states,
     target_forms,
 )
-from anticlone.qubit import BlochVector, QubitState, bloch_to_state, state_to_bloch
+from anticlone.optimize import _isometry_batch
+from anticlone.qubit import BlochVector, QubitState, bloch_to_state, direction_kets, state_to_bloch
 from oracles import partial_trace_by_sum, reduced_outputs_from_coefficients
 
 PHASE = np.exp(1j * np.arccos(1 / np.sqrt(3)))
@@ -189,6 +193,62 @@ class TestOutputStates:
     def test_rejects_rows_that_do_not_split(self):
         with pytest.raises(ValueError):
             output_states(np.zeros((6, 2)), np.array([[1.0, 0.0]]), 2)
+
+
+def _random_isometries(rng, rows, out_dim):
+    return _isometry_batch(rng.standard_normal((rows, 4 * out_dim)), out_dim)
+
+
+def _sum_in_child(v, kets, results):
+    results.put(complex(sum(rho.sum() for rho in output_states(v, kets, 2))))
+
+
+class TestOutputStatesAcrossThreads:
+    """A stacked batch is split over CPUs; results must not change by a bit."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("copies", [1, 2])
+    @pytest.mark.parametrize("ancilla", [1, 2, 4])
+    def test_bitwise_equal_to_one_thread(self, monkeypatch, rng, workers, copies, ancilla):
+        kets = direction_kets(haar_directions(68, seed=2))
+        for rows in (1, 2, 7, 128):
+            v = _random_isometries(rng, rows, 2**copies * ancilla)
+            monkeypatch.setattr(machine, "_cpus", lambda: 1)
+            inline = output_states(v, kets, copies)
+            monkeypatch.setattr(machine, "_cpus", lambda: workers)
+            split = output_states(v, kets, copies)
+            assert len(split) == len(inline) == copies
+            for a, b in zip(inline, split):
+                assert a.shape == b.shape == (rows, 68, 2, 2)
+                assert np.array_equal(a.view(float), b.view(float))
+
+    def test_two_dimensional_input_runs_inline(self, monkeypatch, isometry):
+        monkeypatch.setattr(machine, "_cpus", lambda: 2)
+        monkeypatch.setattr(machine, "_executor", lambda: pytest.fail("pool used"))
+        output_states(isometry, np.array([[1.0, 0.0]]), 2)
+        output_states(isometry[None], np.array([[1.0, 0.0]]), 2)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_child_gets_a_working_pool(self, monkeypatch, rng):
+        monkeypatch.setattr(machine, "_cpus", lambda: 2)
+        v = _random_isometries(rng, 128, 16)
+        kets = direction_kets(haar_directions(68, seed=4))
+        expected = complex(sum(rho.sum() for rho in output_states(v, kets, 2)))
+        assert machine._pool is not None
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=_sum_in_child, args=(v, kets, results))
+        child.start()
+        try:
+            got = results.get(timeout=10)
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert got == expected
 
 
 class TestTargetForms:

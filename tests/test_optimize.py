@@ -1,6 +1,10 @@
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from anticlone import machine
 from anticlone.machine import build_isometry, optimal_params
 from anticlone.optimize import (
     OptimizerConfig,
@@ -178,6 +182,33 @@ class TestOptimizeUniversal:
         assert res.best_eta == max(res.per_restart_etas)
         assert len(res.objective_trace) >= 1
         assert abs(res.best_fidelity - 0.5 * (1 + res.best_eta)) < 1e-15
+
+
+class TestTracedRun:
+    """The benchmark's tracer keeps one span stack, so every traced layer
+    must run on the calling thread; only untraced numpy work may be handed
+    to ``output_states``'s worker threads."""
+
+    def test_spans_nest_and_account_for_the_wall_time(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from layers import LAYERS
+        from tracer import Tracer, check_nesting, patched, root_time, self_times
+
+        monkeypatch.setattr(machine, "_cpus", lambda: 2)  # the threaded path, on any runner
+        tracer = Tracer()
+        start = time.perf_counter()
+        with patched(tracer, LAYERS) as (_, missing):
+            optimize_universal(OptimizerConfig(restarts=1, max_iters=8, seed=0))
+        wall = time.perf_counter() - start
+
+        assert missing == []
+        check_nesting(tracer.spans)
+        per_layer = self_times(tracer.spans)
+        assert per_layer["optimize._universal_values"][0] > 0
+        unspanned = wall - root_time(tracer.spans)
+        assert unspanned >= 0
+        self_total = sum(t for _, t in per_layer.values())
+        assert abs(self_total + unspanned - wall) <= 1e-6 * max(1.0, wall)
 
 
 class TestOptimizeSpinflip:

@@ -7,6 +7,7 @@ from anticlone.qubit import (
     QubitState,
     antiunitary_flip,
     bloch_to_state,
+    check_density_matrix,
     fidelity_direction,
     shrink_factor,
     state_to_bloch,
@@ -97,6 +98,26 @@ class TestStateToBloch:
     def test_rejects_non_density(self):
         with pytest.raises(ValueError):
             state_to_bloch(np.array([[1.2, 0], [0, -0.2]]))  # not PSD
+
+
+NON_FINITE = [
+    [[np.nan, 0], [0, 1]],
+    [[np.inf, 0], [0, 1]],
+    [[0.5, np.nan], [np.nan, 0.5]],
+    [[0.5, np.inf], [np.inf, 0.5]],
+    [[0.5, -np.inf], [-np.inf, 0.5]],
+]
+
+
+class TestCheckDensityMatrix:
+    @pytest.mark.parametrize("rho", NON_FINITE)
+    def test_rejects_non_finite_entries(self, rho):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            check_density_matrix(np.array(rho, dtype=complex))
+
+    def test_fidelity_of_nan_matrix_raises(self):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            fidelity_direction(np.array([[np.nan, 0], [0, 1.0]]), BlochVector(0.0, 0.0, 1.0))
 
 
 class TestAntiunitaryFlip:
