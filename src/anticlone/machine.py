@@ -14,8 +14,6 @@ measure-and-prepare strategy it has to beat.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +31,7 @@ __all__ = [
     "optimal_params",
     "build_isometry",
     "output_states",
+    "output_fidelities",
     "anticlone",
     "target_forms",
     "constraint_residuals",
@@ -189,76 +188,53 @@ _KEEP_ONE_QUBIT = {
 }
 
 
+def _isometries(v, copies: int) -> np.ndarray:
+    """``v`` as complex isometries (..., rows, 2) into ``copies`` output
+    qubits (1 or 2) followed by an ancilla; raises on any other shape."""
+    v = np.asarray(v, dtype=complex)
+    if copies not in _KEEP_ONE_QUBIT or v.ndim < 2 or v.shape[-1] != 2 or v.shape[-2] % 2**copies:
+        raise ValueError(
+            f"expected isometries into 1 or 2 qubits x ancilla, got copies={copies}, shape {v.shape}"
+        )
+    return v
+
+
 def output_states(v, kets: np.ndarray, copies: int) -> tuple[np.ndarray, ...]:
     """Reduced states of the leading output qubits for every input ket.
 
     ``v`` holds isometries, shape (..., rows, 2), from one qubit into
     ``copies`` output qubits (1 or 2) followed by an ancilla of any
     dimension; ``kets`` holds N input kets, shape (N, 2). Returns one
-    (..., N, 2, 2) array per output qubit, in register order.
-
-    A stacked batch (``v.ndim >= 3``) is split along its leading axis into
-    one chunk per CPU in the process's affinity mask, computed on a thread
-    pool; the result is bit-identical to computing it on one thread.
+    (..., N, 2, 2) array per output qubit, in register order. Callers that
+    need only fidelities use ``output_fidelities``, which forms no state.
     """
-    v = np.asarray(v, dtype=complex)
-    if copies not in _KEEP_ONE_QUBIT or v.ndim < 2 or v.shape[-1] != 2 or v.shape[-2] % 2**copies:
-        raise ValueError(
-            f"expected isometries into 1 or 2 qubits x ancilla, got copies={copies}, shape {v.shape}"
-        )
-    chunks = min(_cpus(), v.shape[0]) if v.ndim >= 3 else 1
-    if chunks < 2:
-        return _reduced_states(v, kets, copies)
-    # The calling thread computes the first chunk. einsum releases the GIL,
-    # and it computes each batch row with the same inner loop whatever the
-    # chunk size, so the result is bit-identical to the single-thread call.
-    first, *rest = np.array_split(v, chunks)
-    pool = _executor()
-    pending = [pool.submit(_reduced_states, part, kets, copies) for part in rest]
-    parts = [_reduced_states(first, kets, copies)] + [f.result() for f in pending]
-    return tuple(np.concatenate(states) for states in zip(*parts))
-
-
-def _reduced_states(v: np.ndarray, kets: np.ndarray, copies: int) -> tuple[np.ndarray, ...]:
+    v = _isometries(v, copies)
     joint = np.einsum("...ri,ni->...nr", v, kets)
     j = joint.reshape(joint.shape[:-1] + (2,) * copies + (-1,))
     jc = j.conj()
     return tuple(np.einsum(trace, j, jc) for trace in _KEEP_ONE_QUBIT[copies])
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def output_fidelities(v, kets: np.ndarray, targets) -> np.ndarray:
+    """Fidelities <t_n|rho_n|t_n> of the leading output qubits, without rho.
 
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _executor():
-    """The worker pool for ``output_states``, created on first use with one
-    thread fewer than the CPU count (the caller computes a chunk too)."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="output_states")
-        return _pool
-
-
-def _forget_pool_after_fork():
-    # A forked child inherits the pool object but none of its threads, so
-    # work submitted to it would never run.
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool_after_fork)
+    ``v`` and ``kets`` are as for ``output_states``; ``targets`` holds one
+    (N, 2) array of target kets per leading output qubit (1 or 2). Each
+    fidelity is a squared norm, ||(<t_n| x 1) V |k_n>||^2, so qubit q takes
+    one matrix product of V's (rest, qubit q x input) rows with the folded
+    vectors conj(t_n) x k_n. Returns shape (..., copies * N), qubit-major.
+    """
+    v = _isometries(v, len(targets))
+    lead = v.shape[:-2]
+    regs = v.reshape(lead + (2,) * len(targets) + (-1, 2))
+    fidelities = []
+    for q, t in enumerate(targets):
+        folded = (np.conj(t)[:, :, None] * kets[:, None, :]).reshape(-1, 4).T
+        # One small product per isometry: a single (batch x rest)-row product
+        # is large enough for BLAS to thread, which stalls on a busy CPU.
+        amps = np.moveaxis(regs, len(lead) + q, -2).reshape(lead + (-1, 4)) @ folded
+        fidelities.append((amps.real**2 + amps.imag**2).sum(axis=-2))
+    return np.concatenate(fidelities, axis=-1)
 
 
 def anticlone(psi: QubitState, v: np.ndarray, tol: float = 1e-10) -> CloneOutput:
@@ -395,7 +371,7 @@ def measure_prepare_baseline(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    sum1 = sum2 = sum2_sq = 0.0
+    total = total_sq = 0.0
     done = 0
     batch_index = 0
     while done < samples:
@@ -403,26 +379,23 @@ def measure_prepare_baseline(
         rng = philox_stream(seed, batch_index)
         n_dirs = _unit_rows(rng, m)
         m_dirs = n_dirs if align_with_input else _unit_rows(rng, m)
-        p_up = 0.5 * (1.0 + np.sum(n_dirs * m_dirs, axis=1))
-        got_up = rng.random(m) < p_up
-        sign = np.where(got_up, 1.0, -1.0)
-        prep1 = sign[:, None] * m_dirs   # copy aligned with the outcome
-        prep2 = -prep1                   # anti-copy
-        f1 = 0.5 * (1.0 + np.sum(n_dirs * prep1, axis=1))
-        f2 = 0.5 * (1.0 - np.sum(n_dirs * prep2, axis=1))
-        sum1 += float(np.sum(f1))
-        sum2 += float(np.sum(f2))
-        sum2_sq += float(np.sum(f2 * f2))
+        nm = np.sum(n_dirs * m_dirs, axis=1)
+        got_up = rng.random(m) < 0.5 * (1.0 + nm)
+        # The outcome s = +-1 prepares the copy along s*m, scored against n,
+        # and the anti-copy along -s*m, scored against -n: both fidelities
+        # are (1 + s n.m)/2, bit for bit.
+        f = 0.5 * (1.0 + np.where(got_up, nm, -nm))
+        total += float(np.sum(f))
+        total_sq += float(np.sum(f * f))
         done += m
         batch_index += 1
 
-    mean1 = sum1 / samples
-    mean2 = sum2 / samples
-    var2 = max(0.0, sum2_sq / samples - mean2 * mean2)
-    stderr = float(np.sqrt(var2 / samples))
+    mean = total / samples
+    var = max(0.0, total_sq / samples - mean * mean)
+    stderr = float(np.sqrt(var / samples))
     return BaselineReport(
-        avg_fidelity_clone=mean1,
-        avg_fidelity_anticlone=mean2,
+        avg_fidelity_clone=mean,
+        avg_fidelity_anticlone=mean,
         samples=samples,
         seed=seed,
         stderr=stderr,

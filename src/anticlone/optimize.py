@@ -15,7 +15,9 @@ do. Two campaigns:
 
 The ascent is deliberately simple: finite differences and geometric step
 decay, no analytic derivatives, so it stays independent of the algebra being
-re-derived.
+re-derived. Every candidate's fidelities come from one
+``machine.output_fidelities`` call, which takes each as the squared norm of
+the output projected onto the target ket and forms no reduced state.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machine import output_states
+from .machine import output_fidelities
 from .qubit import direction_kets
 from .rng import philox_stream
 
@@ -151,28 +153,21 @@ def parameterize_isometry(x: np.ndarray, out_dim: int) -> np.ndarray:
     return _isometry_batch(x[None, :], out_dim)[0]
 
 
-def _fidelities(kets: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Overlaps <k_n|rho_n|k_n> over the direction axis n of a state stack."""
-    return np.einsum("na,...nad,nd->...n", kets.conj(), rho, kets).real
-
-
 def _universal_values(vb: np.ndarray, k_in: np.ndarray, k_opp: np.ndarray) -> np.ndarray:
     """Per-(candidate, direction, output) fidelities, shape (..., 2N)."""
-    rho1, rho2 = output_states(vb, k_in, 2)
-    return np.concatenate([_fidelities(k_in, rho1), _fidelities(k_opp, rho2)], axis=-1)
+    return output_fidelities(vb, k_in, (k_in, k_opp))
 
 
 def _spinflip_values(vb: np.ndarray, k_in: np.ndarray, k_opp: np.ndarray) -> np.ndarray:
     """Per-(candidate, direction) flipped fidelity for (2 x anc) isometries."""
-    (rho,) = output_states(vb, k_in, 1)
-    return _fidelities(k_opp, rho)
+    return output_fidelities(vb, k_in, (k_opp,))
 
 
 def objective_universal(v: np.ndarray, directions: np.ndarray) -> float:
     """Worst-direction anti-cloning fidelity of one isometry.
 
     Equals min over the net of min(f1, f2), the fidelities of the two
-    outputs against n and -n, from ``machine.output_states``.
+    outputs against n and -n, from ``machine.output_fidelities``.
     """
     d = np.atleast_2d(np.asarray(directions, dtype=float))
     return float(_universal_values(v, direction_kets(d), direction_kets(-d)).min())

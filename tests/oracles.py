@@ -2,11 +2,13 @@
 
 Everything here is deliberately written the dumb way (explicit index sums,
 hand-transcribed closed forms) and must not import the code paths it checks.
+``fidelities_from_states`` builds on ``machine.output_states``, the reduced-
+state path that the explicit partial-trace sums here check in turn.
 """
 
 import numpy as np
 
-from anticlone.machine import AnticlonerParams
+from anticlone.machine import AnticlonerParams, output_states
 
 
 def kron_by_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -66,6 +68,17 @@ def clone_outputs_by_sum(v: np.ndarray, ket: np.ndarray) -> tuple[np.ndarray, np
     rho = np.outer(joint, joint.conj())
     dims = [2, 2, v.shape[0] // 4]
     return partial_trace_by_sum(rho, dims, [0]), partial_trace_by_sum(rho, dims, [1])
+
+
+def fidelities_from_states(v: np.ndarray, kets: np.ndarray, targets) -> np.ndarray:
+    """Fidelities <t_n|rho_n|t_n> contracted from the reduced states that
+    ``output_states`` forms (the ρ path), one target array per leading
+    output qubit, concatenated qubit-major."""
+    rhos = output_states(v, kets, len(targets))
+    return np.concatenate(
+        [np.einsum("na,...nad,nd->...n", t.conj(), rho, t).real for t, rho in zip(targets, rhos)],
+        axis=-1,
+    )
 
 
 def verify_metrics_by_direction(v: np.ndarray, dirs: np.ndarray, eta: float) -> dict:

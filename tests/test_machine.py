@@ -1,9 +1,6 @@
-import multiprocessing
-
 import numpy as np
 import pytest
 
-from anticlone import machine
 from anticlone.machine import (
     COEFF_KEYS,
     OPTIMAL_ETA,
@@ -14,12 +11,13 @@ from anticlone.machine import (
     haar_directions,
     measure_prepare_baseline,
     optimal_params,
+    output_fidelities,
     output_states,
     target_forms,
 )
 from anticlone.optimize import _isometry_batch
 from anticlone.qubit import BlochVector, QubitState, bloch_to_state, direction_kets, state_to_bloch
-from oracles import partial_trace_by_sum, reduced_outputs_from_coefficients
+from oracles import fidelities_from_states, partial_trace_by_sum, reduced_outputs_from_coefficients
 
 PHASE = np.exp(1j * np.arccos(1 / np.sqrt(3)))
 ROOT6 = np.sqrt(1 / 6)
@@ -199,56 +197,39 @@ def _random_isometries(rng, rows, out_dim):
     return _isometry_batch(rng.standard_normal((rows, 4 * out_dim)), out_dim)
 
 
-def _sum_in_child(v, kets, results):
-    results.put(complex(sum(rho.sum() for rho in output_states(v, kets, 2))))
+class TestOutputFidelities:
+    """The project-then-norm kernel against contractions of the reduced states."""
 
-
-class TestOutputStatesAcrossThreads:
-    """A stacked batch is split over CPUs; results must not change by a bit."""
-
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("lead", [(), (1,), (7,), (128,)])
     @pytest.mark.parametrize("copies", [1, 2])
     @pytest.mark.parametrize("ancilla", [1, 2, 4])
-    def test_bitwise_equal_to_one_thread(self, monkeypatch, rng, workers, copies, ancilla):
+    def test_matches_contracted_states(self, rng, lead, copies, ancilla):
+        out_dim = 2**copies * ancilla
+        v = _random_isometries(rng, int(np.prod(lead)), out_dim).reshape(lead + (out_dim, 2))
         kets = direction_kets(haar_directions(68, seed=2))
-        for rows in (1, 2, 7, 128):
-            v = _random_isometries(rng, rows, 2**copies * ancilla)
-            monkeypatch.setattr(machine, "_cpus", lambda: 1)
-            inline = output_states(v, kets, copies)
-            monkeypatch.setattr(machine, "_cpus", lambda: workers)
-            split = output_states(v, kets, copies)
-            assert len(split) == len(inline) == copies
-            for a, b in zip(inline, split):
-                assert a.shape == b.shape == (rows, 68, 2, 2)
-                assert np.array_equal(a.view(float), b.view(float))
+        targets = tuple(direction_kets(haar_directions(68, seed=5 + q)) for q in range(copies))
+        got = output_fidelities(v, kets, targets)
+        assert got.shape == lead + (copies * 68,)
+        assert np.max(np.abs(got - fidelities_from_states(v, kets, targets))) <= 1e-14
+        assert got.min() >= 0.0 and got.max() <= 1.0 + 1e-15
 
-    def test_two_dimensional_input_runs_inline(self, monkeypatch, isometry):
-        monkeypatch.setattr(machine, "_cpus", lambda: 2)
-        monkeypatch.setattr(machine, "_executor", lambda: pytest.fail("pool used"))
-        output_states(isometry, np.array([[1.0, 0.0]]), 2)
-        output_states(isometry[None], np.array([[1.0, 0.0]]), 2)
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="needs the fork start method")
-    def test_forked_child_gets_a_working_pool(self, monkeypatch, rng):
-        monkeypatch.setattr(machine, "_cpus", lambda: 2)
+    def test_batch_rows_equal_single_isometries(self, rng):
         v = _random_isometries(rng, 128, 16)
-        kets = direction_kets(haar_directions(68, seed=4))
-        expected = complex(sum(rho.sum() for rho in output_states(v, kets, 2)))
-        assert machine._pool is not None
-        ctx = multiprocessing.get_context("fork")
-        results = ctx.Queue()
-        child = ctx.Process(target=_sum_in_child, args=(v, kets, results))
-        child.start()
-        try:
-            got = results.get(timeout=10)
-        finally:
-            child.join(timeout=10)
-            if child.is_alive():
-                child.kill()
-                child.join()
-        assert child.exitcode == 0
-        assert got == expected
+        kets = direction_kets(haar_directions(68, seed=3))
+        targets = (kets, direction_kets(haar_directions(68, seed=5)))
+        batch = output_fidelities(v, kets, targets)
+        for b in (0, 63, 127):
+            assert np.array_equal(batch[b], output_fidelities(v[b], kets, targets))
+
+    def test_rejects_rows_that_do_not_split(self):
+        k = np.array([[1.0, 0.0]])
+        with pytest.raises(ValueError):
+            output_fidelities(np.zeros((6, 2)), k, (k, k))
+
+    def test_rejects_more_than_two_targets(self):
+        k = np.array([[1.0, 0.0]])
+        with pytest.raises(ValueError):
+            output_fidelities(np.zeros((16, 2)), k, (k, k, k))
 
 
 class TestTargetForms:
@@ -330,6 +311,12 @@ class TestMeasurePrepareBaseline:
         a = measure_prepare_baseline(20000, seed=9)
         b = measure_prepare_baseline(20000, seed=10)
         assert a.avg_fidelity_anticlone != b.avg_fidelity_anticlone
+
+    def test_both_averages_are_one_mean(self):
+        # the anti-copy is prepared opposite the copy and judged against -n,
+        # so its fidelity is the copy's, sample for sample
+        rep = measure_prepare_baseline(20000, seed=5)
+        assert rep.avg_fidelity_clone == rep.avg_fidelity_anticlone
 
     def test_aligned_basis_diagnostic(self):
         rep = measure_prepare_baseline(5000, seed=1, align_with_input=True)

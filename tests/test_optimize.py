@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anticlone import machine
 from anticlone.machine import build_isometry, optimal_params
 from anticlone.optimize import (
     OptimizerConfig,
@@ -186,15 +185,13 @@ class TestOptimizeUniversal:
 
 class TestTracedRun:
     """The benchmark's tracer keeps one span stack, so every traced layer
-    must run on the calling thread; only untraced numpy work may be handed
-    to ``output_states``'s worker threads."""
+    must run on the calling thread."""
 
     def test_spans_nest_and_account_for_the_wall_time(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         from layers import LAYERS
         from tracer import Tracer, check_nesting, patched, root_time, self_times
 
-        monkeypatch.setattr(machine, "_cpus", lambda: 2)  # the threaded path, on any runner
         tracer = Tracer()
         start = time.perf_counter()
         with patched(tracer, LAYERS) as (_, missing):
