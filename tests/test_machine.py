@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,35 @@ class TestOutputFidelities:
         k = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError):
             output_fidelities(np.zeros((16, 2)), k, (k, k, k))
+
+
+class TestOutputStatesAcrossThreads:
+    """A caller may split a stacked batch over its own threads; both kernels
+    keep no shared state and treat each isometry on its own, so the parts
+    must equal one whole-batch call to the bit."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("copies", [1, 2])
+    @pytest.mark.parametrize("ancilla", [1, 2, 4])
+    def test_bitwise_equal_to_one_thread(self, rng, workers, copies, ancilla):
+        kets = direction_kets(haar_directions(68, seed=2))
+        targets = tuple(direction_kets(haar_directions(68, seed=5 + q)) for q in range(copies))
+        for rows in (1, 2, 7, 128):
+            v = _random_isometries(rng, rows, 2**copies * ancilla)
+            inline = output_states(v, kets, copies)
+            inline_f = output_fidelities(v, kets, targets)
+            chunks = np.array_split(v, min(workers, rows))
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(lambda c: output_states(c, kets, copies), chunks))
+                parts_f = list(pool.map(lambda c: output_fidelities(c, kets, targets), chunks))
+            split = tuple(np.concatenate(qubit) for qubit in zip(*parts))
+            assert len(split) == len(inline) == copies
+            for a, b in zip(inline, split):
+                assert a.shape == b.shape == (rows, 68, 2, 2)
+                assert np.array_equal(a.view(float), b.view(float))
+            split_f = np.concatenate(parts_f)
+            assert inline_f.shape == split_f.shape == (rows, copies * 68)
+            assert np.array_equal(inline_f, split_f)
 
 
 class TestTargetForms:
