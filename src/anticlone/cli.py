@@ -195,7 +195,7 @@ def parse_args(argv) -> RunConfig:
 
     p = sub.add_parser("optimize", parents=[common], help="re-derive the optimal fidelity numerically")
     p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--iters", type=int, default=300)
+    p.add_argument("--iters", type=int, default=optimize.OptimizerConfig.max_iters)
     p.add_argument("--ancilla-dim", type=int, choices=(1, 2, 4), default=4)
     p.add_argument("--spinflip", action="store_true", help="optimize the flip channel instead")
 

@@ -32,6 +32,7 @@ __all__ = [
     "build_isometry",
     "output_states",
     "output_fidelities",
+    "output_fidelities_adjoint",
     "anticlone",
     "target_forms",
     "constraint_residuals",
@@ -215,6 +216,17 @@ def output_states(v, kets: np.ndarray, copies: int) -> tuple[np.ndarray, ...]:
     return tuple(np.einsum(trace, j, jc) for trace in _KEEP_ONE_QUBIT[copies])
 
 
+def _fold(targets, kets: np.ndarray) -> np.ndarray:
+    """conj(t_n) x k_n for every target and input ket, as a (4, N) array."""
+    return (np.conj(targets)[:, :, None] * kets[:, None, :]).reshape(-1, 4).T
+
+
+def _qubit_rows(regs: np.ndarray, lead: int, q: int) -> np.ndarray:
+    """View of registers (..., 2, ..., 2, anc, 2) with output qubit q moved
+    next to the input axis: (..., other qubits, anc, qubit q, input)."""
+    return np.moveaxis(regs, lead + q, -2)
+
+
 def output_fidelities(v, kets: np.ndarray, targets) -> np.ndarray:
     """Fidelities <t_n|rho_n|t_n> of the leading output qubits, without rho.
 
@@ -229,12 +241,34 @@ def output_fidelities(v, kets: np.ndarray, targets) -> np.ndarray:
     regs = v.reshape(lead + (2,) * len(targets) + (-1, 2))
     fidelities = []
     for q, t in enumerate(targets):
-        folded = (np.conj(t)[:, :, None] * kets[:, None, :]).reshape(-1, 4).T
         # One small product per isometry: a single (batch x rest)-row product
         # is large enough for BLAS to thread, which stalls on a busy CPU.
-        amps = np.moveaxis(regs, len(lead) + q, -2).reshape(lead + (-1, 4)) @ folded
+        amps = _qubit_rows(regs, len(lead), q).reshape(lead + (-1, 4)) @ _fold(t, kets)
         fidelities.append((amps.real**2 + amps.imag**2).sum(axis=-2))
     return np.concatenate(fidelities, axis=-1)
+
+
+def output_fidelities_adjoint(v, kets: np.ndarray, targets, weights) -> np.ndarray:
+    """Gradient of sum_j weights_j f_j over the fidelities f of
+    ``output_fidelities(v, kets, targets)``, with respect to V.
+
+    ``weights`` is real with the fidelities' shape (..., copies * N). Returns
+    G with the shape of ``v`` such that d(w . f) = Re sum conj(G) dV. With
+    amps = M_q @ folded for qubit q's rows M_q, G_q = 2 (amps * w_q) @
+    folded^H, written back to V's rows.
+    """
+    v = _isometries(v, len(targets))
+    lead = v.shape[:-2]
+    regs = v.reshape(lead + (2,) * len(targets) + (-1, 2))
+    w = np.asarray(weights, dtype=float).reshape(lead + (len(targets), 1, -1))
+    grad = np.zeros_like(regs)
+    for q, t in enumerate(targets):
+        folded = _fold(t, kets)
+        rows = _qubit_rows(regs, len(lead), q)
+        amps = rows.reshape(lead + (-1, 4)) @ folded
+        g = 2.0 * (amps * w[..., q, :, :]) @ folded.conj().T
+        _qubit_rows(grad, len(lead), q)[...] += g.reshape(rows.shape)
+    return grad.reshape(v.shape)
 
 
 def anticlone(psi: QubitState, v: np.ndarray, tol: float = 1e-10) -> CloneOutput:

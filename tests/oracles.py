@@ -81,6 +81,18 @@ def fidelities_from_states(v: np.ndarray, kets: np.ndarray, targets) -> np.ndarr
     )
 
 
+def fd_gradient(search, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of ``search`` at the flat real vector ``x``.
+
+    ``search`` maps a (B, n) batch of points to B values; it is called once,
+    on the 2n probe points x + h e_i and x - h e_i.
+    """
+    n = len(x)
+    eye = np.eye(n)
+    values = search(np.vstack([x + h * eye, x - h * eye]))
+    return (values[:n] - values[n:]) / (2.0 * h)
+
+
 def verify_metrics_by_direction(v: np.ndarray, dirs: np.ndarray, eta: float) -> dict:
     """The verify campaign's per-direction metrics, one direction at a time:
     trig kets, explicit partial traces and hand-built target forms."""

@@ -16,6 +16,7 @@ from anticlone.cli import (
     write_report,
 )
 from anticlone import machine
+from anticlone.optimize import OptimizerConfig
 from anticlone.probclone import two_state_efficiency
 from oracles import verify_metrics_by_direction
 
@@ -47,6 +48,9 @@ class TestParseArgs:
         assert cfg.samples == 1000
         assert cfg.seed == 0
         assert cfg.format == "json"
+
+    def test_optimize_iters_default_is_the_config_budget(self):
+        assert parse_args(["optimize"]).iters == OptimizerConfig().max_iters == 600
 
     def test_prob_theta(self):
         cfg = parse_args(["prob", "--theta", "1.0471975512", "--shots", "100000"])
@@ -235,6 +239,14 @@ class TestOptimizeCampaign:
         assert code == EXIT_OK
         metrics = {m.name: m for m in report.metrics}
         assert 2 / 3 - 1e-3 <= metrics["best_flip_fidelity"].value <= 2 / 3 + 1e-6
+
+    # single restarts that ended outside the 1e-3 band under a 300-iteration
+    # budget; the default budget must bring each of them in
+    @pytest.mark.parametrize("seed", [2067036572, 558621319, 1796452716, 982600324])
+    def test_slow_spinflip_restarts_converge(self, seed):
+        argv = ["optimize", "--spinflip", "--restarts", "1", "--seed", str(seed)]
+        report, code = run(parse_args(argv))
+        assert code == EXIT_OK, report.metrics
 
 
 class TestReports:

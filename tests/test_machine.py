@@ -14,12 +14,18 @@ from anticlone.machine import (
     measure_prepare_baseline,
     optimal_params,
     output_fidelities,
+    output_fidelities_adjoint,
     output_states,
     target_forms,
 )
 from anticlone.optimize import _isometry_batch
 from anticlone.qubit import BlochVector, QubitState, bloch_to_state, direction_kets, state_to_bloch
-from oracles import fidelities_from_states, partial_trace_by_sum, reduced_outputs_from_coefficients
+from oracles import (
+    fd_gradient,
+    fidelities_from_states,
+    partial_trace_by_sum,
+    reduced_outputs_from_coefficients,
+)
 
 PHASE = np.exp(1j * np.arccos(1 / np.sqrt(3)))
 ROOT6 = np.sqrt(1 / 6)
@@ -232,6 +238,33 @@ class TestOutputFidelities:
         k = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError):
             output_fidelities(np.zeros((16, 2)), k, (k, k, k))
+
+
+class TestOutputFidelitiesAdjoint:
+    """The adjoint of the kernel against central differences of w . f in
+    the real and imaginary parts of V."""
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("copies", [1, 2])
+    @pytest.mark.parametrize("ancilla", [1, 2, 4])
+    def test_matches_finite_differences(self, rng, lead, copies, ancilla):
+        out_dim = 2**copies * ancilla
+        shape = lead + (out_dim, 2)
+        v = _random_isometries(rng, int(np.prod(lead)), out_dim).reshape(shape)
+        kets = direction_kets(haar_directions(20, seed=2))
+        targets = tuple(direction_kets(haar_directions(20, seed=5 + q)) for q in range(copies))
+        weights = rng.random(lead + (copies * 20,))
+
+        def weighted(xb):
+            vb = (xb[:, 0::2] + 1j * xb[:, 1::2]).reshape((-1,) + shape)
+            per_point = weights * output_fidelities(vb, kets, targets)
+            return per_point.reshape(len(xb), -1).sum(axis=1)
+
+        x = np.stack([v.real, v.imag], axis=-1).ravel()
+        want = fd_gradient(weighted, x)
+        g = output_fidelities_adjoint(v, kets, targets, weights)
+        got = np.stack([g.real, g.imag], axis=-1).ravel()
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
 
 class TestOutputStatesAcrossThreads:

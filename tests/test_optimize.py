@@ -1,4 +1,5 @@
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,13 @@ import pytest
 from anticlone.machine import build_isometry, optimal_params
 from anticlone.optimize import (
     OptimizerConfig,
+    _isometry_batch,
+    _Objective,
+    _softmin,
+    _spinflip_targets,
+    _spinflip_values,
+    _universal_targets,
+    _universal_values,
     direction_set,
     objective_spinflip,
     objective_universal,
@@ -15,7 +23,7 @@ from anticlone.optimize import (
     parameterize_isometry,
 )
 from anticlone.qubit import direction_kets
-from oracles import clone_outputs_by_sum, ket_by_angles
+from oracles import clone_outputs_by_sum, fd_gradient, ket_by_angles
 
 TWO_THIRDS = 2 / 3
 
@@ -149,6 +157,51 @@ class TestObjectiveSpinflip:
         # everything else is ancilla: (q1, q2, anc) -> (q2, q1, anc)
         v = opt_isometry.reshape(2, 2, 4, 2).transpose(1, 0, 2, 3).reshape(16, 2)
         assert abs(objective_spinflip(v, net) - TWO_THIRDS) < 1e-10
+
+
+class TestSearchGradient:
+    """The ascent's analytic gradient against central differences of the
+    same search objective, at random (generic) points."""
+
+    @pytest.mark.parametrize("temperature", [3e-2, 1e-3, 0.0])
+    @pytest.mark.parametrize("ancilla", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "copies, values_fn, targets_fn",
+        [(1, _spinflip_values, _spinflip_targets), (2, _universal_values, _universal_targets)],
+        ids=["copies1", "copies2"],
+    )
+    def test_matches_finite_differences(
+        self, rng, net, copies, values_fn, targets_fn, ancilla, temperature
+    ):
+        out_dim = 2**copies * ancilla
+        objective = _Objective(out_dim, values_fn, targets_fn, net)
+
+        def search(xb):
+            values = values_fn(_isometry_batch(xb, out_dim), objective.k_in, objective.k_opp)
+            return _softmin(values, temperature) if temperature > 0 else values.min(axis=1)
+
+        x = rng.standard_normal(4 * out_dim)
+        s, _, gradient = objective.evaluate(x, temperature)
+        assert s == search(x[None])[0]
+        want = fd_gradient(search, x)
+        assert np.linalg.norm(gradient() - want) <= 1e-6 * np.linalg.norm(want)
+
+    def test_degenerate_columns_get_a_finite_zero_gradient(self):
+        objective = _Objective(16, _universal_values, _universal_targets, direction_set(62))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grad = objective.evaluate(np.zeros(64), 1e-3)[2]()
+        assert np.array_equal(grad, np.zeros(64))
+
+    def test_degenerate_start_stays_finite(self):
+        # both columns of the zero vector fall back to basis kets, which no
+        # small move of the parameters changes, so the restart stays put
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = optimize_universal(OptimizerConfig(restarts=1, max_iters=40), init=np.zeros(64))
+        start = objective_universal(parameterize_isometry(np.zeros(64), 16), direction_set(62))
+        assert np.isfinite(res.best_eta)
+        assert res.best_eta == 2 * start - 1
 
 
 class TestOptimizeUniversal:
