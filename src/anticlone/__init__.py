@@ -17,6 +17,7 @@ from .machine import (
     constraint_residuals,
     haar_directions,
     measure_prepare_baseline,
+    measure_prepare_pole_average,
     optimal_params,
     target_forms,
 )

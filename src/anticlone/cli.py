@@ -6,7 +6,7 @@ Five subcommands, one per campaign:
 * ``optimize``    numerical re-derivation of the optimal eta (or flip F)
 * ``prob``        explicit two-state probabilistic anti-cloner checks
 * ``feasibility`` Gram feasibility of an arbitrary state set from a file
-* ``baseline``    measure-and-prepare Monte Carlo baseline
+* ``baseline``    measure-and-prepare fidelity: exact, and by Monte Carlo
 
 Every campaign emits a report whose metrics each carry the tolerance they
 were judged against. Exit code 0 means every check passed, 1 means some
@@ -383,10 +383,16 @@ def _campaign_feasibility(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
     return params, metrics
 
 
+# A fixed measurement axis off every coordinate axis, exactly unit in reals.
+_BASELINE_AXIS = np.array([1.0, 2.0, 2.0]) / 3.0
+
+
 def _campaign_baseline(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
     rep = machine.measure_prepare_baseline(cfg.samples, seed=cfg.seed)
     dev = abs(rep.avg_fidelity_anticlone - 2.0 / 3.0)
+    exact = machine.measure_prepare_pole_average(_BASELINE_AXIS)
     metrics = [
+        MetricCheck("exact_measure_prepare_deviation", abs(exact - 2.0 / 3.0), 1e-15),
         MetricCheck("avg_fidelity_clone", rep.avg_fidelity_clone),
         MetricCheck("avg_fidelity_anticlone", rep.avg_fidelity_anticlone),
         MetricCheck("stderr", rep.stderr),

@@ -37,6 +37,7 @@ __all__ = [
     "target_forms",
     "constraint_residuals",
     "measure_prepare_baseline",
+    "measure_prepare_pole_average",
     "haar_directions",
 ]
 
@@ -46,6 +47,9 @@ COEFF_KEYS = ("a", "b", "c", "d", "at", "bt", "ct", "dt")
 
 OPTIMAL_ETA = 1.0 / 3.0
 OPTIMAL_FIDELITY = 2.0 / 3.0
+
+# Samples per Philox stream in ``measure_prepare_baseline``.
+BASELINE_BLOCK = 1 << 15
 
 
 def _basis(dim: int, k: int) -> np.ndarray:
@@ -368,8 +372,11 @@ def constraint_residuals(p: AnticlonerParams) -> ConstraintReport:
     return ConstraintReport(residuals=residuals, eta_values=eta_values)
 
 
-def _unit_rows(rng: np.random.Generator, count: int) -> np.ndarray:
-    v = rng.standard_normal((count, 3))
+def haar_directions(count: int, seed: int = 0) -> np.ndarray:
+    """``count`` directions uniform on the sphere, as an (N, 3) array."""
+    if count < 1:
+        raise ValueError("need at least one direction")
+    v = philox_stream(seed, 0).standard_normal((count, 3))
     norms = np.linalg.norm(v, axis=1)
     # a Gaussian triple is never numerically zero in practice; guard anyway
     bad = norms < 1e-12
@@ -379,50 +386,43 @@ def _unit_rows(rng: np.random.Generator, count: int) -> np.ndarray:
     return v / norms[:, None]
 
 
-def haar_directions(count: int, seed: int = 0) -> np.ndarray:
-    """``count`` directions uniform on the sphere, as an (N, 3) array."""
-    if count < 1:
-        raise ValueError("need at least one direction")
-    return _unit_rows(philox_stream(seed, 0), count)
-
-
 def measure_prepare_baseline(
     samples: int,
     seed: int = 0,
     align_with_input: bool = False,
-    batch_size: int = 1 << 15,
 ) -> BaselineReport:
     """Monte Carlo fidelity of "measure, then prepare an opposite pair".
 
-    Each sample draws a uniform input direction n and a uniform measurement
+    Each sample takes a uniform input direction n and a uniform measurement
     axis m, projects onto {|m>, |-m>}, and prepares (|m>, |-m>) or
     (|-m>, |m>) according to the outcome. Reports the average fidelity of
     each output against its target (n for the copy, -n for the anti-copy)
     and the standard error of the anti-copy average.
 
-    ``align_with_input`` is a diagnostic mode that forces m = n, making the
-    measurement deterministic and both fidelities exactly 1.
+    The score depends on n and m only through t = n.m, and by Archimedes'
+    hat-box theorem t is exactly uniform on [-1, 1] for independent uniform
+    n and m. So each sample draws t = 2u - 1 directly, then the outcome by
+    the Born rule, P(+m) = (1 + t)/2. Block b of ``BASELINE_BLOCK`` samples
+    draws its t values and then its outcome uniforms from Philox stream
+    (seed, b), so the result depends only on (samples, seed).
+
+    ``align_with_input`` is a diagnostic mode that forces m = n (t = 1),
+    making the measurement deterministic and both fidelities exactly 1.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     total = total_sq = 0.0
-    done = 0
-    batch_index = 0
-    while done < samples:
-        m = min(batch_size, samples - done)
-        rng = philox_stream(seed, batch_index)
-        n_dirs = _unit_rows(rng, m)
-        m_dirs = n_dirs if align_with_input else _unit_rows(rng, m)
-        nm = np.sum(n_dirs * m_dirs, axis=1)
-        got_up = rng.random(m) < 0.5 * (1.0 + nm)
+    for block, start in enumerate(range(0, samples, BASELINE_BLOCK)):
+        size = min(BASELINE_BLOCK, samples - start)
+        rng = philox_stream(seed, block)
+        nm = np.ones(size) if align_with_input else 2.0 * rng.random(size) - 1.0
+        got_up = rng.random(size) < 0.5 * (1.0 + nm)
         # The outcome s = +-1 prepares the copy along s*m, scored against n,
         # and the anti-copy along -s*m, scored against -n: both fidelities
         # are (1 + s n.m)/2, bit for bit.
         f = 0.5 * (1.0 + np.where(got_up, nm, -nm))
         total += float(np.sum(f))
         total_sq += float(np.sum(f * f))
-        done += m
-        batch_index += 1
 
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
@@ -434,3 +434,20 @@ def measure_prepare_baseline(
         seed=seed,
         stderr=stderr,
     )
+
+
+def measure_prepare_pole_average(axis: np.ndarray) -> float:
+    """Exact average fidelity of measuring along the unit axis m, then
+    preparing the opposite pair, over the six poles +-e_i as inputs n.
+
+    Outcome +m has probability p = (1 + n.m)/2 and then scores p; outcome -m
+    scores 1 - p. The expected fidelity p^2 + (1 - p)^2 = (1 + (n.m)^2)/2 has
+    degree 2 in n, and the six poles integrate degree-2 polynomials over the
+    sphere exactly, so the result is the sphere average, 2/3 for every m.
+    """
+    m = np.asarray(axis, dtype=float)
+    if m.shape != (3,) or not abs(float(m @ m) - 1.0) <= 1e-12:
+        raise ValueError("axis must be a unit 3-vector")
+    poles = np.vstack([np.eye(3), -np.eye(3)])
+    p = 0.5 * (1.0 + poles @ m)
+    return float(np.mean(p * p + (1.0 - p) * (1.0 - p)))

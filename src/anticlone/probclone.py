@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10  # Gram eigenvalues at or below this count as zero
+SHOT_BLOCK = 1 << 16  # shots per Philox stream in ``run_prob_anticlone``
 
 
 def _basis(dim: int, k: int) -> np.ndarray:
@@ -247,15 +248,14 @@ def build_two_state_anticloner(theta: float) -> ProbCloner:
     )
 
 
-def run_prob_anticlone(
-    pc: ProbCloner, which: int, shots: int, seed: int = 0, batch_size: int = 1 << 16
-) -> ShotStats:
+def run_prob_anticlone(pc: ProbCloner, which: int, shots: int, seed: int = 0) -> ShotStats:
     """Feed one of the two known inputs through the machine and measure.
 
     Prepares |m>|0> |success-probe>, applies the unitary, and projects the
     probe. The exact success probability and the post-selected fidelity
     against (|m>, |-m>) come from the amplitudes; ``shots`` > 0 additionally
-    samples the success count (``shots == 0`` skips sampling entirely).
+    samples the success count (``shots == 0`` skips sampling entirely), block
+    b of ``SHOT_BLOCK`` shots from Philox stream (seed, b).
     """
     m = pc.input_state(which)
     if shots < 0:
@@ -275,14 +275,9 @@ def run_prob_anticlone(
         fidelity = 0.0
 
     successes = 0
-    done = 0
-    batch_index = 0
-    while done < shots:
-        b = min(batch_size, shots - done)
-        rng = philox_stream(seed, batch_index)
-        successes += int(rng.binomial(b, p_success))
-        done += b
-        batch_index += 1
+    for block, start in enumerate(range(0, shots, SHOT_BLOCK)):
+        rng = philox_stream(seed, block)
+        successes += int(rng.binomial(min(SHOT_BLOCK, shots - start), p_success))
     return ShotStats(
         shots=shots,
         successes=successes,

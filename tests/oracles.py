@@ -93,6 +93,28 @@ def fd_gradient(search, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return (values[:n] - values[n:]) / (2.0 * h)
 
 
+def haar_pair_dots(samples: int, rng: np.random.Generator) -> np.ndarray:
+    """n.m for ``samples`` independent pairs of directions, each direction a
+    normalized Gaussian triple (uniform on the sphere)."""
+    n = rng.standard_normal((samples, 3))
+    m = rng.standard_normal((samples, 3))
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    m /= np.linalg.norm(m, axis=1)[:, None]
+    return np.sum(n * m, axis=1)
+
+
+def measure_prepare_by_directions(samples: int, seed: int) -> tuple[float, float]:
+    """Measure-and-prepare Monte Carlo from explicit direction pairs: a
+    uniform input n and axis m per sample, the outcome s = +-1 with Born
+    probability (1 + s n.m)/2, and the copy prepared along s m, scored
+    against n. Returns the mean fidelity and its standard error."""
+    rng = np.random.default_rng(seed)
+    nm = haar_pair_dots(samples, rng)
+    s = np.where(rng.random(samples) < 0.5 * (1.0 + nm), 1.0, -1.0)
+    f = 0.5 * (1.0 + s * nm)
+    return float(np.mean(f)), float(np.std(f) / np.sqrt(samples))
+
+
 def verify_metrics_by_direction(v: np.ndarray, dirs: np.ndarray, eta: float) -> dict:
     """The verify campaign's per-direction metrics, one direction at a time:
     trig kets, explicit partial traces and hand-built target forms."""

@@ -223,6 +223,8 @@ class TestBaselineCampaign:
         assert code == EXIT_OK
         metrics = {m.name: m for m in report.metrics}
         assert metrics["anticlone_deviation_from_two_thirds"].value < 0.002
+        exact = metrics["exact_measure_prepare_deviation"]
+        assert exact.tolerance == 1e-15 and exact.passed
 
 
 class TestOptimizeCampaign:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anticlone.machine import (
+    BASELINE_BLOCK,
     COEFF_KEYS,
     OPTIMAL_ETA,
     AnticlonerParams,
@@ -12,6 +13,7 @@ from anticlone.machine import (
     constraint_residuals,
     haar_directions,
     measure_prepare_baseline,
+    measure_prepare_pole_average,
     optimal_params,
     output_fidelities,
     output_fidelities_adjoint,
@@ -23,6 +25,8 @@ from anticlone.qubit import BlochVector, QubitState, bloch_to_state, direction_k
 from oracles import (
     fd_gradient,
     fidelities_from_states,
+    haar_pair_dots,
+    measure_prepare_by_directions,
     partial_trace_by_sum,
     reduced_outputs_from_coefficients,
 )
@@ -392,31 +396,65 @@ class TestMeasurePrepareBaseline:
             measure_prepare_baseline(0)
 
     def test_matches_scalar_recomputation(self):
-        # recompute a small run sample-by-sample from the same streams
+        # recompute a two-block run sample by sample from the same streams:
+        # block b draws its t = n.m values, then its outcome uniforms
         from anticlone.rng import philox_stream
 
-        samples = 257
-        rep = measure_prepare_baseline(samples, seed=4, batch_size=64)
+        samples = BASELINE_BLOCK + 257
+        rep = measure_prepare_baseline(samples, seed=4)
         total1 = total2 = 0.0
-        done = 0
-        batch = 0
-        while done < samples:
-            m = min(64, samples - done)
-            g = philox_stream(4, batch)
-            n = g.standard_normal((m, 3))
-            n /= np.linalg.norm(n, axis=1)[:, None]
-            md = g.standard_normal((m, 3))
-            md /= np.linalg.norm(md, axis=1)[:, None]
+        for block, start in enumerate(range(0, samples, BASELINE_BLOCK)):
+            m = min(BASELINE_BLOCK, samples - start)
+            g = philox_stream(4, block)
+            u = g.random(m)
             r = g.random(m)
             for i in range(m):
-                p = 0.5 * (1 + np.dot(n[i], md[i]))
-                outcome = md[i] if r[i] < p else -md[i]
-                total1 += 0.5 * (1 + np.dot(n[i], outcome))
-                total2 += 0.5 * (1 - np.dot(n[i], -outcome))
-            done += m
-            batch += 1
+                t = 2 * u[i] - 1
+                s = 1 if r[i] < 0.5 * (1 + t) else -1
+                # copy along s*m against n; anti-copy along -s*m against -n
+                total1 += 0.5 * (1 + s * t)
+                total2 += 0.5 * (1 - (-s) * t)
         assert abs(rep.avg_fidelity_clone - total1 / samples) < 1e-12
         assert abs(rep.avg_fidelity_anticlone - total2 / samples) < 1e-12
+
+    def test_agrees_with_direction_sampler(self):
+        samples = 200_000
+        rep = measure_prepare_baseline(samples, seed=11)
+        mean, stderr = measure_prepare_by_directions(samples, seed=11)
+        assert abs(rep.avg_fidelity_anticlone - mean) < 5 * np.hypot(rep.stderr, stderr)
+
+    def test_haar_pair_dot_is_uniform(self):
+        # Archimedes' hat-box theorem, which the sampler rests on: n.m of two
+        # uniform directions is uniform on [-1, 1]. Kolmogorov-Smirnov at 1%.
+        samples = 200_000
+        t = haar_pair_dots(samples, np.random.default_rng(12))
+        assert _ks_against_uniform(t) < 1.63 / np.sqrt(samples)
+
+    def test_ks_rejects_non_uniform_directions(self):
+        # normalized points of the cube crowd its corners: n.m is not uniform
+        samples = 200_000
+        rng = np.random.default_rng(12)
+        n, m = (v / np.linalg.norm(v, axis=1)[:, None] for v in rng.uniform(-1, 1, (2, samples, 3)))
+        assert _ks_against_uniform(np.sum(n * m, axis=1)) > 1.63 / np.sqrt(samples)
+
+
+def _ks_against_uniform(t: np.ndarray) -> float:
+    """Kolmogorov-Smirnov statistic of the sample ``t`` against U[-1, 1]."""
+    cdf = 0.5 * (1 + np.sort(t))
+    i = np.arange(1, len(t) + 1)
+    return max(np.max(i / len(t) - cdf), np.max(cdf - (i - 1) / len(t)))
+
+
+class TestMeasurePreparePoleAverage:
+    def test_two_thirds_for_any_axis(self):
+        axes = haar_directions(50, seed=6)
+        for m in np.vstack([axes, np.eye(3), [[1 / 3, 2 / 3, 2 / 3]]]):
+            assert abs(measure_prepare_pole_average(m) - 2 / 3) <= 1e-15
+
+    @pytest.mark.parametrize("axis", [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0]])
+    def test_rejects_non_unit_axis(self, axis):
+        with pytest.raises(ValueError):
+            measure_prepare_pole_average(np.array(axis))
 
 
 class TestHaarDirections:

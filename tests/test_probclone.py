@@ -3,6 +3,7 @@ import pytest
 
 from anticlone.linalg import RankError, hermitian_eigenvalues, tensor
 from anticlone.probclone import (
+    SHOT_BLOCK,
     CopySpec,
     ProbCloner,
     StateSet,
@@ -210,6 +211,16 @@ class TestRunProbAnticlone:
         a = run_prob_anticlone(pc, 2, shots=5000, seed=21)
         b = run_prob_anticlone(pc, 2, shots=5000, seed=21)
         assert a == b
+
+    def test_blocks_draw_from_their_own_streams(self):
+        # block b of SHOT_BLOCK shots draws its binomial from stream (seed, b)
+        from anticlone.rng import philox_stream
+
+        pc = build_two_state_anticloner(np.pi / 3)
+        st = run_prob_anticlone(pc, 1, shots=SHOT_BLOCK + 100, seed=8)
+        counts = [philox_stream(8, b).binomial(n, st.success_probability)
+                  for b, n in enumerate((SHOT_BLOCK, 100))]
+        assert st.successes == sum(counts)
 
     def test_variance_halves_when_shots_double(self):
         pc = build_two_state_anticloner(np.pi / 3)
