@@ -33,7 +33,6 @@ from .probclone import (
     ProbCloner,
     ShotStats,
     StateSet,
-    build_prob_spinflip,
     build_two_state_anticloner,
     max_feasible_f,
     run_prob_anticlone,
@@ -42,11 +41,9 @@ from .probclone import (
 from .qubit import (
     BlochVector,
     QubitState,
-    ShrinkReport,
     antiunitary_flip,
     bloch_to_state,
     fidelity_direction,
-    shrink_factor,
     state_to_bloch,
 )
 

@@ -241,6 +241,9 @@ def _existing_file(path: str) -> str:
 
 def _campaign_verify(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
     tol = cfg.tol if cfg.tol is not None else 1e-9
+    # NaN fails every comparison and inf passes every check: neither tests anything
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     params = machine.optimal_params()
     v = machine.build_isometry(params)
     dirs = machine.haar_directions(cfg.samples, seed=cfg.seed)

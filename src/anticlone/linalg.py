@@ -12,17 +12,15 @@ import numpy as np
 __all__ = [
     "GramMismatchError",
     "RankError",
+    "basis_ket",
     "tensor",
     "partial_trace",
     "hermitian_eigenvalues",
-    "hermitian_eigensystem",
     "orthonormal_complete",
     "unitary_from_correspondence",
 ]
 
-# Structural identities that hold in exact arithmetic get the tighter bound.
 DEFAULT_TOL = 1e-10
-EXACT_TOL = 1e-12
 
 
 class RankError(ValueError):
@@ -38,6 +36,13 @@ def _as_complex(a) -> np.ndarray:
     if not (np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))):
         raise ValueError("non-finite entries")
     return out
+
+
+def basis_ket(dim: int, k: int) -> np.ndarray:
+    """Computational basis ket |k> of C^dim."""
+    v = np.zeros(dim, dtype=complex)
+    v[k] = 1.0
+    return v
 
 
 def tensor(*operands) -> np.ndarray:
@@ -84,25 +89,15 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     return work.reshape(kept_dim, kept_dim)
 
 
-def _check_hermitian(h: np.ndarray, tol: float) -> np.ndarray:
+def hermitian_eigenvalues(h, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Ascending real eigenvalues of a Hermitian matrix (LAPACK ``eigvalsh``)
+    after checking that ``h`` is Hermitian within ``tol``."""
+    h = _as_complex(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     if np.max(np.abs(h - h.conj().T)) > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return 0.5 * (h + h.conj().T)
-
-
-def hermitian_eigensystem(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian matrix.
-
-    LAPACK ``eigh`` after checking that ``h`` is Hermitian within ``tol``.
-    """
-    return np.linalg.eigh(_check_hermitian(_as_complex(h), tol))
-
-
-def hermitian_eigenvalues(h, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix (LAPACK ``eigvalsh``)."""
-    return np.linalg.eigvalsh(_check_hermitian(_as_complex(h), tol))
+    return np.linalg.eigvalsh(0.5 * (h + h.conj().T))
 
 
 def _mgs_pass(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
@@ -136,9 +131,7 @@ def orthonormal_complete(vs, dim: int, tol: float = DEFAULT_TOL) -> list[np.ndar
     for k in range(dim):
         if len(basis) == dim:
             break
-        cand = np.zeros(dim, dtype=complex)
-        cand[k] = 1.0
-        w = _mgs_pass(_mgs_pass(cand, basis), basis)
+        w = _mgs_pass(_mgs_pass(basis_ket(dim, k), basis), basis)
         norm = np.linalg.norm(w)
         if norm < tol:
             continue

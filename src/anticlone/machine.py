@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import tensor
+from .linalg import basis_ket, tensor
 from .rng import philox_stream
-from .qubit import PAULI, BlochVector, QubitState, fidelity_direction, state_to_bloch
+from .qubit import PAULI, BlochVector, QubitState, antiunitary_flip, check_density_matrix
 
 __all__ = [
     "COEFF_KEYS",
@@ -50,12 +50,6 @@ OPTIMAL_FIDELITY = 2.0 / 3.0
 
 # Samples per Philox stream in ``measure_prepare_baseline``.
 BASELINE_BLOCK = 1 << 15
-
-
-def _basis(dim: int, k: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[k] = 1.0
-    return v
 
 
 @dataclass(frozen=True)
@@ -96,9 +90,8 @@ class AnticlonerParams:
 
 @dataclass(frozen=True)
 class CloneOutput:
-    """Joint output state and the two reduced single-qubit outputs."""
+    """The two reduced single-qubit outputs and their fidelities."""
 
-    joint: np.ndarray
     rho1: np.ndarray
     rho2: np.ndarray
     f1: float
@@ -149,10 +142,10 @@ def optimal_params() -> AnticlonerParams:
         "at": r6, "bt": b, "ct": -r6, "dt": r6,
     }
     ancillas = {
-        "a": _basis(4, 0), "at": _basis(4, 1),
-        "b": _basis(4, 1), "bt": _basis(4, 0),
-        "c": _basis(4, 1), "ct": _basis(4, 0),
-        "d": _basis(4, 2), "dt": _basis(4, 3),
+        "a": basis_ket(4, 0), "at": basis_ket(4, 1),
+        "b": basis_ket(4, 1), "bt": basis_ket(4, 0),
+        "c": basis_ket(4, 1), "ct": basis_ket(4, 0),
+        "d": basis_ket(4, 2), "dt": basis_ket(4, 3),
     }
     return AnticlonerParams(coeffs, ancillas)
 
@@ -165,7 +158,7 @@ def build_isometry(p: AnticlonerParams, tol: float = 1e-10) -> np.ndarray:
     + dt|00>Dt. Raises if the result is not an isometry within ``tol``.
     """
     c, anc = p.coeffs, p.ancillas
-    e0, e1 = _basis(2, 0), _basis(2, 1)
+    e0, e1 = basis_ket(2, 0), basis_ket(2, 1)
     col0 = (
         c["a"] * tensor(e0, e0, anc["a"])
         + c["b"] * tensor(e0, e1, anc["b"])
@@ -280,8 +273,8 @@ def anticlone(psi: QubitState, v: np.ndarray, tol: float = 1e-10) -> CloneOutput
 
     ``v`` is an isometry from the input qubit into (clone 1, clone 2,
     ancilla); the ancilla may have dimension 1, 2 or 4. Fidelities are taken
-    against the input direction for clone 1 and the opposite direction for
-    clone 2.
+    against the input ket for clone 1 and its spin flip for clone 2, by
+    ``output_fidelities``, the kernel the optimizer uses.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 2:
@@ -289,13 +282,12 @@ def anticlone(psi: QubitState, v: np.ndarray, tol: float = 1e-10) -> CloneOutput
     if np.max(np.abs(v.conj().T @ v - np.eye(2))) > tol:
         raise ValueError("matrix is not an isometry within tolerance")
 
-    rho1, rho2 = (rho[0] for rho in output_states(v, psi.ket()[None], 2))
-    n = state_to_bloch(psi.density())
-    f1 = fidelity_direction(rho1, n)
-    f2 = fidelity_direction(rho2, -n)
+    check_density_matrix(psi.density())
+    k, k_opp = psi.ket()[None], antiunitary_flip(psi).ket()[None]
+    rho1, rho2 = (check_density_matrix(rho[0]) for rho in output_states(v, k, 2))
+    f1, f2 = (float(f) for f in output_fidelities(v, k, (k, k_opp)))
     return CloneOutput(
-        joint=v @ psi.ket(), rho1=rho1, rho2=rho2,
-        f1=f1, f2=f2, eta1=2 * f1 - 1, eta2=2 * f2 - 1,
+        rho1=rho1, rho2=rho2, f1=f1, f2=f2, eta1=2 * f1 - 1, eta2=2 * f2 - 1,
     )
 
 

@@ -1,9 +1,10 @@
 """Numerical re-derivation of the optimal fidelities.
 
 Searches over *feasible* machines only: every candidate parameter vector is
-projected onto an isometry before evaluation, so the worst-direction fidelity
-of every point visited is a true lower bound on what a physical machine can
-do. Two campaigns:
+projected onto an isometry before evaluation, so every point visited is a
+physical machine. Its worst case is taken over a fixed direction net, and the
+net minimum is an upper bound on that machine's true worst case over the
+whole sphere, not a lower bound. Two campaigns:
 
 * ``optimize_universal``: isometries qubit -> (2 x 2 x ancilla); objective is
   the worst-case of both output fidelities over a fixed direction net.
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import basis_ket
 from .machine import output_fidelities, output_fidelities_adjoint
 from .qubit import direction_kets
 from .rng import philox_stream
@@ -137,8 +139,7 @@ def _isometry_batch(x: np.ndarray, out_dim: int) -> np.ndarray:
         for row in np.nonzero(bad)[0]:
             # first basis vector with substantial residual off column 0
             for k in range(out_dim):
-                cand = np.zeros(out_dim, dtype=complex)
-                cand[k] = 1.0
+                cand = basis_ket(out_dim, k)
                 cand = cand - np.vdot(c0[row], cand) * c0[row]
                 norm = np.linalg.norm(cand)
                 if norm > 0.5:  # always reachable: c0 overlaps most basis kets weakly
@@ -296,7 +297,9 @@ def _ascend(cfg: OptimizerConfig, out_dim: int, values_fn, targets_fn, init: np.
         schedule = [cfg.softmin_temperature * m for m in (30.0, 10.0, 3.0, 1.0)]
     else:
         schedule = [0.0]
-    stage_iters = max(1, cfg.max_iters // len(schedule))
+    # the coldest stage takes the remainder, so the stages add up to max_iters
+    stage_iters = [cfg.max_iters // len(schedule)] * len(schedule)
+    stage_iters[-1] += cfg.max_iters % len(schedule)
 
     per_restart = []
     best = (-np.inf, None, None)  # objective, params, trace
@@ -315,12 +318,12 @@ def _ascend(cfg: OptimizerConfig, out_dim: int, values_fn, targets_fn, init: np.
         # best point *visited*: softmin acceptance may trade a little hard
         # minimum for average gains, so the endpoint is not always the peak
         x_peak, f_peak = x.copy(), f_cur
-        for temperature in schedule:
+        for temperature, iters in zip(schedule, stage_iters):
             step = cfg.step_size
             s_cur, f_cur, gradient_at_x = evaluate(x, temperature)
             max_seen = max(max_seen, f_cur)
             grad = None
-            for _ in range(stage_iters):
+            for _ in range(iters):
                 if step < STEP_FLOOR:
                     break
                 if grad is None:

@@ -10,8 +10,7 @@ PRL 80, 4999, 1998); for two states the answer has the closed form
 (1 - c) / (1 - c^(L+M)).
 
 ``build_two_state_anticloner`` realizes the optimal two-state machine as an
-explicit 8x8 unitary on (copy 1, copy 2, probe), and ``build_prob_spinflip``
-does the same for the flip-only variant with orthogonal flag kets.
+explicit 8x8 unitary on (copy 1, copy 2, probe).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RankError, tensor, unitary_from_correspondence
+from .linalg import basis_ket, tensor, unitary_from_correspondence
 from .qubit import QubitState, antiunitary_flip
 from .rng import philox_stream
 
@@ -34,31 +33,21 @@ __all__ = [
     "max_feasible_f",
     "build_two_state_anticloner",
     "run_prob_anticlone",
-    "build_prob_spinflip",
 ]
 
 RANK_TOL = 1e-10  # Gram eigenvalues at or below this count as zero
 SHOT_BLOCK = 1 << 16  # shots per Philox stream in ``run_prob_anticlone``
 
 
-def _basis(dim: int, k: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[k] = 1.0
-    return v
-
-
 @dataclass(frozen=True)
 class StateSet:
-    """Known candidate input states, optionally labeled."""
+    """Known candidate input states."""
 
     states: list[QubitState]
-    labels: list[str] | None = None
 
     def __post_init__(self):
         if not self.states:
             raise ValueError("state set must be non-empty")
-        if self.labels is not None and len(self.labels) != len(self.states):
-            raise ValueError("labels, when given, must match the states one-to-one")
 
     def __len__(self) -> int:
         return len(self.states)
@@ -237,14 +226,14 @@ def build_two_state_anticloner(theta: float) -> ProbCloner:
     n2[0b110] = ct / root
     n2[0b001] = np.sqrt(ct) * t2 / root
 
-    u = unitary_from_correspondence([_basis(8, 0b000), _basis(8, 0b100)], [n1, n2])
+    u = unitary_from_correspondence([basis_ket(8, 0b000), basis_ket(8, 0b100)], [n1, n2])
     return ProbCloner(
         u=u,
         theta=theta,
         f=two_state_efficiency(ct),
-        probe_success_ket=_basis(2, 0),
-        probe_fail_ket=_basis(2, 1),
-        garbage=_basis(4, 0),
+        probe_success_ket=basis_ket(2, 0),
+        probe_fail_ket=basis_ket(2, 1),
+        garbage=basis_ket(4, 0),
     )
 
 
@@ -260,7 +249,7 @@ def run_prob_anticlone(pc: ProbCloner, which: int, shots: int, seed: int = 0) ->
     m = pc.input_state(which)
     if shots < 0:
         raise ValueError("shots must be >= 0")
-    start = tensor(m.ket(), _basis(2, 0), pc.probe_success_ket)
+    start = tensor(m.ket(), basis_ket(2, 0), pc.probe_success_ket)
     out = pc.u @ start
     # probe is the last register: amplitudes reshape to (copies, probe)
     amps = out.reshape(4, 2)
@@ -285,28 +274,3 @@ def run_prob_anticlone(pc: ProbCloner, which: int, shots: int, seed: int = 0) ->
         post_selected_fidelity=fidelity,
         seed=seed,
     )
-
-
-def build_prob_spinflip(m1: QubitState, m2: QubitState) -> tuple[np.ndarray, float]:
-    """Probabilistic exact spin flip for two known states.
-
-    Success probability F = 1 - |<m1|m2>|, the two-state distinguishability.
-    On success the flipped state arrives tagged with one of two orthogonal
-    flag kets, so the machine simultaneously identifies which input it got.
-    Registers: (output qubit, flag, status), status |0> = success.
-    """
-    k1, k2 = _aligned_kets([m1, m2])
-    c = float(np.vdot(k1, k2).real)
-    if c > 1.0 - 1e-12:
-        raise RankError("inputs are linearly dependent; flip probability would be zero")
-    big_f = 1.0 - c
-
-    ok, fail = _basis(2, 0), _basis(2, 1)
-    garbage = _basis(4, 0)
-    inputs = [tensor(k, _basis(2, 0), _basis(2, 0)) for k in (k1, k2)]
-    images = [
-        np.sqrt(big_f) * tensor(_flip_ket(k), flag, ok) + np.sqrt(c) * tensor(garbage, fail)
-        for k, flag in ((k1, _basis(2, 0)), (k2, _basis(2, 1)))
-    ]
-    u = unitary_from_correspondence(inputs, images)
-    return u, big_f

@@ -1,5 +1,5 @@
-"""Single-qubit states: Bloch-vector conversions, the anti-unitary spin flip,
-direction fidelity, and shrinking-factor extraction."""
+"""Single-qubit states: Bloch-vector conversions, the anti-unitary spin flip
+and direction fidelity."""
 
 from __future__ import annotations
 
@@ -13,14 +13,12 @@ __all__ = [
     "SIGMA_Z",
     "BlochVector",
     "QubitState",
-    "ShrinkReport",
     "check_density_matrix",
     "direction_kets",
     "bloch_to_state",
     "state_to_bloch",
     "antiunitary_flip",
     "fidelity_direction",
-    "shrink_factor",
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -84,18 +82,6 @@ class QubitState:
     def density(self) -> np.ndarray:
         k = self.ket()
         return np.outer(k, k.conj())
-
-
-@dataclass(frozen=True)
-class ShrinkReport:
-    """Shrinking factor eta of an output along a reference direction.
-
-    fidelity = (1 + eta) / 2 when the reference direction is pure.
-    """
-
-    eta: float
-    fidelity: float
-    direction: BlochVector
 
 
 def check_density_matrix(rho, tol: float = 1e-10) -> np.ndarray:
@@ -163,9 +149,3 @@ def fidelity_direction(rho, n: BlochVector) -> float:
     _require_unit(n)
     k = bloch_to_state(n).ket()
     return float(np.real(k.conj() @ rho @ k))
-
-
-def shrink_factor(rho, n: BlochVector) -> ShrinkReport:
-    """Shrinking factor along n: eta = 2 <n|rho|n> - 1."""
-    f = fidelity_direction(rho, n)
-    return ShrinkReport(eta=2.0 * f - 1.0, fidelity=f, direction=n)

@@ -4,11 +4,14 @@ Everything here is deliberately written the dumb way (explicit index sums,
 hand-transcribed closed forms) and must not import the code paths it checks.
 ``fidelities_from_states`` builds on ``machine.output_states``, the reduced-
 state path that the explicit partial-trace sums here check in turn.
+``fidelities_by_bloch`` goes through ``qubit``'s Bloch conversions, which
+the fidelity kernel in ``machine`` does not use.
 """
 
 import numpy as np
 
 from anticlone.machine import AnticlonerParams, output_states
+from anticlone.qubit import QubitState, fidelity_direction, state_to_bloch
 
 
 def kron_by_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,6 +71,14 @@ def clone_outputs_by_sum(v: np.ndarray, ket: np.ndarray) -> tuple[np.ndarray, np
     rho = np.outer(joint, joint.conj())
     dims = [2, 2, v.shape[0] // 4]
     return partial_trace_by_sum(rho, dims, [0]), partial_trace_by_sum(rho, dims, [1])
+
+
+def fidelities_by_bloch(psi: QubitState, rho1: np.ndarray, rho2: np.ndarray) -> tuple[float, float]:
+    """Clone fidelities by the Bloch round trip: the input's Bloch vector n
+    from its density matrix, then <n|rho1|n> and <-n|rho2|-n> through the
+    kets ``bloch_to_state`` rebuilds from n and -n."""
+    n = state_to_bloch(psi.density())
+    return fidelity_direction(rho1, n), fidelity_direction(rho2, -n)
 
 
 def fidelities_from_states(v: np.ndarray, kets: np.ndarray, targets) -> np.ndarray:

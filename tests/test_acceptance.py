@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 
-from anticlone.linalg import hermitian_eigensystem
 from anticlone.machine import (
     COEFF_KEYS,
     anticlone,
@@ -32,7 +31,6 @@ from anticlone.probclone import (
     two_state_efficiency,
 )
 from anticlone.qubit import BlochVector, QubitState, antiunitary_flip, bloch_to_state
-from conftest import random_hermitian
 from oracles import partial_trace_by_sum
 
 THETA_GRID = (np.pi / 6, np.pi / 4, np.pi / 3, np.pi / 2)
@@ -212,17 +210,6 @@ def test_criterion_9_property_suites(rng, tmp_path):
         ):
             failures.append(f"partial trace keep={keep}")
 
-    # eigen reconstruction
-    worst_rec = 0.0
-    for _ in range(10):
-        h = random_hermitian(rng, int(rng.integers(2, 9)))
-        vals, vecs = hermitian_eigensystem(h)
-        worst_rec = max(
-            worst_rec, float(np.max(np.abs(vecs @ np.diag(vals) @ vecs.conj().T - h)))
-        )
-    if worst_rec >= 1e-10:
-        failures.append(f"eigen reconstruction {worst_rec:.2e}")
-
     # CLI determinism: byte-identical reports for a fixed seed
     outs = []
     for name in ("a.json", "b.json"):
@@ -239,6 +226,6 @@ def test_criterion_9_property_suites(rng, tmp_path):
     report(
         9,
         not failures,
-        "anti-unitarity, partial-trace oracle, eigen reconstruction (< 1e-10), "
-        "CLI determinism all hold" if not failures else f"failed: {failures}",
+        "anti-unitarity, partial-trace oracle, CLI determinism all hold"
+        if not failures else f"failed: {failures}",
     )

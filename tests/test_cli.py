@@ -10,6 +10,7 @@ from anticlone.cli import (
     EXIT_OK,
     EXIT_VERIFICATION_FAILED,
     load_state_file,
+    main,
     parse_args,
     report_payload,
     run,
@@ -126,6 +127,11 @@ class TestVerifyCampaign:
         report, code = run(parse_args(["verify", "--samples", "50", "--tol", "1e-20"]))
         assert code == EXIT_VERIFICATION_FAILED
         assert not report.all_pass
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_meaningless_tolerance_is_input_error(self, tol, capsys):
+        assert main(["verify", "--samples", "10", "--tol", tol]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().out == ""
 
 
 class TestFeasibilityCampaign:

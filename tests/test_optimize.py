@@ -235,6 +235,11 @@ class TestOptimizeUniversal:
         assert len(res.objective_trace) >= 1
         assert abs(res.best_fidelity - 0.5 * (1 + res.best_eta)) < 1e-15
 
+    @pytest.mark.parametrize("iters", [3, 5, 7, 13])
+    def test_stages_spend_exactly_the_budget(self, iters):
+        res = optimize_universal(OptimizerConfig(restarts=1, max_iters=iters, seed=0))
+        assert len(res.objective_trace) == iters
+
 
 class TestTracedRun:
     """The benchmark's tracer keeps one span stack, so every traced layer

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from anticlone.linalg import RankError, hermitian_eigenvalues, tensor
+from anticlone.linalg import hermitian_eigenvalues, tensor
 from anticlone.probclone import (
     SHOT_BLOCK,
     CopySpec,
     ProbCloner,
     StateSet,
-    build_prob_spinflip,
     build_two_state_anticloner,
     max_feasible_f,
     run_prob_anticlone,
@@ -238,58 +237,10 @@ class TestRunProbAnticlone:
             run_prob_anticlone(pc, 3, shots=10)
 
 
-class TestBuildProbSpinflip:
-    def test_orthogonal_states_flip_always(self):
-        u, big_f = build_prob_spinflip(QubitState(1, 0), QubitState(0, 1))
-        assert big_f == 1.0
-        assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-10
-
-    def test_half_overlap(self):
-        u, big_f = build_prob_spinflip(
-            QubitState(1, 0), QubitState.normalized(0.5, np.sqrt(3) / 2)
-        )
-        assert abs(big_f - 0.5) < 1e-12
-
-    def test_images_as_specified(self):
-        m1 = QubitState(1, 0)
-        m2 = QubitState.normalized(0.5, np.sqrt(3) / 2)
-        u, big_f = build_prob_spinflip(m1, m2)
-        flags = (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
-        ok = np.array([1, 0], dtype=complex)
-        fail = np.array([0, 1], dtype=complex)
-        garbage = np.zeros(4, dtype=complex)
-        garbage[0] = 1.0
-        for m, flag in zip((m1, m2), flags):
-            inp = tensor(m.ket(), [1, 0], [1, 0])
-            img = np.sqrt(big_f) * tensor(antiunitary_flip(m).ket(), flag, ok)
-            img += np.sqrt(1 - big_f) * tensor(garbage, fail)
-            assert np.linalg.norm(u @ inp - img) < 1e-10
-
-    def test_success_branches_are_exact_flips(self, rng):
-        for _ in range(10):
-            v = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            m1 = QubitState.normalized(*v[0])
-            m2 = QubitState.normalized(*v[1])
-            if abs(np.vdot(m1.ket(), m2.ket())) > 1 - 1e-6:
-                continue
-            u, big_f = build_prob_spinflip(m1, m2)
-            assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-10
-
-    def test_dependent_inputs_raise(self):
-        s = QubitState.normalized(0.6, 0.8)
-        t = QubitState(s.alpha * np.exp(0.4j), s.beta * np.exp(0.4j))
-        with pytest.raises(RankError):
-            build_prob_spinflip(s, t)
-
-
 class TestStateSetAndCopySpec:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             StateSet([])
-
-    def test_label_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            StateSet([QubitState(1, 0)], labels=["a", "b"])
 
     def test_copyspec_validation(self):
         with pytest.raises(ValueError):

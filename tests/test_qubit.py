@@ -9,7 +9,6 @@ from anticlone.qubit import (
     bloch_to_state,
     check_density_matrix,
     fidelity_direction,
-    shrink_factor,
     state_to_bloch,
 )
 from conftest import random_direction
@@ -199,14 +198,3 @@ class TestFidelityAndShrink:
             direct = fidelity_direction(rho, n)
             via_bloch = 0.5 * (1 + np.dot(n.as_array(), state_to_bloch(rho).as_array()))
             assert abs(direct - via_bloch) < 1e-12
-
-    def test_shrink_factor_endpoints(self, rng):
-        n = BlochVector.from_array(random_direction(rng))
-        assert abs(shrink_factor(np.eye(2) / 2, n).eta) < 1e-12
-        assert abs(shrink_factor(bloch_to_state(n).density(), n).eta - 1) < 1e-12
-
-    def test_shrink_report_consistency(self, rng):
-        n = BlochVector.from_array(random_direction(rng))
-        rep = shrink_factor(np.eye(2) / 2, n)
-        assert abs(rep.fidelity - (1 + rep.eta) / 2) < 1e-12
-        assert rep.direction == n
