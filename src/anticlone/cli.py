@@ -29,32 +29,11 @@ import numpy as np
 from . import machine, optimize, probclone
 from .qubit import PAULI, QubitState, antiunitary_flip, direction_kets
 
-__all__ = ["RunConfig", "MetricCheck", "Report", "parse_args", "run", "write_report", "main"]
+__all__ = ["MetricCheck", "Report", "parse_args", "run", "write_report", "main"]
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated arguments of one campaign invocation."""
-
-    subcommand: str
-    seed: int = 0
-    output: str | None = None
-    format: str = "json"
-    samples: int | None = None
-    shots: int | None = None
-    restarts: int | None = None
-    iters: int | None = None
-    ancilla_dim: int | None = None
-    spinflip: bool = False
-    theta: float | None = None
-    copies_aligned: int | None = None
-    copies_flipped: int | None = None
-    states_path: str | None = None
-    tol: float | None = None
 
 
 @dataclass(frozen=True)
@@ -175,7 +154,7 @@ def load_state_file(path: str) -> list[QubitState]:
     return states
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
     """Parse and validate one campaign invocation; exits with code 2 on bad
     usage (argparse convention)."""
     parser = argparse.ArgumentParser(
@@ -194,9 +173,11 @@ def parse_args(argv) -> RunConfig:
     p.add_argument("--tol", type=float, default=1e-9, help="universality tolerance")
 
     p = sub.add_parser("optimize", parents=[common], help="re-derive the optimal fidelity numerically")
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=int, default=optimize.OptimizerConfig.restarts)
     p.add_argument("--iters", type=int, default=optimize.OptimizerConfig.max_iters)
-    p.add_argument("--ancilla-dim", type=int, choices=(1, 2, 4), default=4)
+    p.add_argument(
+        "--ancilla-dim", type=int, choices=(1, 2, 4), default=optimize.OptimizerConfig.ancilla_dim
+    )
     p.add_argument("--spinflip", action="store_true", help="optimize the flip channel instead")
 
     p = sub.add_parser("prob", parents=[common], help="two-state probabilistic anti-cloner checks")
@@ -211,24 +192,7 @@ def parse_args(argv) -> RunConfig:
     p = sub.add_parser("baseline", parents=[common], help="measure-and-prepare Monte Carlo")
     p.add_argument("--samples", type=int, default=1000000)
 
-    ns = parser.parse_args(list(argv))
-    return RunConfig(
-        subcommand=ns.subcommand,
-        seed=ns.seed,
-        output=ns.output,
-        format=ns.format,
-        samples=getattr(ns, "samples", None),
-        shots=getattr(ns, "shots", None),
-        restarts=getattr(ns, "restarts", None),
-        iters=getattr(ns, "iters", None),
-        ancilla_dim=getattr(ns, "ancilla_dim", None),
-        spinflip=getattr(ns, "spinflip", False),
-        theta=getattr(ns, "theta", None),
-        copies_aligned=getattr(ns, "L", None),
-        copies_flipped=getattr(ns, "M", None),
-        states_path=getattr(ns, "states", None),
-        tol=getattr(ns, "tol", None),
-    )
+    return parser.parse_args(list(argv))
 
 
 def _existing_file(path: str) -> str:
@@ -239,8 +203,8 @@ def _existing_file(path: str) -> str:
     return path
 
 
-def _campaign_verify(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
-    tol = cfg.tol if cfg.tol is not None else 1e-9
+def _campaign_verify(cfg: argparse.Namespace) -> tuple[dict, list[MetricCheck]]:
+    tol = cfg.tol
     # NaN fails every comparison and inf passes every check: neither tests anything
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -275,7 +239,7 @@ def _campaign_verify(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
     return {"samples": cfg.samples, "seed": cfg.seed, "tol": tol}, metrics
 
 
-def _campaign_optimize(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
+def _campaign_optimize(cfg: argparse.Namespace) -> tuple[dict, list[MetricCheck]]:
     ocfg = optimize.OptimizerConfig(
         restarts=cfg.restarts,
         max_iters=cfg.iters,
@@ -308,7 +272,7 @@ def _campaign_optimize(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
     return params, metrics
 
 
-def _campaign_prob(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
+def _campaign_prob(cfg: argparse.Namespace) -> tuple[dict, list[MetricCheck]]:
     if cfg.shots < 0:
         raise ValueError(f"shots must be >= 0, got {cfg.shots}")
     pc = probclone.build_two_state_anticloner(cfg.theta)
@@ -345,10 +309,10 @@ def _campaign_prob(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
     return {"theta": cfg.theta, "shots": cfg.shots, "seed": cfg.seed}, metrics
 
 
-def _campaign_feasibility(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
-    states = load_state_file(cfg.states_path)
+def _campaign_feasibility(cfg: argparse.Namespace) -> tuple[dict, list[MetricCheck]]:
+    states = load_state_file(cfg.states)
     state_set = probclone.StateSet(states)
-    mu = probclone.CopySpec(cfg.copies_aligned, cfg.copies_flipped)
+    mu = probclone.CopySpec(cfg.L, cfg.M)
     res = probclone.max_feasible_f(state_set, mu)
 
     dependent = res.rank < len(states)
@@ -390,7 +354,7 @@ def _campaign_feasibility(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
 _BASELINE_AXIS = np.array([1.0, 2.0, 2.0]) / 3.0
 
 
-def _campaign_baseline(cfg: RunConfig) -> tuple[dict, list[MetricCheck]]:
+def _campaign_baseline(cfg: argparse.Namespace) -> tuple[dict, list[MetricCheck]]:
     rep = machine.measure_prepare_baseline(cfg.samples, seed=cfg.seed)
     dev = abs(rep.avg_fidelity_anticlone - 2.0 / 3.0)
     exact = machine.measure_prepare_pole_average(_BASELINE_AXIS)
@@ -414,7 +378,7 @@ _CAMPAIGNS = {
 }
 
 
-def run(cfg: RunConfig) -> tuple[Report, int]:
+def run(cfg: argparse.Namespace) -> tuple[Report, int]:
     """Execute one campaign. Returns the report and the process exit code."""
     start = time.perf_counter()
     try:

@@ -139,7 +139,7 @@ def orthonormal_complete(vs, dim: int, tol: float = DEFAULT_TOL) -> list[np.ndar
     return basis
 
 
-def _joint_orthonormalize(inputs, images, dim_in, dim_out, tol):
+def _joint_orthonormalize(inputs, images, tol):
     """Run Gram-Schmidt on both lists with shared coefficients.
 
     Because the Gram matrices agree, each input and its image shrink by the
@@ -199,7 +199,7 @@ def unitary_from_correspondence(inputs, images, tol: float = DEFAULT_TOL) -> np.
             f"Gram matrices differ by {mismatch:.3e}; no unitary can map the lists"
         )
 
-    in_basis, out_basis = _joint_orthonormalize(ins, outs, dim_in, dim_out, tol)
+    in_basis, out_basis = _joint_orthonormalize(ins, outs, tol)
     in_full = orthonormal_complete(in_basis, dim_in, tol=tol)
     out_full = orthonormal_complete(out_basis, dim_out, tol=tol)
 

@@ -47,7 +47,10 @@ __all__ = [
     "optimize_spinflip",
 ]
 
+STEP_SIZE = 0.25  # largest normalized step; an accepted step doubles back up to it
 STEP_FLOOR = 1e-9
+DIRECTION_SAMPLES = 62  # Fibonacci-lattice points of the direction net
+SCHEDULE = (3e-2, 1e-2, 3e-3, 1e-3)  # softmin temperature of each annealing stage
 DEGENERACY_TOL = 1e-12
 
 
@@ -57,17 +60,12 @@ class OptimizerConfig:
 
     restarts: int = 20
     max_iters: int = 600
-    step_size: float = 0.25
-    direction_samples: int = 62
     seed: int = 0
     ancilla_dim: int = 4
-    softmin_temperature: float = 1e-3  # 0 disables smoothing
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1 or self.direction_samples < 1:
+        if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("counts must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
         if self.ancilla_dim not in (1, 2, 4):
             raise ValueError(f"ancilla_dim must be 1, 2 or 4, got {self.ancilla_dim}")
 
@@ -77,9 +75,10 @@ class OptimizerResult:
     """Best shrinking factor found, with per-restart and per-iteration detail.
 
     ``max_objective_seen`` is the largest hard-min objective over every
-    point the run evaluated: restart and stage start points and step
-    candidates (the gradient is analytic, so there are no probe points). It
-    staying at or below the analytic bound is itself a verification result.
+    point the run evaluated: stage start points, the first of which is the
+    restart's start point, and step candidates (the gradient is analytic,
+    so there are no probe points). It staying at or below the analytic bound
+    is itself a verification result.
     """
 
     best_eta: float
@@ -93,7 +92,7 @@ class OptimizerResult:
         return 0.5 * (1.0 + self.best_eta)
 
 
-def direction_set(samples: int = 62) -> np.ndarray:
+def direction_set(samples: int = DIRECTION_SAMPLES) -> np.ndarray:
     """Fixed direction net: spherical Fibonacci lattice plus the six poles."""
     if samples < 1:
         raise ValueError("need at least one lattice sample")
@@ -191,24 +190,16 @@ def parameterize_isometry(x: np.ndarray, out_dim: int) -> np.ndarray:
     return _isometry_batch(x[None, :], out_dim)[0]
 
 
-def _universal_targets(k_in: np.ndarray, k_opp: np.ndarray) -> tuple:
-    """Clone 1 is scored against n, clone 2 against -n."""
-    return (k_in, k_opp)
-
-
-def _spinflip_targets(k_in: np.ndarray, k_opp: np.ndarray) -> tuple:
-    """The one output is scored against -n."""
-    return (k_opp,)
-
-
 def _universal_values(vb: np.ndarray, k_in: np.ndarray, k_opp: np.ndarray) -> np.ndarray:
-    """Per-(candidate, direction, output) fidelities, shape (..., 2N)."""
-    return output_fidelities(vb, k_in, _universal_targets(k_in, k_opp))
+    """Per-(candidate, direction, output) fidelities, shape (..., 2N): clone 1
+    is scored against n, clone 2 against -n."""
+    return output_fidelities(vb, k_in, (k_in, k_opp))
 
 
 def _spinflip_values(vb: np.ndarray, k_in: np.ndarray, k_opp: np.ndarray) -> np.ndarray:
-    """Per-(candidate, direction) flipped fidelity for (2 x anc) isometries."""
-    return output_fidelities(vb, k_in, _spinflip_targets(k_in, k_opp))
+    """Per-(candidate, direction) flipped fidelity for (2 x anc) isometries:
+    the one output is scored against -n."""
+    return output_fidelities(vb, k_in, (k_opp,))
 
 
 def objective_universal(v: np.ndarray, directions: np.ndarray) -> float:
@@ -234,72 +225,61 @@ def _softmin(values: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def _softmin_weights(values: np.ndarray, search: np.ndarray, temperature: float) -> np.ndarray:
-    """Gradient of the search value with respect to ``values``.
-
-    For the softmin s = -T log sum exp(-f/T) that is the softmax weight
-    exp((s - f) / T), at most 1 since s <= min f. The hard minimum (T = 0)
-    puts all weight on its first minimizer.
-    """
-    if temperature > 0:
-        return np.exp((search[..., None] - values) / temperature)
-    weights = np.zeros_like(values)
-    np.put_along_axis(weights, values.argmin(axis=-1)[..., None], 1.0, axis=-1)
-    return weights
+    """Gradient of the softmin s = -T log sum exp(-f/T) with respect to
+    ``values``: the softmax weight exp((s - f) / T), at most 1 since
+    s <= min f."""
+    return np.exp((search[..., None] - values) / temperature)
 
 
 class _Objective:
-    """A campaign's search objective on flat parameter vectors over a fixed
-    direction net: ``values_fn`` gives the per-direction fidelities of a
-    batch of isometries, ``targets_fn`` the target kets they are taken
-    against, as handed to ``machine.output_fidelities``."""
+    """A campaign's softmin search objective on flat parameter vectors over a
+    fixed direction net. ``copies`` is 2 for the anti-cloner and 1 for the
+    spin flip; it fixes the isometry's output dimension, the target kets
+    handed to ``machine.output_fidelities`` and the values layer."""
 
-    def __init__(self, out_dim: int, values_fn, targets_fn, directions: np.ndarray):
-        self.out_dim = out_dim
-        self.values_fn = values_fn
+    def __init__(self, copies: int, ancilla_dim: int, directions: np.ndarray):
+        self.copies = copies
+        self.out_dim = 2**copies * ancilla_dim
         self.k_in = direction_kets(directions)
         self.k_opp = direction_kets(-directions)
-        self.targets = targets_fn(self.k_in, self.k_opp)
+        self.targets = (self.k_in, self.k_opp)[2 - copies:]
 
     def evaluate(self, x: np.ndarray, temperature: float):
-        """(search value, hard worst-case value, gradient thunk) at one
-        point; the search value is the softmin at ``temperature``, or the
-        hard minimum at 0, and the thunk returns its gradient in ``x``."""
+        """(softmin search value at ``temperature``, hard worst-case value,
+        gradient thunk) at one point; the thunk returns the search value's
+        gradient in ``x``."""
         xb = x[None]
         vb = _isometry_batch(xb, self.out_dim)
-        values = self.values_fn(vb, self.k_in, self.k_opp)
-        hard = values.min(axis=1)
-        search = _softmin(values, temperature) if temperature > 0 else hard
+        # looked up at call time, so a patched module attribute is the one called
+        values_fn = _universal_values if self.copies == 2 else _spinflip_values
+        values = values_fn(vb, self.k_in, self.k_opp)
+        search = _softmin(values, temperature)
 
         def gradient() -> np.ndarray:
             weights = _softmin_weights(values, search, temperature)
             g = output_fidelities_adjoint(vb, self.k_in, self.targets, weights)
             return _isometry_pullback(xb, vb, g)[0]
 
-        return float(search[0]), float(hard[0]), gradient
+        return float(search[0]), float(values.min(axis=1)[0]), gradient
 
 
-def _ascend(cfg: OptimizerConfig, out_dim: int, values_fn, targets_fn, init: np.ndarray | None):
+def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
     """Multi-restart projected gradient ascent. Returns per-restart results.
 
-    Searches on a softmin surrogate annealed over four stages down to
-    ``cfg.softmin_temperature`` (the hard minimum throughout if that is 0):
-    the hard worst-case objective is kinked wherever directions tie, which is
-    exactly what happens near a universal machine, and plain ascent stalls
-    there. Headline values are always re-evaluated with the hard minimum.
-    The gradient is taken only where ``x`` moved: after an accepted step or
-    at the start of a stage; a rejected step reuses it.
+    Searches on a softmin surrogate annealed over the four ``SCHEDULE``
+    stages: the hard worst-case objective is kinked wherever directions tie,
+    which is exactly what happens near a universal machine, and plain ascent
+    stalls there. Headline values are always the hard minimum. The gradient
+    is taken only where ``x`` moved: after an accepted step or at the start
+    of a stage; a rejected step reuses it.
     """
-    objective = _Objective(out_dim, values_fn, targets_fn, direction_set(cfg.direction_samples))
+    objective = _Objective(copies, cfg.ancilla_dim, direction_set())
     evaluate = objective.evaluate
-    nparams = 4 * out_dim
+    nparams = 4 * objective.out_dim
 
-    if cfg.softmin_temperature > 0:
-        schedule = [cfg.softmin_temperature * m for m in (30.0, 10.0, 3.0, 1.0)]
-    else:
-        schedule = [0.0]
     # the coldest stage takes the remainder, so the stages add up to max_iters
-    stage_iters = [cfg.max_iters // len(schedule)] * len(schedule)
-    stage_iters[-1] += cfg.max_iters % len(schedule)
+    stage_iters = [cfg.max_iters // len(SCHEDULE)] * len(SCHEDULE)
+    stage_iters[-1] += cfg.max_iters % len(SCHEDULE)
 
     per_restart = []
     best = (-np.inf, None, None)  # objective, params, trace
@@ -314,14 +294,15 @@ def _ascend(cfg: OptimizerConfig, out_dim: int, values_fn, targets_fn, init: np.
             x = philox_stream(cfg.seed, r).standard_normal(nparams)
 
         trace = []
-        f_cur = evaluate(x, 0.0)[1]
-        # best point *visited*: softmin acceptance may trade a little hard
-        # minimum for average gains, so the endpoint is not always the peak
-        x_peak, f_peak = x.copy(), f_cur
-        for temperature, iters in zip(schedule, stage_iters):
-            step = cfg.step_size
+        for stage, (temperature, iters) in enumerate(zip(SCHEDULE, stage_iters)):
+            step = STEP_SIZE
             s_cur, f_cur, gradient_at_x = evaluate(x, temperature)
             max_seen = max(max_seen, f_cur)
+            if stage == 0:
+                # best point *visited*: softmin acceptance may trade a little
+                # hard minimum for average gains, so the endpoint is not
+                # always the peak
+                x_peak, f_peak = x.copy(), f_cur
             grad = None
             for _ in range(iters):
                 if step < STEP_FLOOR:
@@ -339,7 +320,7 @@ def _ascend(cfg: OptimizerConfig, out_dim: int, values_fn, targets_fn, init: np.
                 if s_new > s_cur:
                     x, s_cur, f_cur, gradient_at_x = cand, s_new, f_new, gradient_at_cand
                     grad = None
-                    step = min(step * 2.0, cfg.step_size)
+                    step = min(step * 2.0, STEP_SIZE)
                     if f_new > f_peak:
                         x_peak, f_peak = cand.copy(), f_new
                 else:
@@ -371,14 +352,10 @@ def optimize_universal(cfg: OptimizerConfig, init: np.ndarray | None = None) -> 
     restarts stay random); useful for checking that a claimed optimum is
     actually stationary.
     """
-    out_dim = 4 * cfg.ancilla_dim
-    per_restart, best, max_seen = _ascend(cfg, out_dim, _universal_values, _universal_targets, init)
-    return _result_from(per_restart, best, max_seen)
+    return _result_from(*_ascend(cfg, 2, init))
 
 
 def optimize_spinflip(cfg: OptimizerConfig, init: np.ndarray | None = None) -> OptimizerResult:
     """Search flip isometries qubit -> (2 x ancilla) for the best worst-case
     flipped fidelity. ``best_fidelity`` on the result is the headline F."""
-    out_dim = 2 * cfg.ancilla_dim
-    per_restart, best, max_seen = _ascend(cfg, out_dim, _spinflip_values, _spinflip_targets, init)
-    return _result_from(per_restart, best, max_seen)
+    return _result_from(*_ascend(cfg, 1, init))

@@ -175,6 +175,10 @@ def max_feasible_f(state_set: StateSet, mu: CopySpec = CopySpec(1, 1)) -> Feasib
     null(G), every f > 0 is infeasible and f_max = 0 exactly (no machine can
     clone more distinct states than the dimension supports). Otherwise
     f_max = min(1, 1 / λ_max(W^† H W)) with W = Q_r Λ_r^(-1/2) on range(G).
+
+    Raises ``ValueError`` when an eigenvalue under ``RANK_TOL`` is clearly
+    above rounding: such a set holds two distinct states too close for the
+    rank cut, which would otherwise treat them as one.
     """
     kets = _aligned_kets(state_set.states)
     flipped = [_flip_ket(k) for k in kets]
@@ -185,6 +189,14 @@ def max_feasible_f(state_set: StateSet, mu: CopySpec = CopySpec(1, 1)) -> Feasib
 
     lam, q = np.linalg.eigh(g)
     in_range = lam > RANK_TOL
+    # eigh leaves G's eigenvalues within a small multiple of eps * |G| <= eps * n
+    # of exact; a dropped one far above that is a distinct state, not a repeat
+    dropped = np.max(np.abs(lam[~in_range]), initial=0.0)
+    if dropped > 100 * n * np.finfo(float).eps:
+        raise ValueError(
+            f"Gram eigenvalue {dropped:.3e} lies below RANK_TOL = {RANK_TOL} but above "
+            "rounding: two states are too close to tell apart from a repeat"
+        )
     null = q[:, ~in_range]
     if np.max(np.abs(null.conj().T @ h @ null), initial=0.0) > RANK_TOL:
         f_max = 0.0

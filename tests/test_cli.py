@@ -50,8 +50,13 @@ class TestParseArgs:
         assert cfg.seed == 0
         assert cfg.format == "json"
 
-    def test_optimize_iters_default_is_the_config_budget(self):
-        assert parse_args(["optimize"]).iters == OptimizerConfig().max_iters == 600
+    @pytest.mark.parametrize(
+        "flag, field, value",
+        [("iters", "max_iters", 600), ("restarts", "restarts", 20), ("ancilla_dim", "ancilla_dim", 4)],
+        ids=["iters", "restarts", "ancilla-dim"],
+    )
+    def test_optimize_default_is_the_config_value(self, flag, field, value):
+        assert getattr(parse_args(["optimize"]), flag) == getattr(OptimizerConfig(), field) == value
 
     def test_prob_theta(self):
         cfg = parse_args(["prob", "--theta", "1.0471975512", "--shots", "100000"])
@@ -162,15 +167,16 @@ class TestFeasibilityCampaign:
         assert metrics["closed_form_deviation"].value <= 1e-12
 
     @pytest.mark.parametrize("gap", [5e-11, 1e-12])
-    def test_near_duplicate_pair_is_judged_by_closed_form(self, tmp_path, gap):
+    def test_near_duplicate_pair_is_judged_by_closed_form(self, tmp_path, gap, capsys):
         # G's small eigenvalue 1 - c lies below the rank tolerance, so the
-        # direct solve cannot resolve f_max; the closed form must catch it
+        # direct solve cannot resolve f_max and the input is rejected
         c = 1.0 - gap
         pair = [[[1, 0], [0, 0]], [[c, 0], [np.sqrt(1 - c * c), 0]]]
         path = write_states(tmp_path / "pair.json", pair)
-        report, code = run(parse_args(["feasibility", "--states", path]))
-        assert code == EXIT_VERIFICATION_FAILED
-        assert not {m.name: m for m in report.metrics}["closed_form_deviation"].passed
+        assert main(["feasibility", "--states", path]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "RANK_TOL" in captured.err
 
     def test_random_four_states_give_exact_zero(self, tmp_path, rng):
         kets = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))

@@ -125,6 +125,14 @@ class TestMaxFeasibleF:
             oracle = max_feasible_f_by_bisection(res.gram_G, res.gram_H)
             assert abs(res.f_max - oracle) <= oracle_tol
 
+    @pytest.mark.parametrize("gap", [5e-11, 1e-12])
+    def test_near_duplicate_pair_is_rejected(self, gap):
+        # two distinct states whose Gram eigenvalue 1 - c falls under RANK_TOL
+        c = 1.0 - gap
+        pair = StateSet([QubitState(1, 0), QubitState.normalized(c, np.sqrt(1 - c * c))])
+        with pytest.raises(ValueError, match="RANK_TOL"):
+            max_feasible_f(pair, CopySpec(1, 1))
+
     def test_flipped_gram_is_conjugate(self):
         s2 = QubitState.normalized(0.3 + 0.4j, np.sqrt(0.75))
         res = max_feasible_f(StateSet([QubitState(1, 0), s2]), CopySpec(0, 1))
