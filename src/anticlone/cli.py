@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import machine, optimize, probclone
-from .qubit import PAULI, QubitState, antiunitary_flip, direction_kets
+from .qubit import PAULI, QubitState, direction_kets
 
 __all__ = ["MetricCheck", "Report", "parse_args", "run", "write_report", "main"]
 
@@ -246,7 +246,7 @@ def _campaign_optimize(cfg: argparse.Namespace) -> tuple[dict, list[MetricCheck]
         seed=cfg.seed,
         ancilla_dim=cfg.ancilla_dim,
     )
-    target = 2.0 / 3.0
+    target = machine.OPTIMAL_FIDELITY
     if cfg.spinflip:
         res = optimize.optimize_spinflip(ocfg)
         headline = res.best_fidelity
@@ -254,13 +254,15 @@ def _campaign_optimize(cfg: argparse.Namespace) -> tuple[dict, list[MetricCheck]
     else:
         res = optimize.optimize_universal(ocfg)
         headline = res.best_eta
-        target = 1.0 / 3.0
+        target = machine.OPTIMAL_ETA
         label = "best_eta"
     metrics = [
         MetricCheck(label, headline),
         MetricCheck(f"{label}_below_optimum", target - headline, 1e-3),
         MetricCheck(f"{label}_above_optimum", headline - target, 1e-6),
-        MetricCheck("objective_bound_excess", res.max_objective_seen - 2.0 / 3.0, 1e-6),
+        MetricCheck(
+            "objective_bound_excess", res.max_objective_seen - machine.OPTIMAL_FIDELITY, 1e-6
+        ),
     ]
     params = {
         "restarts": cfg.restarts,
@@ -286,25 +288,23 @@ def _campaign_prob(cfg: argparse.Namespace) -> tuple[dict, list[MetricCheck]]:
     ]
     sigma = np.sqrt(max(pc.f * (1.0 - pc.f), 1e-300) / max(cfg.shots, 1))
     for which in (1, 2):
-        exact = probclone.run_prob_anticlone(pc, which, shots=0, seed=cfg.seed)
+        stats = probclone.run_prob_anticlone(pc, which, shots=cfg.shots, seed=cfg.seed)
         metrics.append(
             MetricCheck(
                 f"success_probability_deviation_input{which}",
-                abs(exact.success_probability - pc.f),
+                abs(stats.success_probability - pc.f),
                 1e-12,
             )
         )
         metrics.append(
             MetricCheck(
                 f"postselected_infidelity_input{which}",
-                abs(exact.post_selected_fidelity - 1.0),
+                abs(stats.post_selected_fidelity - 1.0),
                 1e-12,
             )
         )
         if cfg.shots > 0:
-            stats = probclone.run_prob_anticlone(pc, which, shots=cfg.shots, seed=cfg.seed)
-            freq = stats.successes / stats.shots
-            z = abs(freq - pc.f) / sigma if sigma > 0 else 0.0
+            z = abs(stats.successes / stats.shots - pc.f) / sigma
             metrics.append(MetricCheck(f"shot_frequency_sigma_input{which}", z, 3.0))
     return {"theta": cfg.theta, "shots": cfg.shots, "seed": cfg.seed}, metrics
 
@@ -315,14 +315,6 @@ def _campaign_feasibility(cfg: argparse.Namespace) -> tuple[dict, list[MetricChe
     mu = probclone.CopySpec(cfg.L, cfg.M)
     res = probclone.max_feasible_f(state_set, mu)
 
-    dependent = res.rank < len(states)
-    # State j repeats an earlier state i up to a phase when |<flip(i)|j>|, which
-    # is sqrt(1 - |<i|j>|^2) without the cancellation, is rounding-level.
-    flips = [antiunitary_flip(s).ket() for s in states]
-    distinct = sum(
-        all(abs(np.vdot(flips[i], states[j].ket())) > probclone.RANK_TOL for i in range(j))
-        for j in range(len(states))
-    )
     metrics = [
         MetricCheck("f_max", res.f_max),
         MetricCheck("certificate_negativity", -res.min_eigenvalue_at_f, 1e-9),
@@ -334,9 +326,9 @@ def _campaign_feasibility(cfg: argparse.Namespace) -> tuple[dict, list[MetricChe
         )
     # Three distinct qubit states are always dependent, and only then is f = 0
     # forced; repeats of one or two states keep the f of the distinct ones.
-    if distinct > 2:
+    if res.distinct > 2:
         metrics.append(MetricCheck("dependent_set_f_max", res.f_max, 1e-9))
-    elif len(states) == distinct == 2:
+    elif len(states) == res.distinct == 2:
         c = abs(np.vdot(states[0].ket(), states[1].ket()))
         closed = probclone.two_state_efficiency(c, mu.L, mu.M)
         metrics.append(MetricCheck("closed_form_deviation", abs(res.f_max - closed), 1e-9))
@@ -344,7 +336,7 @@ def _campaign_feasibility(cfg: argparse.Namespace) -> tuple[dict, list[MetricChe
         "states": [[s.alpha, s.beta] for s in states],
         "L": mu.L,
         "M": mu.M,
-        "dependent": dependent,
+        "dependent": res.rank < len(states),
         "seed": cfg.seed,
     }
     return params, metrics
@@ -356,10 +348,12 @@ _BASELINE_AXIS = np.array([1.0, 2.0, 2.0]) / 3.0
 
 def _campaign_baseline(cfg: argparse.Namespace) -> tuple[dict, list[MetricCheck]]:
     rep = machine.measure_prepare_baseline(cfg.samples, seed=cfg.seed)
-    dev = abs(rep.avg_fidelity_anticlone - 2.0 / 3.0)
+    dev = abs(rep.avg_fidelity_anticlone - machine.OPTIMAL_FIDELITY)
     exact = machine.measure_prepare_pole_average(_BASELINE_AXIS)
     metrics = [
-        MetricCheck("exact_measure_prepare_deviation", abs(exact - 2.0 / 3.0), 1e-15),
+        MetricCheck(
+            "exact_measure_prepare_deviation", abs(exact - machine.OPTIMAL_FIDELITY), 1e-15
+        ),
         MetricCheck("avg_fidelity_clone", rep.avg_fidelity_clone),
         MetricCheck("avg_fidelity_anticlone", rep.avg_fidelity_anticlone),
         MetricCheck("stderr", rep.stderr),

@@ -378,11 +378,7 @@ def haar_directions(count: int, seed: int = 0) -> np.ndarray:
     return v / norms[:, None]
 
 
-def measure_prepare_baseline(
-    samples: int,
-    seed: int = 0,
-    align_with_input: bool = False,
-) -> BaselineReport:
+def measure_prepare_baseline(samples: int, seed: int = 0) -> BaselineReport:
     """Monte Carlo fidelity of "measure, then prepare an opposite pair".
 
     Each sample takes a uniform input direction n and a uniform measurement
@@ -397,9 +393,6 @@ def measure_prepare_baseline(
     the Born rule, P(+m) = (1 + t)/2. Block b of ``BASELINE_BLOCK`` samples
     draws its t values and then its outcome uniforms from Philox stream
     (seed, b), so the result depends only on (samples, seed).
-
-    ``align_with_input`` is a diagnostic mode that forces m = n (t = 1),
-    making the measurement deterministic and both fidelities exactly 1.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -407,7 +400,7 @@ def measure_prepare_baseline(
     for block, start in enumerate(range(0, samples, BASELINE_BLOCK)):
         size = min(BASELINE_BLOCK, samples - start)
         rng = philox_stream(seed, block)
-        nm = np.ones(size) if align_with_input else 2.0 * rng.random(size) - 1.0
+        nm = 2.0 * rng.random(size) - 1.0
         got_up = rng.random(size) < 0.5 * (1.0 + nm)
         # The outcome s = +-1 prepares the copy along s*m, scored against n,
         # and the anti-copy along -s*m, scored against -n: both fidelities

@@ -37,6 +37,7 @@ __all__ = [
 
 RANK_TOL = 1e-10  # Gram eigenvalues at or below this count as zero
 SHOT_BLOCK = 1 << 16  # shots per Philox stream in ``run_prob_anticlone``
+PROBE_SUCCESS = basis_ket(2, 0)  # probe state that flags exact copies
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,8 @@ class FeasibilityResult:
     """Maximum exact-cloning probability with its eigenvalue certificate.
 
     ``rank`` is the rank of ``gram_G`` at ``RANK_TOL``; the set is linearly
-    dependent when it is below the number of states.
+    dependent when it is below the number of states. ``distinct`` counts the
+    states that repeat no earlier state up to a phase.
     """
 
     f_max: float
@@ -78,22 +80,20 @@ class FeasibilityResult:
     gram_G: np.ndarray
     gram_H: np.ndarray
     rank: int
+    distinct: int
 
 
 @dataclass(frozen=True)
 class ProbCloner:
     """Explicit two-state probabilistic anti-cloner.
 
-    ``u`` acts on (copy 1, copy 2, probe); measuring the probe in
-    {success, fail} reveals whether the copies are exact.
+    ``u`` acts on (copy 1, copy 2, probe); projecting the probe onto
+    ``PROBE_SUCCESS`` leaves exact copies.
     """
 
     u: np.ndarray
     theta: float
     f: float
-    probe_success_ket: np.ndarray
-    probe_fail_ket: np.ndarray
-    garbage: np.ndarray
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=complex)
@@ -162,40 +162,41 @@ def _aligned_kets(states: list[QubitState]) -> list[np.ndarray]:
     return out
 
 
-def _flip_ket(k: np.ndarray) -> np.ndarray:
-    return np.array([-np.conj(k[1]), np.conj(k[0])])
-
-
 def max_feasible_f(state_set: StateSet, mu: CopySpec = CopySpec(1, 1)) -> FeasibilityResult:
     """Largest f in [0, 1] with G - f H positive semidefinite, solved directly.
 
     G collects the input overlaps; H the overlaps of the target outputs,
-    i.e. elementwise G^L times the anti-aligned overlaps^M. With G = Q Λ Q^†
-    split at ``RANK_TOL`` into range and null space: if H does not vanish on
-    null(G), every f > 0 is infeasible and f_max = 0 exactly (no machine can
-    clone more distinct states than the dimension supports). Otherwise
-    f_max = min(1, 1 / λ_max(W^† H W)) with W = Q_r Λ_r^(-1/2) on range(G).
+    i.e. elementwise G^L times the anti-aligned overlaps^M. The spin flip is
+    anti-unitary, so <flip(i)|flip(j)> = conj(<i|j>) and H = G^L conj(G)^M.
+    With G = Q Λ Q^† split at ``RANK_TOL`` into range and null space: if H
+    does not vanish on null(G), every f > 0 is infeasible and f_max = 0
+    exactly (no machine can clone more distinct states than the dimension
+    supports). Otherwise f_max = min(1, 1 / λ_max(W^† H W)) with
+    W = Q_r Λ_r^(-1/2) on range(G).
 
-    Raises ``ValueError`` when an eigenvalue under ``RANK_TOL`` is clearly
-    above rounding: such a set holds two distinct states too close for the
-    rank cut, which would otherwise treat them as one.
+    State j repeats an earlier state i up to a phase when |<flip(i)|j>|,
+    which is sqrt(1 - |<i|j>|^2) without the cancellation, is at most
+    ``RANK_TOL``. Qubit states span at most two dimensions, so G's rank must
+    be min(distinct, 2). Raises ``ValueError`` when it is not: the rank cut
+    then merged two distinct states too close for it to tell apart.
     """
     kets = _aligned_kets(state_set.states)
-    flipped = [_flip_ket(k) for k in kets]
     n = len(kets)
     g = np.array([[np.vdot(kets[i], kets[j]) for j in range(n)] for i in range(n)])
-    gf = np.array([[np.vdot(flipped[i], flipped[j]) for j in range(n)] for i in range(n)])
-    h = (g**mu.L) * (gf**mu.M)
+    h = g**mu.L * g.conj() ** mu.M
+
+    # <flip(i)|j> = a_i b_j - b_i a_j for kets (a, b)
+    a, b = np.array(kets).T
+    repeats = np.triu(np.abs(np.outer(a, b) - np.outer(b, a)) <= RANK_TOL, 1).any(axis=0)
+    distinct = n - int(repeats.sum())
 
     lam, q = np.linalg.eigh(g)
     in_range = lam > RANK_TOL
-    # eigh leaves G's eigenvalues within a small multiple of eps * |G| <= eps * n
-    # of exact; a dropped one far above that is a distinct state, not a repeat
-    dropped = np.max(np.abs(lam[~in_range]), initial=0.0)
-    if dropped > 100 * n * np.finfo(float).eps:
+    rank = int(in_range.sum())
+    if rank != min(distinct, 2):
         raise ValueError(
-            f"Gram eigenvalue {dropped:.3e} lies below RANK_TOL = {RANK_TOL} but above "
-            "rounding: two states are too close to tell apart from a repeat"
+            f"Gram rank {rank} at RANK_TOL = {RANK_TOL} differs from min(distinct, 2) = "
+            f"{min(distinct, 2)}: two states are too close to tell apart from a repeat"
         )
     null = q[:, ~in_range]
     if np.max(np.abs(null.conj().T @ h @ null), initial=0.0) > RANK_TOL:
@@ -205,7 +206,7 @@ def max_feasible_f(state_set: StateSet, mu: CopySpec = CopySpec(1, 1)) -> Feasib
         f_max = min(1.0, 1.0 / float(np.linalg.eigvalsh(w.conj().T @ h @ w)[-1]))
     min_eig = float(np.linalg.eigvalsh(g - f_max * h)[0])
     return FeasibilityResult(
-        f_max=f_max, min_eigenvalue_at_f=min_eig, gram_G=g, gram_H=h, rank=int(in_range.sum())
+        f_max=f_max, min_eigenvalue_at_f=min_eig, gram_G=g, gram_H=h, rank=rank, distinct=distinct
     )
 
 
@@ -239,14 +240,7 @@ def build_two_state_anticloner(theta: float) -> ProbCloner:
     n2[0b001] = np.sqrt(ct) * t2 / root
 
     u = unitary_from_correspondence([basis_ket(8, 0b000), basis_ket(8, 0b100)], [n1, n2])
-    return ProbCloner(
-        u=u,
-        theta=theta,
-        f=two_state_efficiency(ct),
-        probe_success_ket=basis_ket(2, 0),
-        probe_fail_ket=basis_ket(2, 1),
-        garbage=basis_ket(4, 0),
-    )
+    return ProbCloner(u=u, theta=theta, f=two_state_efficiency(ct))
 
 
 def run_prob_anticlone(pc: ProbCloner, which: int, shots: int, seed: int = 0) -> ShotStats:
@@ -261,11 +255,11 @@ def run_prob_anticlone(pc: ProbCloner, which: int, shots: int, seed: int = 0) ->
     m = pc.input_state(which)
     if shots < 0:
         raise ValueError("shots must be >= 0")
-    start = tensor(m.ket(), basis_ket(2, 0), pc.probe_success_ket)
+    start = tensor(m.ket(), basis_ket(2, 0), PROBE_SUCCESS)
     out = pc.u @ start
     # probe is the last register: amplitudes reshape to (copies, probe)
     amps = out.reshape(4, 2)
-    success_branch = amps @ pc.probe_success_ket.conj()
+    success_branch = amps @ PROBE_SUCCESS.conj()
     p_success = float(np.vdot(success_branch, success_branch).real)
 
     target = tensor(m.ket(), antiunitary_flip(m).ket())

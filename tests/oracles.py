@@ -11,7 +11,7 @@ the fidelity kernel in ``machine`` does not use.
 import numpy as np
 
 from anticlone.machine import AnticlonerParams, output_states
-from anticlone.qubit import QubitState, fidelity_direction, state_to_bloch
+from anticlone.qubit import QubitState, antiunitary_flip, fidelity_direction, state_to_bloch
 
 
 def kron_by_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -264,3 +264,19 @@ def max_feasible_f_by_bisection(
         else:
             hi = mid
     return lo
+
+
+def output_gram_by_flipped_kets(states: list[QubitState], L: int, M: int) -> np.ndarray:
+    """Gram matrix of the target outputs |i>^(x L) |flip(i)>^(x M).
+
+    Builds each target as an explicit product ket, with the flip applied by
+    ``antiunitary_flip``, and takes all pairwise inner products.
+    """
+    targets = []
+    for s in states:
+        out = np.ones(1, dtype=complex)
+        for k in [s.ket()] * L + [antiunitary_flip(s).ket()] * M:
+            out = kron_by_index(out, k)
+        targets.append(out)
+    n = len(targets)
+    return np.array([[np.vdot(targets[i], targets[j]) for j in range(n)] for i in range(n)])

@@ -16,7 +16,7 @@ from anticlone.cli import (
     run,
     write_report,
 )
-from anticlone import machine
+from anticlone import machine, probclone
 from anticlone.optimize import OptimizerConfig
 from anticlone.probclone import two_state_efficiency
 from oracles import verify_metrics_by_direction
@@ -166,7 +166,7 @@ class TestFeasibilityCampaign:
         metrics = {m.name: m for m in report.metrics}
         assert metrics["closed_form_deviation"].value <= 1e-12
 
-    @pytest.mark.parametrize("gap", [5e-11, 1e-12])
+    @pytest.mark.parametrize("gap", [5e-11, 1e-12, 3e-14, 1e-14])
     def test_near_duplicate_pair_is_judged_by_closed_form(self, tmp_path, gap, capsys):
         # G's small eigenvalue 1 - c lies below the rank tolerance, so the
         # direct solve cannot resolve f_max and the input is rejected
@@ -219,6 +219,20 @@ class TestProbCampaign:
     def test_small_angles_pass(self, theta):
         report, code = run(parse_args(["prob", "--theta", repr(theta)]))
         assert code == EXIT_OK, report.metrics
+
+    @pytest.mark.parametrize("shots", ["20000", "0"])
+    def test_one_machine_run_per_input(self, shots, monkeypatch):
+        calls = []
+        real = probclone.run_prob_anticlone
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["shots"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(probclone, "run_prob_anticlone", counted)
+        _, code = run(parse_args(["prob", "--theta", "1.0471975512", "--shots", shots]))
+        assert code == EXIT_OK
+        assert calls == [int(shots)] * 2
 
     def test_bad_theta_is_input_error(self):
         report, code = run(parse_args(["prob", "--theta", "9.9"]))

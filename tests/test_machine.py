@@ -411,11 +411,6 @@ class TestMeasurePrepareBaseline:
         rep = measure_prepare_baseline(20000, seed=5)
         assert rep.avg_fidelity_clone == rep.avg_fidelity_anticlone
 
-    def test_aligned_basis_diagnostic(self):
-        rep = measure_prepare_baseline(5000, seed=1, align_with_input=True)
-        assert rep.avg_fidelity_clone == 1.0
-        assert rep.avg_fidelity_anticlone == 1.0
-
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             measure_prepare_baseline(0)

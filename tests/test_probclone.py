@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from anticlone.linalg import hermitian_eigenvalues, tensor
+from anticlone.linalg import basis_ket, hermitian_eigenvalues, tensor
 from anticlone.probclone import (
+    PROBE_SUCCESS,
     SHOT_BLOCK,
     CopySpec,
     ProbCloner,
@@ -14,7 +15,7 @@ from anticlone.probclone import (
 )
 from anticlone.qubit import QubitState, antiunitary_flip
 from conftest import random_ket
-from oracles import max_feasible_f_by_bisection
+from oracles import max_feasible_f_by_bisection, output_gram_by_flipped_kets
 
 THETA_GRID = (np.pi / 6, np.pi / 4, np.pi / 3, np.pi / 2)
 
@@ -98,7 +99,7 @@ class TestMaxFeasibleF:
             overlap = abs(np.vdot(pair.states[0].ket(), pair.states[1].ket()))
             mu = copy_specs[i % len(copy_specs)]
             res = max_feasible_f(pair, mu)
-            assert res.rank == 2
+            assert res.rank == res.distinct == 2
             assert abs(res.f_max - two_state_efficiency(overlap, mu.L, mu.M)) <= 1e-12
             oracle = max_feasible_f_by_bisection(res.gram_G, res.gram_H)
             assert abs(res.f_max - oracle) <= oracle_tol
@@ -107,6 +108,7 @@ class TestMaxFeasibleF:
             states = StateSet([state(random_ket(rng, 2)) for _ in range(n)])
             res = max_feasible_f(states, CopySpec(*(int(k) for k in rng.integers(1, 3, size=2))))
             assert res.rank == 2
+            assert res.distinct == n
             assert res.f_max == 0.0
             assert max_feasible_f_by_bisection(res.gram_G, res.gram_H) <= 1e-9
 
@@ -114,18 +116,19 @@ class TestMaxFeasibleF:
         b = ket_at_overlap(rng, a, 0.6)
         phase = np.exp(0.9j)
         pair_f = two_state_efficiency(0.6, 2, 1)
-        for kets, expected in (
-            ([a, phase * a], 1.0),
-            ([a, phase * a, b], pair_f),
-            ([a, b, phase * b, phase * a], pair_f),
-            ([a, phase * a, b, random_ket(rng, 2)], 0.0),
+        for kets, expected, distinct in (
+            ([a, phase * a], 1.0, 1),
+            ([a, phase * a, b], pair_f, 2),
+            ([a, b, phase * b, phase * a], pair_f, 2),
+            ([a, phase * a, b, random_ket(rng, 2)], 0.0, 3),
         ):
             res = max_feasible_f(StateSet([state(k) for k in kets]), CopySpec(2, 1))
             assert abs(res.f_max - expected) <= 1e-12
+            assert res.distinct == distinct
             oracle = max_feasible_f_by_bisection(res.gram_G, res.gram_H)
             assert abs(res.f_max - oracle) <= oracle_tol
 
-    @pytest.mark.parametrize("gap", [5e-11, 1e-12])
+    @pytest.mark.parametrize("gap", [5e-11, 1e-12, 3e-14, 1e-14])
     def test_near_duplicate_pair_is_rejected(self, gap):
         # two distinct states whose Gram eigenvalue 1 - c falls under RANK_TOL
         c = 1.0 - gap
@@ -133,12 +136,20 @@ class TestMaxFeasibleF:
         with pytest.raises(ValueError, match="RANK_TOL"):
             max_feasible_f(pair, CopySpec(1, 1))
 
-    def test_flipped_gram_is_conjugate(self):
-        s2 = QubitState.normalized(0.3 + 0.4j, np.sqrt(0.75))
-        res = max_feasible_f(StateSet([QubitState(1, 0), s2]), CopySpec(0, 1))
-        # with L=0, H is exactly the anti-aligned Gram, which must equal
-        # the conjugate of the input Gram for an anti-unitary flip
-        assert np.allclose(res.gram_H, res.gram_G.conj(), atol=1e-14)
+    @pytest.mark.parametrize(
+        "mu", [(0, 1), (1, 1), (2, 1), (1, 3)], ids=lambda mu: "L{}M{}".format(*mu)
+    )
+    def test_output_gram_matches_flipped_kets(self, mu, rng):
+        for n in (2, 3, 5):
+            # Any set is an SU(2) rotation, which commutes with the flip, of
+            # one that starts at |0>. Real non-negative first amplitudes make
+            # the library's phase alignment leave every ket bit for bit.
+            c = rng.uniform(size=n - 1)
+            z = np.sqrt(1 - c * c) * np.exp(2j * np.pi * rng.uniform(size=n - 1))
+            states = [QubitState(1, 0), *(QubitState(*k) for k in zip(c, z))]
+            res = max_feasible_f(StateSet(states), CopySpec(*mu))
+            oracle = output_gram_by_flipped_kets(states, *mu)
+            assert np.max(np.abs(res.gram_H - oracle)) <= 1e-15
 
 
 class TestTwoStateEfficiency:
@@ -174,10 +185,10 @@ class TestBuildTwoStateAnticloner:
         pc = build_two_state_anticloner(theta)
         for which in (1, 2):
             m = pc.input_state(which)
-            out = pc.u @ tensor(m.ket(), [1, 0], pc.probe_success_ket)
+            out = pc.u @ tensor(m.ket(), [1, 0], PROBE_SUCCESS)
             target = np.sqrt(pc.f) * tensor(
-                m.ket(), antiunitary_flip(m).ket(), pc.probe_success_ket
-            ) + np.sqrt(1 - pc.f) * tensor(pc.garbage, pc.probe_fail_ket)
+                m.ket(), antiunitary_flip(m).ket(), PROBE_SUCCESS
+            ) + np.sqrt(1 - pc.f) * tensor(basis_ket(4, 0), basis_ket(2, 1))
             assert np.linalg.norm(out - target) < 1e-10
 
     def test_rejects_theta_out_of_range(self):
@@ -188,7 +199,7 @@ class TestBuildTwoStateAnticloner:
     def test_efficiency_bound_enforced(self):
         pc = build_two_state_anticloner(np.pi / 3)
         with pytest.raises(ValueError):
-            ProbCloner(pc.u, pc.theta, 0.9, pc.probe_success_ket, pc.probe_fail_ket, pc.garbage)
+            ProbCloner(pc.u, pc.theta, 0.9)
 
 
 class TestRunProbAnticlone:
