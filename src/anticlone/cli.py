@@ -11,7 +11,8 @@ Five subcommands, one per campaign:
 Every campaign emits a report whose metrics each carry the tolerance they
 were judged against. Exit code 0 means every check passed, 1 means some
 verification failed, 2 means bad input or usage. Reports are byte-identical
-for identical arguments and seed.
+for identical arguments and seed; ``main`` writes the campaign's wall time to
+standard error after the report, as ``anticlone <subcommand>: <seconds> s``.
 """
 
 from __future__ import annotations
@@ -324,9 +325,13 @@ def _campaign_feasibility(cfg: argparse.Namespace) -> tuple[dict, list[MetricChe
         metrics.append(
             MetricCheck("binding_margin", float(np.linalg.eigvalsh(shifted)[0]), 0.0)
         )
-    # Three distinct qubit states are always dependent, and only then is f = 0
-    # forced; repeats of one or two states keep the f of the distinct ones.
-    if res.distinct > 2:
+    # Three distinct qubit states are always dependent. They clone with
+    # certainty when a unitary maps each to its target up to a phase
+    # (possible only at L + M = 1), and never otherwise; repeats of one or
+    # two states keep the f of the distinct ones.
+    if res.distinct > 2 and res.phase_equivalent:
+        metrics.append(MetricCheck("dependent_set_f_max_deficit", 1.0 - res.f_max, 1e-9))
+    elif res.distinct > 2:
         metrics.append(MetricCheck("dependent_set_f_max", res.f_max, 1e-9))
     elif len(states) == res.distinct == 2:
         c = abs(np.vdot(states[0].ket(), states[1].ket()))
@@ -399,6 +404,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"anticlone: cannot write report: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
+        # the duration stays out of the report, so reports stay byte-identical
+        print(f"anticlone {cfg.subcommand}: {report.duration_seconds:.4g} s", file=sys.stderr)
     return code
 
 

@@ -14,6 +14,7 @@ measure-and-prepare strategy it has to beat.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "output_states",
     "output_fidelities",
     "output_fidelities_adjoint",
+    "FidelityKernel",
     "anticlone",
     "target_forms",
     "constraint_residuals",
@@ -218,10 +220,66 @@ def _fold(targets, kets: np.ndarray) -> np.ndarray:
     return (np.conj(targets)[:, :, None] * kets[:, None, :]).reshape(-1, 4).T
 
 
-def _qubit_rows(regs: np.ndarray, lead: int, q: int) -> np.ndarray:
-    """View of registers (..., 2, ..., 2, anc, 2) with output qubit q moved
-    next to the input axis: (..., other qubits, anc, qubit q, input)."""
-    return np.moveaxis(regs, lead + q, -2)
+@functools.lru_cache(maxsize=None)
+def _row_maps(copies: int, rows: int) -> tuple[np.ndarray, ...]:
+    """Per output qubit q, the flat indices of V's entries (rows x input)
+    arranged as (rest, qubit q x input): V's registers (2, ..., 2, anc, 2)
+    with qubit q moved next to the input axis. Read-only, so one copy
+    serves every caller."""
+    order = np.arange(2 * rows).reshape((2,) * copies + (-1, 2))
+    maps = tuple(np.moveaxis(order, q, -2).reshape(-1, 4) for q in range(copies))
+    for m in maps:
+        m.setflags(write=False)
+    return maps
+
+
+class FidelityKernel:
+    """``output_fidelities`` and its adjoint for fixed input kets, targets
+    and isometry row count.
+
+    Everything that depends only on those is built once: each output
+    qubit's folded vectors conj(t_n) x k_n (4, N), their conjugate
+    transpose, and the index map that gathers the qubit's (rest, qubit x
+    input) rows from V's flat entries. ``amplitudes`` takes one (rest, 4) @
+    (4, N) product per isometry and qubit; ``fidelities`` and ``adjoint``
+    both work from those amplitudes, so a gradient at a point already
+    evaluated takes no second forward product.
+    """
+
+    def __init__(self, kets: np.ndarray, targets, rows: int):
+        self.maps = _row_maps(len(targets), rows)
+        self.folds = [_fold(t, kets) for t in targets]
+        self.size = 2 * rows
+
+    @functools.cached_property
+    def folds_h(self) -> list[np.ndarray]:
+        """Conjugate transposes of the folds, for the adjoint only."""
+        return [f.conj().T for f in self.folds]
+
+    def amplitudes(self, v: np.ndarray) -> list[np.ndarray]:
+        """(<t_n| x 1) V |k_n> for each output qubit, shape (..., rest, N),
+        for isometries ``v`` (..., rows, 2)."""
+        flat = v.reshape(v.shape[:-2] + (self.size,))
+        # One small product per isometry: a single (batch x rest)-row product
+        # is large enough for BLAS to thread, which stalls on a busy CPU.
+        return [flat[..., m] @ f for m, f in zip(self.maps, self.folds)]
+
+    @staticmethod
+    def fidelities(amps: list[np.ndarray]) -> np.ndarray:
+        """Squared norms of the amplitudes, shape (..., copies * N),
+        qubit-major."""
+        return np.concatenate([(a.real**2 + a.imag**2).sum(axis=-2) for a in amps], axis=-1)
+
+    def adjoint(self, amps: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+        """Gradient G, shape (..., rows, 2), of sum_j weights_j f_j with
+        respect to V, from the amplitudes at V: G_q = 2 (amps_q * w_q) @
+        folded_q^H, written back to qubit q's rows of V."""
+        lead = amps[0].shape[:-2]
+        w = weights.reshape(lead + (len(amps), 1, -1))
+        grad = np.zeros(lead + (self.size,), dtype=complex)
+        for q, (a, m, fh) in enumerate(zip(amps, self.maps, self.folds_h)):
+            grad[..., m] += 2.0 * (a * w[..., q, :, :]) @ fh
+        return grad.reshape(lead + (-1, 2))
 
 
 def output_fidelities(v, kets: np.ndarray, targets) -> np.ndarray:
@@ -231,18 +289,12 @@ def output_fidelities(v, kets: np.ndarray, targets) -> np.ndarray:
     (N, 2) array of target kets per leading output qubit (1 or 2). Each
     fidelity is a squared norm, ||(<t_n| x 1) V |k_n>||^2, so qubit q takes
     one matrix product of V's (rest, qubit q x input) rows with the folded
-    vectors conj(t_n) x k_n. Returns shape (..., copies * N), qubit-major.
+    vectors conj(t_n) x k_n (``FidelityKernel``). Returns shape
+    (..., copies * N), qubit-major.
     """
     v = _isometries(v, len(targets))
-    lead = v.shape[:-2]
-    regs = v.reshape(lead + (2,) * len(targets) + (-1, 2))
-    fidelities = []
-    for q, t in enumerate(targets):
-        # One small product per isometry: a single (batch x rest)-row product
-        # is large enough for BLAS to thread, which stalls on a busy CPU.
-        amps = _qubit_rows(regs, len(lead), q).reshape(lead + (-1, 4)) @ _fold(t, kets)
-        fidelities.append((amps.real**2 + amps.imag**2).sum(axis=-2))
-    return np.concatenate(fidelities, axis=-1)
+    kernel = FidelityKernel(kets, targets, v.shape[-2])
+    return kernel.fidelities(kernel.amplitudes(v))
 
 
 def output_fidelities_adjoint(v, kets: np.ndarray, targets, weights) -> np.ndarray:
@@ -255,17 +307,8 @@ def output_fidelities_adjoint(v, kets: np.ndarray, targets, weights) -> np.ndarr
     folded^H, written back to V's rows.
     """
     v = _isometries(v, len(targets))
-    lead = v.shape[:-2]
-    regs = v.reshape(lead + (2,) * len(targets) + (-1, 2))
-    w = np.asarray(weights, dtype=float).reshape(lead + (len(targets), 1, -1))
-    grad = np.zeros_like(regs)
-    for q, t in enumerate(targets):
-        folded = _fold(t, kets)
-        rows = _qubit_rows(regs, len(lead), q)
-        amps = rows.reshape(lead + (-1, 4)) @ folded
-        g = 2.0 * (amps * w[..., q, :, :]) @ folded.conj().T
-        _qubit_rows(grad, len(lead), q)[...] += g.reshape(rows.shape)
-    return grad.reshape(v.shape)
+    kernel = FidelityKernel(kets, targets, v.shape[-2])
+    return kernel.adjoint(kernel.amplitudes(v), np.asarray(weights, dtype=float))
 
 
 def anticlone(psi: QubitState, v: np.ndarray, tol: float = 1e-10) -> CloneOutput:

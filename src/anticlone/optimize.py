@@ -20,9 +20,10 @@ functional: softmax weights of the softmin, the adjoint of
 ``machine.output_fidelities`` and the pullback of the Gram-Schmidt
 projection. It presumes nothing of the anti-cloner algebra being
 re-derived, and the tests check it against a central-difference oracle.
-Every candidate's fidelities come from one ``machine.output_fidelities``
-call, which takes each as the squared norm of the output projected onto the
-target ket and forms no reduced state.
+Every candidate's fidelities come from one ``machine.FidelityKernel``,
+prepared once per ascent, which takes each as the squared norm of the
+output projected onto the target ket and forms no reduced state; the
+gradient reuses the candidate's amplitudes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import basis_ket
-from .machine import output_fidelities, output_fidelities_adjoint
+from .machine import FidelityKernel, output_fidelities
 from .qubit import direction_kets
 from .rng import philox_stream
 
@@ -107,6 +108,24 @@ def direction_set(samples: int = DIRECTION_SAMPLES) -> np.ndarray:
     return np.vstack([pts, poles])
 
 
+def _complex_columns(x: np.ndarray, out_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two complex columns (B, out_dim) of a batch of flat real vectors."""
+    cols = x.reshape(x.shape[0], 2, out_dim, 2)
+    c = cols[..., 0] + 1j * cols[..., 1]
+    return c[:, 0], c[:, 1]
+
+
+def _row_norms(c: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row; the arithmetic of ``np.linalg.norm(c,
+    axis=1)`` without its dispatch."""
+    return np.sqrt(np.add.reduce((c.conj() * c).real, axis=1))
+
+
+def _inner(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row-wise <a, z> as a (B, 1) column."""
+    return np.add.reduce(a.conj() * z, axis=1)[:, None]
+
+
 def _isometry_batch(x: np.ndarray, out_dim: int) -> np.ndarray:
     """Project a batch of flat real vectors onto isometries, shape (B, out_dim, 2).
 
@@ -117,24 +136,21 @@ def _isometry_batch(x: np.ndarray, out_dim: int) -> np.ndarray:
     b = x.shape[0]
     if x.shape[1] != 4 * out_dim:
         raise ValueError(f"parameter vectors must have length {4 * out_dim}, got {x.shape[1]}")
-    cols = x.reshape(b, 2, out_dim, 2)
-    c0 = cols[:, 0, :, 0] + 1j * cols[:, 0, :, 1]
-    c1 = cols[:, 1, :, 0] + 1j * cols[:, 1, :, 1]
+    c0, c1 = _complex_columns(x, out_dim)
+    v = np.empty((b, out_dim, 2), dtype=complex)
 
-    n0 = np.linalg.norm(c0, axis=1)
+    n0 = _row_norms(c0)
     dead = n0 < DEGENERACY_TOL
-    if np.any(dead):
-        c0 = c0.copy()
+    if dead.any():
         c0[dead] = 0.0
         c0[dead, 0] = 1.0
-        n0 = np.linalg.norm(c0, axis=1)
-    c0 = c0 / n0[:, None]
+        n0 = _row_norms(c0)
+    v[:, :, 0] = c0 = c0 / n0[:, None]
 
-    c1 = c1 - np.sum(c0.conj() * c1, axis=1)[:, None] * c0
-    n1 = np.linalg.norm(c1, axis=1)
+    c1 = c1 - _inner(c0, c1) * c0
+    n1 = _row_norms(c1)
     bad = n1 < DEGENERACY_TOL
-    if np.any(bad):
-        c1 = c1.copy()
+    if bad.any():
         for row in np.nonzero(bad)[0]:
             # first basis vector with substantial residual off column 0
             for k in range(out_dim):
@@ -144,9 +160,9 @@ def _isometry_batch(x: np.ndarray, out_dim: int) -> np.ndarray:
                 if norm > 0.5:  # always reachable: c0 overlaps most basis kets weakly
                     c1[row] = cand
                     break
-        n1 = np.linalg.norm(c1, axis=1)
-    c1 = c1 / n1[:, None]
-    return np.stack([c0, c1], axis=2)
+        n1 = _row_norms(c1)
+    v[:, :, 1] = c1 / n1[:, None]
+    return v
 
 
 def _isometry_pullback(x: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -161,25 +177,21 @@ def _isometry_pullback(x: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarra
     gets a zero gradient and passes nothing on.
     """
     b, out_dim = v.shape[:2]
-    cols = x.reshape(b, 2, out_dim, 2)
-    c0 = cols[:, 0, :, 0] + 1j * cols[:, 0, :, 1]
-    c1 = cols[:, 1, :, 0] + 1j * cols[:, 1, :, 1]
+    c0, c1 = _complex_columns(x, out_dim)
     e0, e1 = v[:, :, 0], v[:, :, 1]
     g0, g1 = g[:, :, 0], g[:, :, 1]
 
-    def inner(a, z):
-        return np.sum(a.conj() * z, axis=1)[:, None]
-
-    overlap = inner(e0, c1)
-    n0 = np.linalg.norm(c0, axis=1)[:, None]
-    n1 = np.linalg.norm(c1 - overlap * e0, axis=1)[:, None]
+    overlap = _inner(e0, c1)
+    n0 = _row_norms(c0)[:, None]
+    n1 = _row_norms(c1 - overlap * e0)[:, None]
     live0, live1 = n0 >= DEGENERACY_TOL, n1 >= DEGENERACY_TOL
-    h1 = np.where(live1, g1 - inner(e1, g1).real * e1, 0.0) / np.where(live1, n1, 1.0)
-    grad_c1 = h1 - inner(e0, h1) * e0
-    g0 = g0 - inner(h1, e0) * c1 - overlap.conj() * h1
-    grad_c0 = np.where(live0, g0 - inner(e0, g0).real * e0, 0.0) / np.where(live0, n0, 1.0)
-    grad = np.stack([grad_c0, grad_c1], axis=1)
-    return np.stack([grad.real, grad.imag], axis=-1).reshape(b, -1)
+    grad = np.empty((b, 2, out_dim), dtype=complex)
+    h1 = np.where(live1, g1 - _inner(e1, g1).real * e1, 0.0) / np.where(live1, n1, 1.0)
+    grad[:, 1] = h1 - _inner(e0, h1) * e0
+    g0 = g0 - _inner(h1, e0) * c1 - overlap.conj() * h1
+    grad[:, 0] = np.where(live0, g0 - _inner(e0, g0).real * e0, 0.0) / np.where(live0, n0, 1.0)
+    # complex entries as (re, im) pairs: the flat parameter layout
+    return grad.view(float).reshape(b, -1)
 
 
 def parameterize_isometry(x: np.ndarray, out_dim: int) -> np.ndarray:
@@ -190,16 +202,19 @@ def parameterize_isometry(x: np.ndarray, out_dim: int) -> np.ndarray:
     return _isometry_batch(x[None, :], out_dim)[0]
 
 
-def _universal_values(vb: np.ndarray, k_in: np.ndarray, k_opp: np.ndarray) -> np.ndarray:
-    """Per-(candidate, direction, output) fidelities, shape (..., 2N): clone 1
-    is scored against n, clone 2 against -n."""
-    return output_fidelities(vb, k_in, (k_in, k_opp))
+def _universal_values(vb: np.ndarray, kernel: FidelityKernel):
+    """Per-(candidate, direction, output) fidelities, shape (..., 2N), and
+    the amplitudes they are the squared norms of: ``kernel`` scores clone 1
+    against n and clone 2 against -n."""
+    amps = kernel.amplitudes(vb)
+    return kernel.fidelities(amps), amps
 
 
-def _spinflip_values(vb: np.ndarray, k_in: np.ndarray, k_opp: np.ndarray) -> np.ndarray:
-    """Per-(candidate, direction) flipped fidelity for (2 x anc) isometries:
-    the one output is scored against -n."""
-    return output_fidelities(vb, k_in, (k_opp,))
+def _spinflip_values(vb: np.ndarray, kernel: FidelityKernel):
+    """Per-(candidate, direction) flipped fidelity for (2 x anc) isometries,
+    and its amplitudes: ``kernel`` scores the one output against -n."""
+    amps = kernel.amplitudes(vb)
+    return kernel.fidelities(amps), amps
 
 
 def objective_universal(v: np.ndarray, directions: np.ndarray) -> float:
@@ -209,13 +224,14 @@ def objective_universal(v: np.ndarray, directions: np.ndarray) -> float:
     outputs against n and -n, from ``machine.output_fidelities``.
     """
     d = np.atleast_2d(np.asarray(directions, dtype=float))
-    return float(_universal_values(v, direction_kets(d), direction_kets(-d)).min())
+    k_in = direction_kets(d)
+    return float(output_fidelities(v, k_in, (k_in, direction_kets(-d))).min())
 
 
 def objective_spinflip(v: np.ndarray, directions: np.ndarray) -> float:
     """Worst-direction flip fidelity <-n|rho_out|-n> of a (2 x anc) isometry."""
     d = np.atleast_2d(np.asarray(directions, dtype=float))
-    return float(_spinflip_values(v, direction_kets(d), direction_kets(-d)).min())
+    return float(output_fidelities(v, direction_kets(d), (direction_kets(-d),)).min())
 
 
 def _softmin(values: np.ndarray, temperature: float) -> np.ndarray:
@@ -234,31 +250,30 @@ def _softmin_weights(values: np.ndarray, search: np.ndarray, temperature: float)
 class _Objective:
     """A campaign's softmin search objective on flat parameter vectors over a
     fixed direction net. ``copies`` is 2 for the anti-cloner and 1 for the
-    spin flip; it fixes the isometry's output dimension, the target kets
-    handed to ``machine.output_fidelities`` and the values layer."""
+    spin flip; it fixes the isometry's output dimension, the targets of the
+    fidelity kernel and the values layer. The kernel is prepared once, here,
+    for the whole ascent."""
 
     def __init__(self, copies: int, ancilla_dim: int, directions: np.ndarray):
         self.copies = copies
         self.out_dim = 2**copies * ancilla_dim
-        self.k_in = direction_kets(directions)
-        self.k_opp = direction_kets(-directions)
-        self.targets = (self.k_in, self.k_opp)[2 - copies:]
+        k_in, k_opp = direction_kets(directions), direction_kets(-directions)
+        self.kernel = FidelityKernel(k_in, (k_in, k_opp)[2 - copies:], self.out_dim)
 
     def evaluate(self, x: np.ndarray, temperature: float):
         """(softmin search value at ``temperature``, hard worst-case value,
         gradient thunk) at one point; the thunk returns the search value's
-        gradient in ``x``."""
+        gradient in ``x`` from the amplitudes computed here."""
         xb = x[None]
         vb = _isometry_batch(xb, self.out_dim)
         # looked up at call time, so a patched module attribute is the one called
         values_fn = _universal_values if self.copies == 2 else _spinflip_values
-        values = values_fn(vb, self.k_in, self.k_opp)
+        values, amps = values_fn(vb, self.kernel)
         search = _softmin(values, temperature)
 
         def gradient() -> np.ndarray:
             weights = _softmin_weights(values, search, temperature)
-            g = output_fidelities_adjoint(vb, self.k_in, self.targets, weights)
-            return _isometry_pullback(xb, vb, g)[0]
+            return _isometry_pullback(xb, vb, self.kernel.adjoint(amps, weights))[0]
 
         return float(search[0]), float(values.min(axis=1)[0]), gradient
 

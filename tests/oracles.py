@@ -5,13 +5,24 @@ hand-transcribed closed forms) and must not import the code paths it checks.
 ``fidelities_from_states`` builds on ``machine.output_states``, the reduced-
 state path that the explicit partial-trace sums here check in turn.
 ``fidelities_by_bloch`` goes through ``qubit``'s Bloch conversions, which
-the fidelity kernel in ``machine`` does not use.
+the fidelity kernel in ``machine`` does not use. ``ObjectiveByMovedAxes``
+is the optimizer's search objective as it was before the fidelity kernel
+was prepared once per ascent: every call folds the targets again, gathers
+each qubit's rows by ``np.moveaxis`` and recomputes the forward products
+for the gradient.
 """
 
 import numpy as np
 
+from anticlone.linalg import basis_ket
 from anticlone.machine import AnticlonerParams, output_states
-from anticlone.qubit import QubitState, antiunitary_flip, fidelity_direction, state_to_bloch
+from anticlone.qubit import (
+    QubitState,
+    antiunitary_flip,
+    direction_kets,
+    fidelity_direction,
+    state_to_bloch,
+)
 
 
 def kron_by_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -280,3 +291,124 @@ def output_gram_by_flipped_kets(states: list[QubitState], L: int, M: int) -> np.
         targets.append(out)
     n = len(targets)
     return np.array([[np.vdot(targets[i], targets[j]) for j in range(n)] for i in range(n)])
+
+
+def _fold(targets, kets):
+    return (np.conj(targets)[:, :, None] * kets[:, None, :]).reshape(-1, 4).T
+
+
+def fidelities_by_moved_axes(v, kets, targets):
+    """``machine.output_fidelities`` with each qubit's (rest, qubit x input)
+    rows gathered by ``np.moveaxis`` and the targets folded on every call."""
+    lead = v.shape[:-2]
+    regs = v.reshape(lead + (2,) * len(targets) + (-1, 2))
+    fidelities = []
+    for q, t in enumerate(targets):
+        amps = np.moveaxis(regs, len(lead) + q, -2).reshape(lead + (-1, 4)) @ _fold(t, kets)
+        fidelities.append((amps.real**2 + amps.imag**2).sum(axis=-2))
+    return np.concatenate(fidelities, axis=-1)
+
+
+def fidelities_adjoint_by_moved_axes(v, kets, targets, weights):
+    """``machine.output_fidelities_adjoint`` in the same form, recomputing
+    the forward products."""
+    lead = v.shape[:-2]
+    regs = v.reshape(lead + (2,) * len(targets) + (-1, 2))
+    w = np.asarray(weights, dtype=float).reshape(lead + (len(targets), 1, -1))
+    grad = np.zeros_like(regs)
+    for q, t in enumerate(targets):
+        folded = _fold(t, kets)
+        rows = np.moveaxis(regs, len(lead) + q, -2)
+        amps = rows.reshape(lead + (-1, 4)) @ folded
+        g = 2.0 * (amps * w[..., q, :, :]) @ folded.conj().T
+        np.moveaxis(grad, len(lead) + q, -2)[...] += g.reshape(rows.shape)
+    return grad.reshape(v.shape)
+
+
+DEGENERACY_TOL = 1e-12
+
+
+def isometry_batch_by_norm(x, out_dim):
+    """The optimizer's Gram-Schmidt projection with ``np.linalg.norm`` and
+    ``np.stack``."""
+    b = x.shape[0]
+    cols = x.reshape(b, 2, out_dim, 2)
+    c0 = cols[:, 0, :, 0] + 1j * cols[:, 0, :, 1]
+    c1 = cols[:, 1, :, 0] + 1j * cols[:, 1, :, 1]
+    n0 = np.linalg.norm(c0, axis=1)
+    dead = n0 < DEGENERACY_TOL
+    if np.any(dead):
+        c0 = c0.copy()
+        c0[dead] = 0.0
+        c0[dead, 0] = 1.0
+        n0 = np.linalg.norm(c0, axis=1)
+    c0 = c0 / n0[:, None]
+    c1 = c1 - np.sum(c0.conj() * c1, axis=1)[:, None] * c0
+    n1 = np.linalg.norm(c1, axis=1)
+    bad = n1 < DEGENERACY_TOL
+    if np.any(bad):
+        c1 = c1.copy()
+        for row in np.nonzero(bad)[0]:
+            for k in range(out_dim):
+                cand = basis_ket(out_dim, k)
+                cand = cand - np.vdot(c0[row], cand) * c0[row]
+                if np.linalg.norm(cand) > 0.5:
+                    c1[row] = cand
+                    break
+        n1 = np.linalg.norm(c1, axis=1)
+    c1 = c1 / n1[:, None]
+    return np.stack([c0, c1], axis=2)
+
+
+def isometry_pullback_by_norm(x, v, g):
+    """The Gram-Schmidt pullback with ``np.linalg.norm``, ``np.sum`` and
+    ``np.stack``."""
+    b, out_dim = v.shape[:2]
+    cols = x.reshape(b, 2, out_dim, 2)
+    c0 = cols[:, 0, :, 0] + 1j * cols[:, 0, :, 1]
+    c1 = cols[:, 1, :, 0] + 1j * cols[:, 1, :, 1]
+    e0, e1 = v[:, :, 0], v[:, :, 1]
+    g0, g1 = g[:, :, 0], g[:, :, 1]
+
+    def inner(a, z):
+        return np.sum(a.conj() * z, axis=1)[:, None]
+
+    overlap = inner(e0, c1)
+    n0 = np.linalg.norm(c0, axis=1)[:, None]
+    n1 = np.linalg.norm(c1 - overlap * e0, axis=1)[:, None]
+    live0, live1 = n0 >= DEGENERACY_TOL, n1 >= DEGENERACY_TOL
+    h1 = np.where(live1, g1 - inner(e1, g1).real * e1, 0.0) / np.where(live1, n1, 1.0)
+    grad_c1 = h1 - inner(e0, h1) * e0
+    g0 = g0 - inner(h1, e0) * c1 - overlap.conj() * h1
+    grad_c0 = np.where(live0, g0 - inner(e0, g0).real * e0, 0.0) / np.where(live0, n0, 1.0)
+    grad = np.stack([grad_c0, grad_c1], axis=1)
+    return np.stack([grad.real, grad.imag], axis=-1).reshape(b, -1)
+
+
+def softmin(values, temperature):
+    scaled = -values / temperature
+    peak = scaled.max(axis=-1, keepdims=True)
+    return -temperature * (np.log(np.exp(scaled - peak).sum(axis=-1)) + peak[..., 0])
+
+
+class ObjectiveByMovedAxes:
+    """The optimizer's softmin search objective, with the interface of
+    ``optimize._Objective``, evaluated by the functions above."""
+
+    def __init__(self, copies, ancilla_dim, directions):
+        self.out_dim = 2**copies * ancilla_dim
+        self.k_in = direction_kets(directions)
+        self.targets = (self.k_in, direction_kets(-directions))[2 - copies:]
+
+    def evaluate(self, x, temperature):
+        xb = x[None]
+        vb = isometry_batch_by_norm(xb, self.out_dim)
+        values = fidelities_by_moved_axes(vb, self.k_in, self.targets)
+        search = softmin(values, temperature)
+
+        def gradient():
+            weights = np.exp((search[..., None] - values) / temperature)
+            g = fidelities_adjoint_by_moved_axes(vb, self.k_in, self.targets, weights)
+            return isometry_pullback_by_norm(xb, vb, g)[0]
+
+        return float(search[0]), float(values.min(axis=1)[0]), gradient

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -35,6 +36,9 @@ def write_states(path, states):
 
 TRIO = [[[1, 0], [0, 0]], [[0, 0], [1, 0]],
         [[0.7071067811865476, 0], [0.7071067811865476, 0]]]
+# |0>, |+> and |+i>: the overlap product around the trio is complex
+COMPLEX_TRIO = [[[1, 0], [0, 0]], [[0.7071067811865476, 0], [0.7071067811865476, 0]],
+                [[0.7071067811865476, 0], [0, 0.7071067811865476]]]
 PAIR_60 = [[[1, 0], [0, 0]], [[0.5, 0], [0.8660254037844386, 0]]]
 
 
@@ -188,6 +192,34 @@ class TestFeasibilityCampaign:
         assert metrics["f_max"].value == 0.0
         assert metrics["dependent_set_f_max"].passed
 
+    @pytest.mark.parametrize(
+        "trio, L, M",
+        [(TRIO, 1, 0), (COMPLEX_TRIO, 1, 0), (TRIO, 0, 1)],
+        ids=["real-L1M0", "complex-L1M0", "real-L0M1"],
+    )
+    def test_unitary_target_map_clones_trio_with_certainty(self, tmp_path, trio, L, M):
+        # the identity, or the pi rotation about the normal of the real
+        # trio's great circle, maps each state to its target
+        path = write_states(tmp_path / "trio.json", trio)
+        report, code = run(parse_args(["feasibility", "--states", path, "--L", str(L), "--M", str(M)]))
+        assert code == EXIT_OK, report.metrics
+        metrics = {m.name: m for m in report.metrics}
+        assert metrics["f_max"].value >= 1.0 - 1e-9
+        assert metrics["dependent_set_f_max_deficit"].passed
+        assert "dependent_set_f_max" not in metrics
+
+    def test_complex_trio_spin_flip_stays_zero(self, tmp_path):
+        # with the targets' phases fixed by the aligned inputs, the trio's
+        # spin flips are not a unitary image of it and the solve gives 0;
+        # free target phases would allow 2 - sqrt(3)
+        path = write_states(tmp_path / "trio.json", COMPLEX_TRIO)
+        report, code = run(parse_args(["feasibility", "--states", path, "--L", "0", "--M", "1"]))
+        assert code == EXIT_OK
+        metrics = {m.name: m for m in report.metrics}
+        assert metrics["f_max"].value == 0.0
+        assert metrics["dependent_set_f_max"].passed
+        assert "dependent_set_f_max_deficit" not in metrics
+
     def test_phase_only_duplicate_clones_with_certainty(self, tmp_path):
         psi = np.array([0.6, 0.8j])
         path = write_states(tmp_path / "dup.json", as_state_list([psi, np.exp(1.1j) * psi]))
@@ -307,6 +339,26 @@ class TestReports:
         cli("verify", "--samples", "80", "--seed", "3", "--format", "csv", "--output", str(a))
         cli("verify", "--samples", "80", "--seed", "3", "--format", "csv", "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_main_reports_duration_on_stderr_only(self, tmp_path, capsys, to_file):
+        argv = ["baseline", "--samples", "20000", "--seed", "5"]
+        out = tmp_path / "r.json"
+        report, code = run(parse_args(argv))
+        write_report(report, "json", None)
+        want = capsys.readouterr().out
+        assert main(argv + (["--output", str(out)] if to_file else [])) == code == EXIT_OK
+        captured = capsys.readouterr()
+        assert (out.read_text() if to_file else captured.out) == want
+        line = re.fullmatch(r"anticlone baseline: (\S+) s\n", captured.err)
+        assert line and 0.0 < float(line[1]) < 60.0
+
+    def test_input_error_prints_only_its_error(self, capsys):
+        assert main(["verify", "--samples", "10", "--tol", "nan"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("anticlone verify: tol must be positive")
 
     def test_every_judged_metric_names_its_tolerance(self):
         report, _ = run(parse_args(["verify", "--samples", "50"]))

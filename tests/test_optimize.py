@@ -22,7 +22,7 @@ from anticlone.optimize import (
     parameterize_isometry,
 )
 from anticlone.qubit import direction_kets
-from oracles import clone_outputs_by_sum, fd_gradient, ket_by_angles
+from oracles import ObjectiveByMovedAxes, clone_outputs_by_sum, fd_gradient, ket_by_angles
 
 TWO_THIRDS = 2 / 3
 
@@ -175,7 +175,7 @@ class TestSearchGradient:
         assert out_dim == 2**copies * ancilla
 
         def search(xb):
-            values = values_fn(_isometry_batch(xb, out_dim), objective.k_in, objective.k_opp)
+            values, _ = values_fn(_isometry_batch(xb, out_dim), objective.kernel)
             return _softmin(values, temperature)
 
         x = rng.standard_normal(4 * out_dim)
@@ -200,6 +200,48 @@ class TestSearchGradient:
         start = objective_universal(parameterize_isometry(np.zeros(64), 16), direction_set(62))
         assert np.isfinite(res.best_eta)
         assert res.best_eta == 2 * start - 1
+
+
+class TestPreparedKernelIsBitwiseOracle:
+    """The prepared ascent kernel computes what the per-call kernel did,
+    bit for bit: same search value, hard minimum and gradient at every
+    point, so the same ascent."""
+
+    @staticmethod
+    def assert_same_point(x, copies, ancilla, temperature):
+        got = _Objective(copies, ancilla, direction_set()).evaluate(x, temperature)
+        want = ObjectiveByMovedAxes(copies, ancilla, direction_set()).evaluate(x, temperature)
+        assert got[:2] == want[:2]
+        assert got[2]().tobytes() == want[2]().tobytes()
+
+    @pytest.mark.parametrize("temperature", [3e-2, 1e-3])
+    @pytest.mark.parametrize("ancilla", [1, 2, 4])
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_random_points(self, rng, copies, ancilla, temperature):
+        for _ in range(5):
+            x = rng.standard_normal(4 * 2**copies * ancilla)
+            self.assert_same_point(x, copies, ancilla, temperature)
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_zero_vector(self, copies):
+        # both columns fall back to basis kets
+        self.assert_same_point(np.zeros(4 * 2**copies * 4), copies, 4, 1e-3)
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_parallel_columns(self, rng, copies):
+        # column 1 is a multiple of column 0, so it falls back to a basis ket
+        half = rng.standard_normal(2 * 2**copies * 4)
+        self.assert_same_point(np.concatenate([half, -2.5 * half]), copies, 4, 3e-2)
+
+    @pytest.mark.parametrize("run", [optimize_universal, optimize_spinflip])
+    def test_short_ascent(self, monkeypatch, run):
+        cfg = OptimizerConfig(restarts=1, max_iters=40, seed=2)
+        got = run(cfg)
+        monkeypatch.setattr(optimize, "_Objective", ObjectiveByMovedAxes)
+        want = run(cfg)
+        assert got.best_params.tobytes() == want.best_params.tobytes()
+        assert got.objective_trace == want.objective_trace
+        assert got.max_objective_seen == want.max_objective_seen
 
 
 class TestOptimizeUniversal:

@@ -128,6 +128,29 @@ class TestMaxFeasibleF:
             oracle = max_feasible_f_by_bisection(res.gram_G, res.gram_H)
             assert abs(res.f_max - oracle) <= oracle_tol
 
+    def test_phase_equivalence_of_targets(self, rng):
+        # H = D G D^† for a diagonal phase matrix D: always at (1, 0); at
+        # (0, 1) exactly when the states lie on one great circle, so a
+        # rotated real trio qualifies and a generic complex trio does not;
+        # never for three distinct states at L + M >= 2
+        r = np.sqrt(0.5)
+        real_trio = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([r, r])]
+        rotation = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        rotated = [rotation @ k for k in real_trio]
+        complex_trio = [np.array([1.0, 0.0]), np.array([r, r]), np.array([r, 1j * r])]
+        for kets, mu, expected in (
+            (complex_trio, (1, 0), True),
+            ([random_ket(rng, 2) for _ in range(5)], (1, 0), True),
+            (real_trio, (0, 1), True),
+            (rotated, (0, 1), True),
+            (complex_trio, (0, 1), False),
+            (real_trio, (1, 1), False),
+            (real_trio, (2, 0), False),
+            (complex_trio, (0, 2), False),
+        ):
+            res = max_feasible_f(StateSet([state(k) for k in kets]), CopySpec(*mu))
+            assert res.phase_equivalent is expected, (mu, kets)
+
     @pytest.mark.parametrize("gap", [5e-11, 1e-12, 3e-14, 1e-14])
     def test_near_duplicate_pair_is_rejected(self, gap):
         # two distinct states whose Gram eigenvalue 1 - c falls under RANK_TOL
