@@ -216,69 +216,80 @@ def output_states(v, kets: np.ndarray, copies: int) -> tuple[np.ndarray, ...]:
 
 
 def _fold(targets, kets: np.ndarray) -> np.ndarray:
-    """conj(t_n) x k_n for every target and input ket, as a (4, N) array."""
-    return (np.conj(targets)[:, :, None] * kets[:, None, :]).reshape(-1, 4).T
+    """conj(t_n) x k_n for every output qubit's targets and the input kets,
+    as a (copies, N, 4) array."""
+    return (np.conj(targets)[..., :, None] * kets[:, None, :]).reshape(len(targets), -1, 4)
 
 
 @functools.lru_cache(maxsize=None)
-def _row_maps(copies: int, rows: int) -> tuple[np.ndarray, ...]:
-    """Per output qubit q, the flat indices of V's entries (rows x input)
-    arranged as (rest, qubit q x input): V's registers (2, ..., 2, anc, 2)
-    with qubit q moved next to the input axis. Read-only, so one copy
-    serves every caller."""
+def _row_maps(copies: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of V's entries (rows x input) that each output qubit
+    q reads, stacked as (copies, rest, qubit q x input): V's registers (2,
+    ..., 2, anc, 2) with qubit q moved next to the input axis. Also their
+    inverse, (copies, 2 * rows): the position of each of V's entries in the
+    flattened stack, per qubit. Read-only, so one copy serves every caller."""
     order = np.arange(2 * rows).reshape((2,) * copies + (-1, 2))
-    maps = tuple(np.moveaxis(order, q, -2).reshape(-1, 4) for q in range(copies))
-    for m in maps:
+    maps = np.stack([np.moveaxis(order, q, -2).reshape(-1, 4) for q in range(copies)])
+    inverse = np.argsort(maps.reshape(copies, -1), axis=1)
+    inverse += 2 * rows * np.arange(copies)[:, None]
+    for m in (maps, inverse):
         m.setflags(write=False)
-    return maps
+    return maps, inverse
 
 
 class FidelityKernel:
     """``output_fidelities`` and its adjoint for fixed input kets, targets
     and isometry row count.
 
-    Everything that depends only on those is built once: each output
-    qubit's folded vectors conj(t_n) x k_n (4, N), their conjugate
-    transpose, and the index map that gathers the qubit's (rest, qubit x
-    input) rows from V's flat entries. ``amplitudes`` takes one (rest, 4) @
-    (4, N) product per isometry and qubit; ``fidelities`` and ``adjoint``
-    both work from those amplitudes, so a gradient at a point already
-    evaluated takes no second forward product.
+    Everything that depends only on those is built once: the output
+    qubits' folded vectors conj(t_n) x k_n, stacked (copies, 4, N), their
+    conjugate transposes, and the stacked index map that gathers each
+    qubit's (rest, qubit x input) rows from V's flat entries, with its
+    inverse. ``amplitudes`` is one gather and one stacked product, which
+    numpy takes as one small (rest, 4) @ (4, N) product per isometry and
+    qubit; ``fidelities`` and ``adjoint`` both work from those amplitudes,
+    so a gradient at a point already evaluated takes no second forward
+    product.
     """
 
     def __init__(self, kets: np.ndarray, targets, rows: int):
-        self.maps = _row_maps(len(targets), rows)
-        self.folds = [_fold(t, kets) for t in targets]
+        self.maps, self.inverse = _row_maps(len(targets), rows)
+        # each qubit's (4, N) fold stays a transposed view of a row-major
+        # (N, 4) block: BLAS rounds differently for a row-major (4, N)
+        # operand, and the bitwise oracle tests pin these bits
+        self.folds = _fold(targets, kets).swapaxes(-1, -2)
         self.size = 2 * rows
 
     @functools.cached_property
-    def folds_h(self) -> list[np.ndarray]:
-        """Conjugate transposes of the folds, for the adjoint only."""
-        return [f.conj().T for f in self.folds]
+    def folds_h(self) -> np.ndarray:
+        """Conjugate transposes of the folds, (copies, N, 4), for the
+        adjoint only."""
+        return self.folds.conj().swapaxes(-1, -2)
 
-    def amplitudes(self, v: np.ndarray) -> list[np.ndarray]:
-        """(<t_n| x 1) V |k_n> for each output qubit, shape (..., rest, N),
-        for isometries ``v`` (..., rows, 2)."""
+    def amplitudes(self, v: np.ndarray) -> np.ndarray:
+        """(<t_n| x 1) V |k_n> for each output qubit, shape (..., copies,
+        rest, N), for isometries ``v`` (..., rows, 2)."""
         flat = v.reshape(v.shape[:-2] + (self.size,))
-        # One small product per isometry: a single (batch x rest)-row product
-        # is large enough for BLAS to thread, which stalls on a busy CPU.
-        return [flat[..., m] @ f for m, f in zip(self.maps, self.folds)]
+        # Stacked, not merged: a single (batch x rest)-row product is large
+        # enough for BLAS to thread, which stalls on a busy CPU.
+        return np.take(flat, self.maps, axis=-1) @ self.folds
 
     @staticmethod
-    def fidelities(amps: list[np.ndarray]) -> np.ndarray:
+    def fidelities(amps: np.ndarray) -> np.ndarray:
         """Squared norms of the amplitudes, shape (..., copies * N),
         qubit-major."""
-        return np.concatenate([(a.real**2 + a.imag**2).sum(axis=-2) for a in amps], axis=-1)
+        f = (amps.real**2 + amps.imag**2).sum(axis=-2)
+        return f.reshape(f.shape[:-2] + (-1,))
 
-    def adjoint(self, amps: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    def adjoint(self, amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Gradient G, shape (..., rows, 2), of sum_j weights_j f_j with
         respect to V, from the amplitudes at V: G_q = 2 (amps_q * w_q) @
-        folded_q^H, written back to qubit q's rows of V."""
-        lead = amps[0].shape[:-2]
-        w = weights.reshape(lead + (len(amps), 1, -1))
-        grad = np.zeros(lead + (self.size,), dtype=complex)
-        for q, (a, m, fh) in enumerate(zip(amps, self.maps, self.folds_h)):
-            grad[..., m] += 2.0 * (a * w[..., q, :, :]) @ fh
+        folded_q^H, summed over the qubits q onto V's entries through the
+        inverse row maps, starting from zero."""
+        lead = amps.shape[:-3]
+        w = weights.reshape(lead + (amps.shape[-3], 1, -1))
+        g = (2.0 * (amps * w) @ self.folds_h).reshape(lead + (-1,))
+        grad = np.add.reduce(np.take(g, self.inverse, axis=-1), axis=-2, initial=0.0)
         return grad.reshape(lead + (-1, 2))
 
 

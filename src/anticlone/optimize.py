@@ -23,12 +23,17 @@ re-derived, and the tests check it against a central-difference oracle.
 Every candidate's fidelities come from one ``machine.FidelityKernel``,
 prepared once per ascent, which takes each as the squared norm of the
 output projected onto the target ket and forms no reduced state; the
-gradient reuses the candidate's amplitudes.
+gradient reuses the candidate's amplitudes. The ascent evaluates one point
+at a time, so the step is written for one point: the projection works on
+the two flat complex columns and hands the pullback a record of the norms
+and overlap it took, and the softmin reduces one value vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,97 +114,106 @@ def direction_set(samples: int = DIRECTION_SAMPLES) -> np.ndarray:
 
 
 def _complex_columns(x: np.ndarray, out_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two complex columns (B, out_dim) of a batch of flat real vectors."""
-    cols = x.reshape(x.shape[0], 2, out_dim, 2)
+    """The two complex columns (out_dim,) of a flat real vector."""
+    cols = x.reshape(2, out_dim, 2)
     c = cols[..., 0] + 1j * cols[..., 1]
-    return c[:, 0], c[:, 1]
+    return c[0], c[1]
 
 
-def _row_norms(c: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row; the arithmetic of ``np.linalg.norm(c,
-    axis=1)`` without its dispatch."""
-    return np.sqrt(np.add.reduce((c.conj() * c).real, axis=1))
+def _norm(c: np.ndarray) -> float:
+    """Euclidean norm; the arithmetic of ``np.linalg.norm(c)`` without its
+    dispatch (a square root is correctly rounded wherever it is taken)."""
+    return math.sqrt(np.add.reduce((c.conj() * c).real))
 
 
-def _inner(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Row-wise <a, z> as a (B, 1) column."""
-    return np.add.reduce(a.conj() * z, axis=1)[:, None]
+def _inner(a: np.ndarray, z: np.ndarray) -> complex:
+    """<a, z>."""
+    return np.add.reduce(a.conj() * z)
 
 
-def _isometry_batch(x: np.ndarray, out_dim: int) -> np.ndarray:
-    """Project a batch of flat real vectors onto isometries, shape (B, out_dim, 2).
+class _GramSchmidt(NamedTuple):
+    """What the projection of one point computed that its pullback needs:
+    the raw column 1, the raw norm of column 0, <e0, c1> and the raw norm of
+    c1 - <e0, c1> e0, both norms taken before any fallback."""
 
-    Column 0 is normalized; column 1 is projected off column 0 and normalized.
-    Degenerate columns fall back to deterministic computational-basis vectors,
-    so the map is total.
+    c1: np.ndarray
+    n0: float
+    overlap: complex
+    n1: float
+
+
+def _isometry_batch(x: np.ndarray, out_dim: int) -> tuple[np.ndarray, _GramSchmidt]:
+    """Project one flat real vector onto an isometry, shape (out_dim, 2),
+    and return it with the Gram-Schmidt record that ``_isometry_pullback``
+    reads.
+
+    Column 0 is normalized; column 1 is projected off column 0 and
+    normalized. Degenerate columns fall back to deterministic
+    computational-basis vectors, so the map is total. The name predates
+    the one-point form; ``perfbench`` traces the projection under it, so it
+    stays until the benchmark's own change (ROADMAP item 1).
     """
-    b = x.shape[0]
-    if x.shape[1] != 4 * out_dim:
-        raise ValueError(f"parameter vectors must have length {4 * out_dim}, got {x.shape[1]}")
+    if x.shape != (4 * out_dim,):
+        raise ValueError(f"expected a flat real parameter vector of length {4 * out_dim}, got shape {x.shape}")
     c0, c1 = _complex_columns(x, out_dim)
-    v = np.empty((b, out_dim, 2), dtype=complex)
+    v = np.empty((out_dim, 2), dtype=complex)
 
-    n0 = _row_norms(c0)
-    dead = n0 < DEGENERACY_TOL
-    if dead.any():
-        c0[dead] = 0.0
-        c0[dead, 0] = 1.0
-        n0 = _row_norms(c0)
-    v[:, :, 0] = c0 = c0 / n0[:, None]
-
-    c1 = c1 - _inner(c0, c1) * c0
-    n1 = _row_norms(c1)
-    bad = n1 < DEGENERACY_TOL
-    if bad.any():
-        for row in np.nonzero(bad)[0]:
-            # first basis vector with substantial residual off column 0
-            for k in range(out_dim):
-                cand = basis_ket(out_dim, k)
-                cand = cand - np.vdot(c0[row], cand) * c0[row]
-                norm = np.linalg.norm(cand)
-                if norm > 0.5:  # always reachable: c0 overlaps most basis kets weakly
-                    c1[row] = cand
-                    break
-        n1 = _row_norms(c1)
-    v[:, :, 1] = c1 / n1[:, None]
-    return v
-
-
-def _isometry_pullback(x: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient in the flat parameters of Re sum conj(g) V, where
-    V = ``_isometry_batch(x)`` and ``g``, both (B, out_dim, 2), is the
-    gradient with respect to V. Returns shape (B, 4 * out_dim).
-
-    Reverses the Gram-Schmidt steps: for e = u / |u| the gradient on u is
-    (g - Re<e, g> e) / |u|, and since column 1 is projected off column 0,
-    column 0 also collects the gradient of that projection. A column that
-    fell back to a basis vector does not move with its parameters, so it
-    gets a zero gradient and passes nothing on.
-    """
-    b, out_dim = v.shape[:2]
-    c0, c1 = _complex_columns(x, out_dim)
-    e0, e1 = v[:, :, 0], v[:, :, 1]
-    g0, g1 = g[:, :, 0], g[:, :, 1]
+    n0 = _norm(c0)
+    if n0 < DEGENERACY_TOL:
+        v[:, 0] = e0 = basis_ket(out_dim, 0)
+    else:
+        v[:, 0] = e0 = c0 / n0
 
     overlap = _inner(e0, c1)
-    n0 = _row_norms(c0)[:, None]
-    n1 = _row_norms(c1 - overlap * e0)[:, None]
-    live0, live1 = n0 >= DEGENERACY_TOL, n1 >= DEGENERACY_TOL
-    grad = np.empty((b, 2, out_dim), dtype=complex)
-    h1 = np.where(live1, g1 - _inner(e1, g1).real * e1, 0.0) / np.where(live1, n1, 1.0)
-    grad[:, 1] = h1 - _inner(e0, h1) * e0
-    g0 = g0 - _inner(h1, e0) * c1 - overlap.conj() * h1
-    grad[:, 0] = np.where(live0, g0 - _inner(e0, g0).real * e0, 0.0) / np.where(live0, n0, 1.0)
+    r1 = c1 - overlap * e0
+    n1 = _norm(r1)
+    if n1 < DEGENERACY_TOL:
+        # first basis vector with substantial residual off column 0
+        for k in range(out_dim):
+            cand = basis_ket(out_dim, k)
+            cand = cand - np.vdot(e0, cand) * e0
+            if np.linalg.norm(cand) > 0.5:  # always reachable: e0 overlaps most basis kets weakly
+                r1 = cand
+                break
+        v[:, 1] = r1 / _norm(r1)
+    else:
+        v[:, 1] = r1 / n1
+    return v, _GramSchmidt(c1, n0, overlap, n1)
+
+
+def _isometry_pullback(v: np.ndarray, record: _GramSchmidt, g: np.ndarray) -> np.ndarray:
+    """Gradient in the flat parameters of Re sum conj(g) V, where V, ``record``
+    = ``_isometry_batch(x)`` and ``g``, shape (out_dim, 2), is the gradient
+    with respect to V. Returns shape (4 * out_dim,).
+
+    Reverses the Gram-Schmidt steps from the projection's record, with no
+    recomputation: for e = u / |u| the gradient on u is (g - Re<e, g> e) /
+    |u|, and since column 1 is projected off column 0, column 0 also
+    collects the gradient of that projection. A column that fell back to a
+    basis vector does not move with its parameters, so it gets a zero
+    gradient and passes nothing on.
+    """
+    c1, n0, overlap, n1 = record
+    e0, e1 = v[:, 0], v[:, 1]
+    g0, g1 = g[:, 0], g[:, 1]
+    grad = np.empty((2, len(v)), dtype=complex)
+    if n1 < DEGENERACY_TOL:
+        h1 = np.zeros(len(v), dtype=complex)
+    else:
+        h1 = (g1 - _inner(e1, g1).real * e1) / n1
+    grad[1] = h1 - _inner(e0, h1) * e0
+    if n0 < DEGENERACY_TOL:
+        grad[0] = 0.0
+    else:
+        g0 = g0 - _inner(h1, e0) * c1 - overlap.conjugate() * h1
+        grad[0] = (g0 - _inner(e0, g0).real * e0) / n0
     # complex entries as (re, im) pairs: the flat parameter layout
-    return grad.view(float).reshape(b, -1)
+    return grad.view(float).reshape(-1)
 
 
 def parameterize_isometry(x: np.ndarray, out_dim: int) -> np.ndarray:
-    """Single-vector form of the batch projection: flat reals -> isometry."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a flat real parameter vector")
-    return _isometry_batch(x[None, :], out_dim)[0]
+    """Flat reals -> isometry: the ascent's projection, without its record."""
+    return _isometry_batch(np.asarray(x, dtype=float), out_dim)[0]
 
 
 def _universal_values(vb: np.ndarray, kernel: FidelityKernel):
@@ -234,17 +248,18 @@ def objective_spinflip(v: np.ndarray, directions: np.ndarray) -> float:
     return float(output_fidelities(v, direction_kets(d), (direction_kets(-d),)).min())
 
 
-def _softmin(values: np.ndarray, temperature: float) -> np.ndarray:
+def _softmin(values: np.ndarray, temperature: float) -> float:
+    """The softmin -T log sum exp(-f/T) of one point's ``values``."""
     scaled = -values / temperature
-    peak = scaled.max(axis=-1, keepdims=True)
-    return -temperature * (np.log(np.exp(scaled - peak).sum(axis=-1)) + peak[..., 0])
+    peak = scaled.max()
+    return -temperature * (np.log(np.exp(scaled - peak).sum()) + peak)
 
 
-def _softmin_weights(values: np.ndarray, search: np.ndarray, temperature: float) -> np.ndarray:
+def _softmin_weights(values: np.ndarray, search: float, temperature: float) -> np.ndarray:
     """Gradient of the softmin s = -T log sum exp(-f/T) with respect to
     ``values``: the softmax weight exp((s - f) / T), at most 1 since
     s <= min f."""
-    return np.exp((search[..., None] - values) / temperature)
+    return np.exp((search - values) / temperature)
 
 
 class _Objective:
@@ -263,19 +278,21 @@ class _Objective:
     def evaluate(self, x: np.ndarray, temperature: float):
         """(softmin search value at ``temperature``, hard worst-case value,
         gradient thunk) at one point; the thunk returns the search value's
-        gradient in ``x`` from the amplitudes computed here."""
-        xb = x[None]
-        vb = _isometry_batch(xb, self.out_dim)
-        # looked up at call time, so a patched module attribute is the one called
+        gradient in ``x`` from the amplitudes and the Gram-Schmidt record
+        computed here."""
+        v, record = _isometry_batch(x, self.out_dim)
+        # looked up at call time, so a patched module attribute is the one
+        # called; the values layer takes a leading candidate axis of one
         values_fn = _universal_values if self.copies == 2 else _spinflip_values
-        values, amps = values_fn(vb, self.kernel)
+        values, amps = values_fn(v[None], self.kernel)
+        values, amps = values[0], amps[0]
         search = _softmin(values, temperature)
 
         def gradient() -> np.ndarray:
             weights = _softmin_weights(values, search, temperature)
-            return _isometry_pullback(xb, vb, self.kernel.adjoint(amps, weights))[0]
+            return _isometry_pullback(v, record, self.kernel.adjoint(amps, weights))
 
-        return float(search[0]), float(values.min(axis=1)[0]), gradient
+        return float(search), float(values.min()), gradient
 
 
 def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):

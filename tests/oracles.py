@@ -9,7 +9,8 @@ the fidelity kernel in ``machine`` does not use. ``ObjectiveByMovedAxes``
 is the optimizer's search objective as it was before the fidelity kernel
 was prepared once per ascent: every call folds the targets again, gathers
 each qubit's rows by ``np.moveaxis`` and recomputes the forward products
-for the gradient.
+for the gradient, and it projects and pulls back in batch form, with the
+norms and overlap recomputed in the pullback.
 """
 
 import numpy as np

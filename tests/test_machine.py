@@ -20,7 +20,7 @@ from anticlone.machine import (
     output_states,
     target_forms,
 )
-from anticlone.optimize import _isometry_batch
+from anticlone.optimize import parameterize_isometry
 from anticlone.qubit import (
     BlochVector,
     QubitState,
@@ -31,6 +31,7 @@ from anticlone.qubit import (
 )
 from oracles import (
     fd_gradient,
+    fidelities_adjoint_by_moved_axes,
     fidelities_by_bloch,
     fidelities_from_states,
     haar_pair_dots,
@@ -231,7 +232,7 @@ class TestOutputStates:
 
 
 def _random_isometries(rng, rows, out_dim):
-    return _isometry_batch(rng.standard_normal((rows, 4 * out_dim)), out_dim)
+    return np.stack([parameterize_isometry(x, out_dim) for x in rng.standard_normal((rows, 4 * out_dim))])
 
 
 class TestOutputFidelities:
@@ -294,6 +295,24 @@ class TestOutputFidelitiesAdjoint:
         g = output_fidelities_adjoint(v, kets, targets, weights)
         got = np.stack([g.real, g.imag], axis=-1).ravel()
         assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    @pytest.mark.parametrize("ancilla", [1, 2, 4])
+    def test_batch_rows_equal_single_isometries(self, rng, copies, ancilla):
+        # the stacked product's per-qubit gradients are summed onto V's
+        # entries through the inverse row maps: every batch row must be its
+        # isometry's alone, and the sum that of per-qubit write-backs into
+        # zeros, to the bit (sign of zero included)
+        v = _random_isometries(rng, 32, 2**copies * ancilla)
+        kets = direction_kets(haar_directions(68, seed=3))
+        targets = tuple(direction_kets(haar_directions(68, seed=5 + q)) for q in range(copies))
+        weights = rng.random((32, copies * 68))
+        batch = output_fidelities_adjoint(v, kets, targets, weights)
+        want = fidelities_adjoint_by_moved_axes(v, kets, targets, weights)
+        assert batch.tobytes() == want.tobytes()
+        for b in (0, 15, 31):
+            single = output_fidelities_adjoint(v[b], kets, targets, weights[b])
+            assert single.tobytes() == batch[b].tobytes()
 
 
 class TestOutputStatesAcrossThreads:

@@ -9,10 +9,7 @@ from anticlone.machine import build_isometry, optimal_params
 from anticlone import optimize
 from anticlone.optimize import (
     OptimizerConfig,
-    _isometry_batch,
     _Objective,
-    _softmin,
-    _spinflip_values,
     _universal_values,
     direction_set,
     objective_spinflip,
@@ -164,23 +161,18 @@ class TestSearchGradient:
 
     @pytest.mark.parametrize("temperature", [3e-2, 1e-3])
     @pytest.mark.parametrize("ancilla", [1, 2, 4])
-    @pytest.mark.parametrize(
-        "copies, values_fn",
-        [(1, _spinflip_values), (2, _universal_values)],
-        ids=["copies1", "copies2"],
-    )
-    def test_matches_finite_differences(self, rng, net, copies, values_fn, ancilla, temperature):
+    @pytest.mark.parametrize("copies", [1, 2], ids=["copies1", "copies2"])
+    def test_matches_finite_differences(self, rng, net, copies, ancilla, temperature):
         objective = _Objective(copies, ancilla, net)
-        out_dim = objective.out_dim
-        assert out_dim == 2**copies * ancilla
+        assert objective.out_dim == 2**copies * ancilla
 
         def search(xb):
-            values, _ = values_fn(_isometry_batch(xb, out_dim), objective.kernel)
-            return _softmin(values, temperature)
+            # the ascent evaluates one point per call, so the probes loop
+            return np.array([objective.evaluate(x, temperature)[0] for x in xb])
 
-        x = rng.standard_normal(4 * out_dim)
+        x = rng.standard_normal(4 * objective.out_dim)
         s, _, gradient = objective.evaluate(x, temperature)
-        assert s == search(x[None])[0]
+        assert s == ObjectiveByMovedAxes(copies, ancilla, net).evaluate(x, temperature)[0]
         want = fd_gradient(search, x)
         assert np.linalg.norm(gradient() - want) <= 1e-6 * np.linalg.norm(want)
 
@@ -233,15 +225,26 @@ class TestPreparedKernelIsBitwiseOracle:
         half = rng.standard_normal(2 * 2**copies * 4)
         self.assert_same_point(np.concatenate([half, -2.5 * half]), copies, 4, 3e-2)
 
-    @pytest.mark.parametrize("run", [optimize_universal, optimize_spinflip])
-    def test_short_ascent(self, monkeypatch, run):
-        cfg = OptimizerConfig(restarts=1, max_iters=40, seed=2)
+    @staticmethod
+    def assert_same_ascent(monkeypatch, run, cfg):
         got = run(cfg)
         monkeypatch.setattr(optimize, "_Objective", ObjectiveByMovedAxes)
         want = run(cfg)
         assert got.best_params.tobytes() == want.best_params.tobytes()
         assert got.objective_trace == want.objective_trace
         assert got.max_objective_seen == want.max_objective_seen
+
+    @pytest.mark.parametrize("run", [optimize_universal, optimize_spinflip])
+    def test_short_ascent(self, monkeypatch, run):
+        self.assert_same_ascent(monkeypatch, run, OptimizerConfig(restarts=1, max_iters=40, seed=2))
+
+    @pytest.mark.parametrize("run", [optimize_universal, optimize_spinflip])
+    def test_full_budget_ascent(self, monkeypatch, run):
+        # 150 steps per stage reach the late small-step regime, where the
+        # accept-or-halve decisions turn on the last bits
+        cfg = OptimizerConfig(restarts=1, seed=0)
+        assert cfg.max_iters == 600
+        self.assert_same_ascent(monkeypatch, run, cfg)
 
 
 class TestOptimizeUniversal:
@@ -318,6 +321,30 @@ class TestTracedRun:
         assert unspanned >= 0
         self_total = sum(t for _, t in per_layer.values())
         assert abs(self_total + unspanned - wall) <= 1e-6 * max(1.0, wall)
+
+    @pytest.mark.parametrize(
+        "run, values_layer",
+        [(optimize_universal, "optimize._universal_values"),
+         (optimize_spinflip, "optimize._spinflip_values")],
+        ids=["universal", "spinflip"],
+    )
+    def test_every_point_passes_each_traced_layer_once(self, monkeypatch, run, values_layer):
+        # one point per stage start and per step candidate: a step that
+        # bypassed a traced layer would leave the benchmark's per-restart
+        # counts reading 0 with no layer missing
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from layers import LAYERS
+        from tracer import Tracer, patched, self_times
+
+        tracer = Tracer()
+        with patched(tracer, LAYERS):
+            res = run(OptimizerConfig(restarts=1, max_iters=8, seed=0))
+        assert len(res.objective_trace) == 8
+        per_layer = self_times(tracer.spans)
+        for name in ("optimize._isometry_batch", "optimize._softmin", values_layer):
+            assert per_layer[name][0] == 4 + 8, name
+        # the values layer takes a leading candidate axis of one
+        assert tracer.counts[f"{values_layer}.rows"] == 4 + 8
 
 
 class TestOptimizeSpinflip:
