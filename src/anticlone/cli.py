@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -155,9 +157,10 @@ def load_state_file(path: str) -> list[QubitState]:
     return states
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """Parse and validate one campaign invocation; exits with code 2 on bad
-    usage (argparse convention)."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The campaign parser, built on first use and shared by every later
+    ``parse_args`` call in the process."""
     parser = argparse.ArgumentParser(
         prog="anticlone",
         description="Verification campaigns for universal and probabilistic quantum anti-cloning.",
@@ -192,13 +195,16 @@ def parse_args(argv) -> argparse.Namespace:
 
     p = sub.add_parser("baseline", parents=[common], help="measure-and-prepare Monte Carlo")
     p.add_argument("--samples", type=int, default=1000000)
+    return parser
 
-    return parser.parse_args(list(argv))
+
+def parse_args(argv) -> argparse.Namespace:
+    """Parse and validate one campaign invocation; exits with code 2 on bad
+    usage (argparse convention)."""
+    return _parser().parse_args(list(argv))
 
 
 def _existing_file(path: str) -> str:
-    import os
-
     if not os.path.isfile(path):
         raise argparse.ArgumentTypeError(f"file not found: {path}")
     return path

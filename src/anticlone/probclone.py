@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import basis_ket, tensor, unitary_from_correspondence
+from .linalg import basis_ket, tensor
 from .qubit import QubitState, antiunitary_flip
 from .rng import philox_stream
 
@@ -251,10 +251,14 @@ def build_two_state_anticloner(theta: float) -> ProbCloner:
     """Optimal anti-cloner for {|0>, cos(theta)|0> + sin(theta)|1>}.
 
     The unitary sends |000> and |100> to the two explicit image states whose
-    probe-success components are exactly the anti-cloned pairs; the other six
-    basis images come from deterministic orthonormal completion. The factors
-    (1 - cos)/sin are evaluated as tan(theta/2) so nothing blows up near the
-    ends of the allowed range.
+    probe-success components are exactly the anti-cloned pairs; columns 0
+    and 4 hold those images bit for bit as computed. The images are
+    orthonormal, so the other six columns are Q's columns 2 to 7 from one QR
+    factorization of [n1, n2, I], an orthonormal basis of their complement.
+    Every input |m>|0>|probe> lies in span{|000>, |100>}, so the completion
+    never reaches an output amplitude; ``ProbCloner`` checks that the whole
+    matrix is unitary. The factors (1 - cos)/sin are evaluated as
+    tan(theta/2) so nothing blows up near the ends of the allowed range.
     """
     theta = float(theta)
     if not 0.0 < theta <= np.pi / 2:
@@ -276,7 +280,8 @@ def build_two_state_anticloner(theta: float) -> ProbCloner:
     n2[0b110] = ct / root
     n2[0b001] = np.sqrt(ct) * t2 / root
 
-    u = unitary_from_correspondence([basis_ket(8, 0b000), basis_ket(8, 0b100)], [n1, n2])
+    rest = np.linalg.qr(np.column_stack([n1, n2, np.eye(8)]))[0][:, 2:]
+    u = np.column_stack([n1, rest[:, :3], n2, rest[:, 3:]])  # |000> -> n1, |100> -> n2
     return ProbCloner(u=u, theta=theta, f=two_state_efficiency(ct))
 
 

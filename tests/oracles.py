@@ -5,7 +5,10 @@ hand-transcribed closed forms) and must not import the code paths it checks.
 ``fidelities_from_states`` builds on ``machine.output_states``, the reduced-
 state path that the explicit partial-trace sums here check in turn.
 ``fidelities_by_bloch`` goes through ``qubit``'s Bloch conversions, which
-the fidelity kernel in ``machine`` does not use. ``ObjectiveByMovedAxes``
+the fidelity kernel in ``machine`` does not use.
+``two_state_unitary_by_correspondence`` is the two-state probabilistic
+machine as ``linalg.unitary_from_correspondence`` completed it, before the
+QR completion. ``ObjectiveByMovedAxes``
 is the optimizer's search objective as it was before the fidelity kernel
 was prepared once per ascent: every call folds the targets again, gathers
 each qubit's rows by ``np.moveaxis`` and recomputes the forward products
@@ -15,7 +18,7 @@ norms and overlap recomputed in the pullback.
 
 import numpy as np
 
-from anticlone.linalg import basis_ket
+from anticlone.linalg import basis_ket, unitary_from_correspondence
 from anticlone.machine import AnticlonerParams, output_states
 from anticlone.qubit import (
     QubitState,
@@ -292,6 +295,35 @@ def output_gram_by_flipped_kets(states: list[QubitState], L: int, M: int) -> np.
         targets.append(out)
     n = len(targets)
     return np.array([[np.vdot(targets[i], targets[j]) for j in range(n)] for i in range(n)])
+
+
+def two_state_images(theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Images n1, n2 of |000> and |100> under the optimal two-state
+    anti-cloner, transcribed from ``probclone.build_two_state_anticloner``
+    operation by operation, so they match its arithmetic bit for bit."""
+    ct, st = np.cos(theta), np.sin(theta)
+    if ct < 1e-15:
+        ct = 0.0
+    t2 = np.tan(theta / 2)
+    root = np.sqrt(1.0 + ct)
+    n1 = np.zeros(8, dtype=complex)
+    n1[0b010] = 1.0 / root
+    n1[0b001] = np.sqrt(ct) / root
+    n2 = np.zeros(8, dtype=complex)
+    n2[0b000] = -ct / root
+    n2[0b010] = -ct * t2 / root
+    n2[0b100] = -st / root
+    n2[0b110] = ct / root
+    n2[0b001] = np.sqrt(ct) * t2 / root
+    return n1, n2
+
+
+def two_state_unitary_by_correspondence(theta: float) -> np.ndarray:
+    """The two-state machine by joint Gram-Schmidt of (|000>, |100>) and
+    (n1, n2) and completion of both bases from the computational basis."""
+    return unitary_from_correspondence(
+        [basis_ket(8, 0b000), basis_ket(8, 0b100)], list(two_state_images(theta))
+    )
 
 
 def _fold(targets, kets):

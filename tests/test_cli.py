@@ -10,6 +10,7 @@ from anticlone.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_VERIFICATION_FAILED,
+    _parser,
     load_state_file,
     main,
     parse_args,
@@ -83,6 +84,21 @@ class TestParseArgs:
         with pytest.raises(SystemExit) as exc:
             parse_args([])
         assert exc.value.code == 2
+
+    def test_parser_is_built_once(self):
+        assert _parser() is _parser()
+
+    def test_shared_parser_keeps_no_values_between_calls(self):
+        parse_args(["optimize", "--spinflip", "--format", "csv", "--output", "x"])
+        cfg = parse_args(["optimize"])
+        assert (cfg.spinflip, cfg.format, cfg.output) == (False, "json", None)
+
+    def test_shared_parser_parses_after_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["verify", "--samples", "many"])
+        assert exc.value.code == 2
+        cfg = parse_args(["verify", "--samples", "7"])
+        assert (cfg.subcommand, cfg.samples, cfg.tol) == ("verify", 7, 1e-9)
 
 
 class TestStateFile:

@@ -15,9 +15,16 @@ from anticlone.probclone import (
 )
 from anticlone.qubit import QubitState, antiunitary_flip
 from conftest import random_ket
-from oracles import max_feasible_f_by_bisection, output_gram_by_flipped_kets
+from oracles import (
+    max_feasible_f_by_bisection,
+    output_gram_by_flipped_kets,
+    two_state_images,
+    two_state_unitary_by_correspondence,
+)
 
 THETA_GRID = (np.pi / 6, np.pi / 4, np.pi / 3, np.pi / 2)
+# The grid plus angles near 0, where the images' entries span six decades
+COMPLETION_GRID = THETA_GRID + (1e-6, 1e-5, 3e-3)
 
 
 def pair_at_angle(theta):
@@ -187,7 +194,7 @@ class TestTwoStateEfficiency:
 
 
 class TestBuildTwoStateAnticloner:
-    @pytest.mark.parametrize("theta", THETA_GRID)
+    @pytest.mark.parametrize("theta", COMPLETION_GRID)
     def test_unitary_on_grid(self, theta):
         pc = build_two_state_anticloner(theta)
         assert np.max(np.abs(pc.u.conj().T @ pc.u - np.eye(8))) < 1e-12
@@ -213,6 +220,29 @@ class TestBuildTwoStateAnticloner:
                 m.ket(), antiunitary_flip(m).ket(), PROBE_SUCCESS
             ) + np.sqrt(1 - pc.f) * tensor(basis_ket(4, 0), basis_ket(2, 1))
             assert np.linalg.norm(out - target) < 1e-10
+
+    @pytest.mark.parametrize("theta", COMPLETION_GRID)
+    def test_qr_completion_keeps_the_images(self, theta):
+        pc = build_two_state_anticloner(theta)
+        n1, n2 = two_state_images(theta)
+        assert np.array_equal(pc.u[:, 0b000], n1)
+        assert np.array_equal(pc.u[:, 0b100], n2)
+
+    @pytest.mark.parametrize("theta", COMPLETION_GRID)
+    def test_runs_match_the_correspondence_oracle(self, theta):
+        pc = build_two_state_anticloner(theta)
+        old = ProbCloner(two_state_unitary_by_correspondence(theta), pc.theta, pc.f)
+        for which in (1, 2):
+            new_stats = run_prob_anticlone(pc, which, shots=1000, seed=3)
+            old_stats = run_prob_anticlone(old, which, shots=1000, seed=3)
+            if theta == np.pi / 6:
+                # |n1| rounds off 1 here, and the oracle's Gram-Schmidt
+                # rescales the images; the runs agree to the last bits
+                assert new_stats.successes == old_stats.successes
+                for field in ("success_probability", "post_selected_fidelity"):
+                    assert abs(getattr(new_stats, field) - getattr(old_stats, field)) <= 4.5e-16
+            else:
+                assert new_stats == old_stats
 
     def test_rejects_theta_out_of_range(self):
         for theta in (0.0, -0.3, np.pi / 2 + 0.01):
