@@ -33,7 +33,7 @@ class GramMismatchError(ValueError):
 
 def _as_complex(a) -> np.ndarray:
     out = np.asarray(a, dtype=complex)
-    if not (np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))):
+    if not np.isfinite(out).all():
         raise ValueError("non-finite entries")
     return out
 
@@ -49,13 +49,23 @@ def tensor(*operands) -> np.ndarray:
     """Kronecker product of kets or operators, leftmost factor most significant.
 
     For kets a (dim m) and b (dim n) the result has entry (n*i + j) = a[i]*b[j],
-    so basis labels concatenate left to right: |i> x |j> = |ij>.
+    so basis labels concatenate left to right: |i> x |j> = |ij>. Operators
+    multiply the same way on row and column labels. Every entry is one
+    complex product of one entry per factor, as ``np.kron`` forms it.
     """
     if not operands:
         raise ValueError("tensor() needs at least one operand")
     out = _as_complex(operands[0])
     for op in operands[1:]:
-        out = np.kron(out, _as_complex(op))
+        op = _as_complex(op)
+        if out.ndim != op.ndim or out.ndim not in (1, 2):
+            raise ValueError("tensor() takes kets only or operators only")
+        prod = np.multiply.outer(out, op)
+        if out.ndim == 1:
+            out = prod.reshape(-1)
+        else:
+            rows, cols = out.shape[0] * op.shape[0], out.shape[1] * op.shape[1]
+            out = prod.transpose(0, 2, 1, 3).reshape(rows, cols)
     return out
 
 

@@ -15,6 +15,8 @@ measure-and-prepare strategy it has to beat.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -447,22 +449,31 @@ def measure_prepare_baseline(samples: int, seed: int = 0) -> BaselineReport:
     the Born rule, P(+m) = (1 + t)/2. Block b of ``BASELINE_BLOCK`` samples
     draws its t values and then its outcome uniforms from Philox stream
     (seed, b), so the result depends only on (samples, seed).
+
+    Every stream is built on the calling thread. The blocks are then scored
+    on one thread per usable CPU, each pinned to its own CPU and taking the
+    next unscored block until none is left, and the per-block sums are added
+    in block order. So the report does not depend on the thread count or on
+    which thread scored which block. A single block, or a single usable CPU,
+    is scored on the calling thread.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    total = total_sq = 0.0
-    for block, start in enumerate(range(0, samples, BASELINE_BLOCK)):
-        size = min(BASELINE_BLOCK, samples - start)
-        rng = philox_stream(seed, block)
-        nm = 2.0 * rng.random(size) - 1.0
-        got_up = rng.random(size) < 0.5 * (1.0 + nm)
-        # The outcome s = +-1 prepares the copy along s*m, scored against n,
-        # and the anti-copy along -s*m, scored against -n: both fidelities
-        # are (1 + s n.m)/2, bit for bit.
-        f = 0.5 * (1.0 + np.where(got_up, nm, -nm))
-        total += float(np.sum(f))
-        total_sq += float(np.sum(f * f))
+    streams = [philox_stream(seed, block) for block in range(-(-samples // BASELINE_BLOCK))]
+    sums: list[tuple[float, float]] = [(0.0, 0.0)] * len(streams)
+    cpus = _usable_cpus()[: len(streams)]
+    # the calling thread allocates every draw buffer, so the scoring threads
+    # grow no heap arena of their own (peak RSS stays flat)
+    draws = [np.empty(2 * min(BASELINE_BLOCK, samples)) for _ in cpus]
+    if len(cpus) == 1:
+        _score_baseline_blocks(streams, range(len(streams)), samples, sums, draws[0])
+    else:
+        _score_baseline_in_parallel(streams, cpus, samples, sums, draws)
 
+    total = total_sq = 0.0
+    for block_total, block_sq in sums:
+        total += block_total
+        total_sq += block_sq
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
     stderr = float(np.sqrt(var / samples))
@@ -473,6 +484,80 @@ def measure_prepare_baseline(samples: int, seed: int = 0) -> BaselineReport:
         seed=seed,
         stderr=stderr,
     )
+
+
+def _usable_cpus() -> list[int]:
+    """The CPUs the calling thread may run on: its affinity mask where the
+    platform has one, else every CPU of the machine."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return list(range(os.cpu_count() or 1))
+
+
+def _score_baseline_in_parallel(streams, cpus: list[int], samples: int, sums: list,
+                                draws: list[np.ndarray]) -> None:
+    """Score every block on one thread per CPU in ``cpus``, each with its
+    own draw buffer; the calling thread waits and raises the first error a
+    thread met.
+
+    Each thread pins itself to its CPU: a kernel may otherwise keep a new
+    thread on its parent's CPU for the whole call. The threads claim blocks
+    one at a time, so a thread on a busy CPU scores fewer of them.
+    """
+    pending = iter(range(len(streams)))
+    claim = threading.Lock()
+    errors: list[BaseException] = []
+
+    def next_block():
+        with claim:
+            return next(pending, None)
+
+    def score(cpu: int, buf: np.ndarray) -> None:
+        try:
+            os.sched_setaffinity(0, {cpu})
+        except (AttributeError, OSError):
+            pass  # no pinning here: the kernel places the thread
+        try:
+            _score_baseline_blocks(streams, iter(next_block, None), samples, sums, buf)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=score, args=pair) for pair in zip(cpus, draws)]
+    try:
+        for thread in threads:
+            thread.start()
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _score_baseline_blocks(streams, blocks, samples: int, sums: list, draws: np.ndarray) -> None:
+    """Score each block in ``blocks`` of ``measure_prepare_baseline`` into
+    ``sums[block]`` as (sum of fidelities, sum of their squares).
+
+    ``draws`` takes a block's t-uniforms u and then its outcome uniforms r,
+    drawn by one call in the stream's order. The outcome s = +-1 prepares
+    the copy along s*m, scored against n, and the anti-copy along -s*m,
+    scored against -n: both fidelities are (1 + s t)/2. As u = k 2^-53, the
+    values t = 2u - 1, 1 + t and 1 - t are exact, so P(+m) = (1 + t)/2 is u
+    itself and the fidelity is u when r < u and 1 - u otherwise. With
+    g = 1.0 when r >= u and 0.0 otherwise, that is |g - u|, bit for bit, and
+    its square is (g - u)^2.
+    """
+    for block in blocks:
+        size = min(BASELINE_BLOCK, samples - block * BASELINE_BLOCK)
+        buf = draws[: 2 * size]
+        streams[block].random(2 * size, out=buf)
+        u, r = buf[:size], buf[size:]
+        np.greater_equal(r, u, out=r)
+        np.subtract(r, u, out=r)
+        np.abs(r, out=u)
+        np.multiply(r, r, out=r)
+        sums[block] = (float(np.sum(u)), float(np.sum(r)))
 
 
 def measure_prepare_pole_average(axis: np.ndarray) -> float:

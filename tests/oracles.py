@@ -8,7 +8,9 @@ state path that the explicit partial-trace sums here check in turn.
 the fidelity kernel in ``machine`` does not use.
 ``two_state_unitary_by_correspondence`` is the two-state probabilistic
 machine as ``linalg.unitary_from_correspondence`` completed it, before the
-QR completion. ``ObjectiveByMovedAxes``
+QR completion. ``measure_prepare_baseline_serial`` is the baseline Monte
+Carlo as one loop over its Philox blocks, scored with the Born-rule
+comparison and the +-t fidelity written out. ``ObjectiveByMovedAxes``
 is the optimizer's search objective as it was before the fidelity kernel
 was prepared once per ascent: every call folds the targets again, gathers
 each qubit's rows by ``np.moveaxis`` and recomputes the forward products
@@ -19,7 +21,7 @@ norms and overlap recomputed in the pullback.
 import numpy as np
 
 from anticlone.linalg import basis_ket, unitary_from_correspondence
-from anticlone.machine import AnticlonerParams, output_states
+from anticlone.machine import BASELINE_BLOCK, AnticlonerParams, BaselineReport, output_states
 from anticlone.qubit import (
     QubitState,
     antiunitary_flip,
@@ -27,6 +29,7 @@ from anticlone.qubit import (
     fidelity_direction,
     state_to_bloch,
 )
+from anticlone.rng import philox_stream
 
 
 def kron_by_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -36,6 +39,14 @@ def kron_by_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(da):
         for j in range(db):
             out[i * db + j] = a[i] * b[j]
+    return out
+
+
+def tensor_by_kron(*operands) -> np.ndarray:
+    """Tensor product of kets or operators by repeated ``np.kron``."""
+    out = np.asarray(operands[0], dtype=complex)
+    for op in operands[1:]:
+        out = np.kron(out, np.asarray(op, dtype=complex))
     return out
 
 
@@ -139,6 +150,30 @@ def measure_prepare_by_directions(samples: int, seed: int) -> tuple[float, float
     s = np.where(rng.random(samples) < 0.5 * (1.0 + nm), 1.0, -1.0)
     f = 0.5 * (1.0 + s * nm)
     return float(np.mean(f)), float(np.std(f) / np.sqrt(samples))
+
+
+def measure_prepare_baseline_serial(samples: int, seed: int = 0) -> BaselineReport:
+    """``machine.measure_prepare_baseline`` on one thread, block after block:
+    block b draws its t = n.m values and then its outcome uniforms from
+    stream (seed, b), as two calls."""
+    total = total_sq = 0.0
+    for block, start in enumerate(range(0, samples, BASELINE_BLOCK)):
+        size = min(BASELINE_BLOCK, samples - start)
+        rng = philox_stream(seed, block)
+        nm = 2.0 * rng.random(size) - 1.0
+        got_up = rng.random(size) < 0.5 * (1.0 + nm)
+        f = 0.5 * (1.0 + np.where(got_up, nm, -nm))
+        total += float(np.sum(f))
+        total_sq += float(np.sum(f * f))
+    mean = total / samples
+    var = max(0.0, total_sq / samples - mean * mean)
+    return BaselineReport(
+        avg_fidelity_clone=mean,
+        avg_fidelity_anticlone=mean,
+        samples=samples,
+        seed=seed,
+        stderr=float(np.sqrt(var / samples)),
+    )
 
 
 def verify_metrics_by_direction(v: np.ndarray, dirs: np.ndarray, eta: float) -> dict:

@@ -11,7 +11,7 @@ from anticlone.linalg import (
     unitary_from_correspondence,
 )
 from conftest import random_hermitian, random_ket
-from oracles import kron_by_index, partial_trace_by_sum
+from oracles import kron_by_index, partial_trace_by_sum, tensor_by_kron
 
 E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
@@ -38,6 +38,24 @@ class TestTensor:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             tensor(np.array([1.0, np.inf]), E0)
+        with pytest.raises(ValueError):
+            tensor(E0, np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(2,), (3,)], [(2,), (2,), (4,)], [(2, 2), (3, 3)], [(2, 3), (4, 2), (2, 2)], [(5,)], [(3, 2)]],
+        ids=["kets", "three-kets", "operators", "three-operators", "one-ket", "one-operator"],
+    )
+    def test_bytes_equal_kron(self, rng, shapes):
+        for _ in range(20):
+            ops = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+            mine, kron = tensor(*ops), tensor_by_kron(*ops)
+            assert mine.shape == kron.shape
+            assert mine.tobytes() == kron.tobytes()
+
+    def test_rejects_kets_mixed_with_operators(self):
+        with pytest.raises(ValueError):
+            tensor(E0, np.eye(2))
 
 
 class TestPartialTrace:

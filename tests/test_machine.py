@@ -1,8 +1,13 @@
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from anticlone import machine
 from anticlone.machine import (
     BASELINE_BLOCK,
     COEFF_KEYS,
@@ -21,6 +26,7 @@ from anticlone.machine import (
     target_forms,
 )
 from anticlone.optimize import parameterize_isometry
+from anticlone.rng import philox_stream
 from anticlone.qubit import (
     BlochVector,
     QubitState,
@@ -35,6 +41,7 @@ from oracles import (
     fidelities_by_bloch,
     fidelities_from_states,
     haar_pair_dots,
+    measure_prepare_baseline_serial,
     measure_prepare_by_directions,
     partial_trace_by_sum,
     reduced_outputs_from_coefficients,
@@ -475,6 +482,68 @@ class TestMeasurePrepareBaseline:
         rng = np.random.default_rng(12)
         n, m = (v / np.linalg.norm(v, axis=1)[:, None] for v in rng.uniform(-1, 1, (2, samples, 3)))
         assert _ks_against_uniform(np.sum(n * m, axis=1)) > 1.63 / np.sqrt(samples)
+
+
+class TestBaselineAcrossThreads:
+    """The blocks may be scored on any number of threads, in any order;
+    the report must equal the one-thread, block-after-block loop to the bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equals_serial_loop(self, monkeypatch, workers):
+        monkeypatch.setattr(machine, "_usable_cpus", lambda: list(range(workers)))
+        interval = sys.getswitchinterval()
+        # more threads than cores, switching as often as the interpreter allows
+        sys.setswitchinterval(1e-6)
+        try:
+            for samples in (1, 7, BASELINE_BLOCK, BASELINE_BLOCK + 1, 3 * BASELINE_BLOCK + 5, 10**6):
+                for seed in (0, 5, 9):
+                    rep = measure_prepare_baseline(samples, seed=seed)
+                    assert rep == measure_prepare_baseline_serial(samples, seed=seed), (samples, seed)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_error_in_a_block_is_raised_and_threads_end(self, monkeypatch):
+        class BrokenStream:
+            def random(self, *args, **kwargs):
+                raise RuntimeError("block 2 failed")
+
+        monkeypatch.setattr(machine, "_usable_cpus", lambda: [0, 1])
+        monkeypatch.setattr(
+            machine, "philox_stream",
+            lambda seed, block: BrokenStream() if block == 2 else philox_stream(seed, block),
+        )
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 2 failed"):
+            measure_prepare_baseline(5 * BASELINE_BLOCK, seed=1)
+        assert threading.active_count() == before
+
+
+class TestTracedBaseline:
+    """The benchmark's tracer keeps one span stack, so the traced Philox
+    streams must be built on the calling thread."""
+
+    def test_streams_nest_in_the_call_and_account_for_the_wall_time(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from layers import LAYERS
+        from tracer import NAME, PARENT, Tracer, check_nesting, patched, root_time, self_times
+
+        monkeypatch.setattr(machine, "_usable_cpus", lambda: [0, 1])
+        tracer = Tracer()
+        start = time.perf_counter()
+        with patched(tracer, LAYERS) as (_, missing):
+            machine.measure_prepare_baseline(3 * BASELINE_BLOCK + 5, seed=2)
+        wall = time.perf_counter() - start
+
+        assert missing == []
+        check_nesting(tracer.spans)
+        streams = [s for s in tracer.spans if s[NAME] == "rng.philox_stream"]
+        assert len(streams) == 4
+        for span in streams:
+            assert tracer.spans[span[PARENT]][NAME] == "machine.measure_prepare_baseline"
+        unspanned = wall - root_time(tracer.spans)
+        assert unspanned >= 0
+        self_total = sum(t for _, t in self_times(tracer.spans).values())
+        assert abs(self_total + unspanned - wall) <= 1e-6 * max(1.0, wall)
 
 
 def _ks_against_uniform(t: np.ndarray) -> float:
