@@ -23,6 +23,7 @@ import functools
 import io
 import json
 import os
+import stat
 import sys
 import time
 from dataclasses import dataclass
@@ -106,7 +107,15 @@ def report_payload(report: Report) -> dict:
 
 
 def write_report(report: Report, fmt: str, path: str | None) -> None:
-    """Emit the report as JSON or CSV to ``path`` (or standard output)."""
+    """Emit the report as JSON or CSV to ``path`` (or standard output).
+
+    A report file is opened like ``open(path, "w")`` but not truncated, so a
+    new file gets the same mode. The text is written from offset 0; a regular
+    file that held data is then cut to the written length, so no stale tail
+    survives. Other targets (``/dev/null``, FIFOs, ttys) are never cut.
+    Crash caveat: after a power loss an overwritten report may still hold an
+    older, complete report that parses cleanly, or a mix of old and new text.
+    """
     if fmt == "json":
         text = json.dumps(report_payload(report), indent=2) + "\n"
     elif fmt == "csv":
@@ -125,32 +134,52 @@ def write_report(report: Report, fmt: str, path: str | None) -> None:
         raise ValueError(f"unknown report format {fmt!r}")
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    with open(path, "w", encoding="utf-8", opener=_open_untruncated) as fh:
+        old = os.fstat(fh.fileno())
+        fh.write(text)
+        # a new or empty file has no tail to cut; a non-regular target, such
+        # as /dev/null (seekable, but truncating it fails with EINVAL), is
+        # never cut, even where it reports a size
+        if old.st_size and stat.S_ISREG(old.st_mode):
+            fh.truncate()
+
+
+def _open_untruncated(path: str, flags: int) -> int:
+    """``open`` opener: the flags of mode "w" less ``O_TRUNC``, and the
+    creation mode 0o666 that ``open`` itself uses."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def load_state_file(path: str) -> list[QubitState]:
     """Read {"states": [[[re,im],[re,im]], ...]} into qubit states.
 
-    Norm deviations up to 1e-8 are silently renormalized; anything worse is
-    rejected as a bad input file.
+    Every re and im must be a JSON number within float range; booleans,
+    strings, null, nested lists and integers too large for a float are
+    rejected. Norm deviations up to 1e-8 are silently renormalized; anything
+    worse is rejected as a bad input file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or "states" not in data:
-        raise ValueError(f"{path}: expected a JSON object with a 'states' key")
+    if not isinstance(data, dict) or not isinstance(data.get("states"), list):
+        raise ValueError(f"{path}: expected a JSON object with a 'states' list")
     states = []
     for i, entry in enumerate(data["states"]):
         try:
             (ar, ai), (br, bi) = entry
+            # json.load gives exactly int or float for a number; bool is an
+            # int subclass, so an isinstance test would let true through
+            if not all(type(x) in (int, float) for x in (ar, ai, br, bi)):
+                raise TypeError("amplitude parts must be JSON numbers")
             alpha = complex(float(ar), float(ai))
             beta = complex(float(br), float(bi))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: state {i} is not a pair of [re, im] pairs") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"{path}: state {i} is not a pair of [re, im] pairs of numbers in float range"
+            ) from exc
         norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
         if not abs(norm - 1.0) <= 1e-8:  # also rejects NaN
-            raise ValueError(f"{path}: state {i} has norm {norm!r}, outside tolerance 1e-8")
+            raise ValueError(f"{path}: state {i} has norm {float(norm)!r}, outside tolerance 1e-8")
         states.append(QubitState(alpha / norm, beta / norm))
     if not states:
         raise ValueError(f"{path}: state list is empty")

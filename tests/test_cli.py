@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from anticlone.cli import (
 from anticlone import machine, probclone
 from anticlone.optimize import OptimizerConfig
 from anticlone.probclone import two_state_efficiency
+from anticlone.qubit import QubitState
 from oracles import verify_metrics_by_direction
 
 
@@ -123,6 +125,47 @@ class TestStateFile:
         path.write_text('{"states": [[[1, 0]]]}')
         with pytest.raises(ValueError):
             load_state_file(str(path))
+
+    @pytest.mark.parametrize("text", ['{"states": 5}', '{"states": null}', '{"states": {}}', "[1]"])
+    def test_states_must_be_a_list_in_an_object(self, tmp_path, text):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="expected a JSON object with a 'states' list"):
+            load_state_file(str(path))
+
+    @pytest.mark.parametrize(
+        "part", [True, False, "0", "1", None, [1], [[1, 0]]], ids=repr
+    )
+    def test_rejects_non_number_amplitude(self, tmp_path, part):
+        # the first state is valid; the bad part sits in the second
+        path = write_states(tmp_path / "s.json", [[[1, 0], [0, 0]], [[part, 0], [1, 0]]])
+        with pytest.raises(ValueError, match=r"state 1 is not a pair of \[re, im\] pairs of numbers"):
+            load_state_file(path)
+
+    @pytest.mark.parametrize(
+        "states",
+        [[[[True, 0], [0, 0]], [["0", "0"], [1, "0"]]], [[[10**400, 0], [0, 0]]]],
+        ids=["bool-and-string", "int-beyond-float"],
+    )
+    def test_non_number_states_are_input_error(self, tmp_path, capsys, states):
+        path = write_states(tmp_path / "s.json", states)
+        assert main(["feasibility", "--states", path]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "state 0 is not a pair of [re, im] pairs of numbers in float range" in captured.err
+
+    def test_norm_is_reported_as_plain_float(self, tmp_path):
+        path = write_states(tmp_path / "s.json", [[[float("inf"), 0], [0, 0]]])
+        with pytest.raises(ValueError, match=r"state 0 has norm inf, outside tolerance 1e-8$"):
+            load_state_file(path)
+
+    def test_valid_numbers_parse_to_normalized_states(self, tmp_path):
+        raw = [[[1, 0], [0, 0]], [[0, 0], [0, -1]],
+               [[0.6, 0.0], [0.0, 0.8 + 2e-9]], [[-0.5, 0.5], [0.5, -0.5]]]
+        states = load_state_file(write_states(tmp_path / "s.json", raw))
+        want = [QubitState.normalized(complex(ar, ai), complex(br, bi))
+                for (ar, ai), (br, bi) in raw]
+        assert states == want
 
 
 class TestVerifyCampaign:
@@ -375,6 +418,60 @@ class TestReports:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("anticlone verify: tol must be positive")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("stale", [b"stale report text\n" * 4096, b"{}\n", b""],
+                             ids=["longer", "shorter", "empty"])
+    def test_rewrite_over_old_file_leaves_no_stale_tail(self, tmp_path, fmt, stale):
+        report, _ = run(parse_args(["baseline", "--samples", "50"]))
+        fresh, old = tmp_path / f"fresh.{fmt}", tmp_path / f"old.{fmt}"
+        write_report(report, fmt, str(fresh))
+        old.write_bytes(stale)
+        write_report(report, fmt, str(old))
+        assert old.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_main_rewrites_longer_file_to_fresh_bytes(self, tmp_path, fmt):
+        argv = ["baseline", "--samples", "20000", "--seed", "5", "--format", fmt, "--output"]
+        fresh, old = tmp_path / f"fresh.{fmt}", tmp_path / f"old.{fmt}"
+        old.write_bytes(bytes(range(256)) * 256)
+        assert main(argv + [str(fresh)]) == main(argv + [str(old)]) == EXIT_OK
+        assert old.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_report_to_dev_null_exits_0(self, capsys):
+        # /dev/null is seekable but cannot be truncated
+        assert main(["verify", "--samples", "50", "--output", "/dev/null"]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_non_regular_target_that_reports_a_size_is_not_cut(self, monkeypatch):
+        # /dev/null reports size 0 on Linux; a pipe may report the bytes it
+        # holds elsewhere, and only a regular file may be truncated
+        report, _ = run(parse_args(["baseline", "--samples", "50"]))
+        real_fstat = os.fstat
+
+        def sized_fstat(fd):
+            st = real_fstat(fd)
+            return os.stat_result((*st[:6], 4096, *st[7:10]))
+
+        monkeypatch.setattr(os, "fstat", sized_fstat)
+        write_report(report, "json", "/dev/null")
+
+    def test_new_report_gets_the_mode_of_open_w(self, tmp_path):
+        report, _ = run(parse_args(["baseline", "--samples", "50"]))
+        write_report(report, "json", str(tmp_path / "r.json"))
+        with open(tmp_path / "ref.json", "w"):
+            pass
+        assert (tmp_path / "r.json").stat().st_mode == (tmp_path / "ref.json").stat().st_mode
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys, where):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
+        assert main(["baseline", "--samples", "50", "--output", str(out)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"anticlone: cannot write report: \[Errno \d+\] [^\n]+\n", captured.err)
 
     def test_every_judged_metric_names_its_tolerance(self):
         report, _ = run(parse_args(["verify", "--samples", "50"]))
