@@ -1,0 +1,115 @@
+"""Golden reports: the exit code and exact report text of fixed invocations.
+
+``tests/golden/index.json`` records each case's argv and exit code, and the
+numpy environment the reports were made in; ``tests/golden/<case>.txt``
+holds the report text, byte for byte. ``tests/test_golden.py`` runs every
+case in-process and compares. A change that moves a report value
+regenerates the files, so the diff lists every move:
+
+    PYTHONPATH=src python tests/golden_reports.py
+
+The script also rewrites the state files under ``tests/golden/states/``
+from fixed values and a seeded generator.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import platform
+from pathlib import Path
+
+import numpy as np
+
+from anticlone import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+STATES = GOLDEN / "states"
+
+_H = 0.7071067811865476  # 1/sqrt(2)
+
+
+def _haar_states(count: int, seed: int) -> list:
+    v = np.random.default_rng(seed).standard_normal((count, 4))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return [[[a, b], [c, d]] for a, b, c, d in v.tolist()]
+
+
+# State files: name -> [[[re, im], [re, im]], ...]
+STATE_SETS = {
+    "pair": [[[1.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.0, 0.8]]],
+    "haar16": _haar_states(16, seed=16),
+    "real_trio": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [[_H, 0.0], [_H, 0.0]]],
+    # |0>, |1>, |+i>: the solve fixes the targets' phases and gets f_max = 0
+    # at (0, 1), where the set is a phase-twisted unitary image; exit 1
+    "zero_one_plus_i": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [[_H, 0.0], [0.0, _H]]],
+}
+
+
+def _feasibility(states: str, L: int, M: int) -> list[str]:
+    return ["feasibility", "--states", f"states/{states}.json", "--L", str(L), "--M", str(M)]
+
+
+# case name -> argv; a state file path is relative to tests/golden
+CASES = {
+    "verify": ["verify", "--samples", "1000", "--seed", "0"],
+    "verify_csv": ["verify", "--samples", "80", "--seed", "3", "--format", "csv"],
+    "baseline": ["baseline", "--samples", "20000", "--seed", "5"],
+    "prob_pi_third": ["prob", "--theta", "1.0471975512"],
+    "prob_tiny_theta": ["prob", "--theta", "1e-6"],
+    "prob_pi_half": ["prob", "--theta", repr(math.pi / 2)],
+    "optimize": ["optimize", "--restarts", "2", "--seed", "0"],
+    "optimize_spinflip": ["optimize", "--restarts", "2", "--seed", "0", "--spinflip"],
+    "feasibility_pair": _feasibility("pair", 2, 1),
+    "feasibility_haar16": _feasibility("haar16", 1, 1),
+    "feasibility_real_trio": _feasibility("real_trio", 1, 0),
+    "feasibility_zero_one_plus_i": _feasibility("zero_one_plus_i", 0, 1),
+    "verify_no_samples": ["verify", "--samples", "0"],
+}
+
+
+def environment() -> dict:
+    """What decides a report's last bits: the numpy version, its BLAS, and
+    the SIMD extensions numpy found on this CPU (they pick numpy's and the
+    BLAS's kernels)."""
+    try:
+        config = np.show_config(mode="dicts")
+        blas = config["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+        simd = config["SIMD Extensions"]["found"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        blas, simd = "unknown", []
+    return {
+        "numpy": np.__version__,
+        "blas": blas,
+        "simd": sorted(simd),
+        "machine": platform.machine(),
+    }
+
+
+def run_case(argv: list[str]) -> tuple[int, str]:
+    """(exit code, report text) of one invocation of ``anticlone.cli.main``,
+    run in-process with state file paths resolved against tests/golden."""
+    argv = [str(GOLDEN / a) if a.startswith("states/") else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def regenerate() -> None:
+    STATES.mkdir(parents=True, exist_ok=True)
+    for name, states in STATE_SETS.items():
+        (STATES / f"{name}.json").write_text(json.dumps({"states": states}) + "\n")
+    index = {"environment": environment(), "cases": []}
+    for name, argv in CASES.items():
+        code, text = run_case(argv)
+        (GOLDEN / f"{name}.txt").write_text(text, encoding="utf-8")
+        index["cases"].append({"name": name, "argv": argv, "exit_code": code})
+    (GOLDEN / "index.json").write_text(json.dumps(index, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()
