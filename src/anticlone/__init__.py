@@ -32,7 +32,6 @@ from .probclone import (
     FeasibilityResult,
     ProbCloner,
     ShotStats,
-    StateSet,
     build_two_state_anticloner,
     max_feasible_f,
     run_prob_anticlone,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import basis_ket, tensor
 from .rng import philox_stream
-from .qubit import PAULI, BlochVector, QubitState, antiunitary_flip, check_density_matrix
+from .qubit import PAULI, QubitState, antiunitary_flip, check_density_matrix
 
 __all__ = [
     "COEFF_KEYS",
@@ -35,7 +35,6 @@ __all__ = [
     "build_isometry",
     "output_states",
     "output_fidelities",
-    "output_fidelities_adjoint",
     "FidelityKernel",
     "anticlone",
     "target_forms",
@@ -54,6 +53,8 @@ OPTIMAL_FIDELITY = 2.0 / 3.0
 
 # Samples per Philox stream in ``measure_prepare_baseline``.
 BASELINE_BLOCK = 1 << 15
+# Largest entry of |V^+ V - 1| that still counts as an isometry.
+ISOMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -154,12 +155,13 @@ def optimal_params() -> AnticlonerParams:
     return AnticlonerParams(coeffs, ancillas)
 
 
-def build_isometry(p: AnticlonerParams, tol: float = 1e-10) -> np.ndarray:
+def build_isometry(p: AnticlonerParams) -> np.ndarray:
     """Assemble the 16x2 isometry from a parameter set.
 
     Image of |0>: a|00>A + b|01>B + c|10>C + d|11>D; image of |1> is the
     tilded row on the bit-flipped clone kets: at|11>At + bt|10>Bt + ct|01>Ct
-    + dt|00>Dt. Raises if the result is not an isometry within ``tol``.
+    + dt|00>Dt. Raises if the result is not an isometry within
+    ``ISOMETRY_TOL``.
     """
     c, anc = p.coeffs, p.ancillas
     e0, e1 = basis_ket(2, 0), basis_ket(2, 1)
@@ -177,7 +179,7 @@ def build_isometry(p: AnticlonerParams, tol: float = 1e-10) -> np.ndarray:
     )
     v = np.stack([col0, col1], axis=1)
     err = np.max(np.abs(v.conj().T @ v - np.eye(2)))
-    if err > tol:
+    if err > ISOMETRY_TOL:
         raise ValueError(f"parameters do not define an isometry (deviation {err:.3e})")
     return v
 
@@ -310,21 +312,7 @@ def output_fidelities(v, kets: np.ndarray, targets) -> np.ndarray:
     return kernel.fidelities(kernel.amplitudes(v))
 
 
-def output_fidelities_adjoint(v, kets: np.ndarray, targets, weights) -> np.ndarray:
-    """Gradient of sum_j weights_j f_j over the fidelities f of
-    ``output_fidelities(v, kets, targets)``, with respect to V.
-
-    ``weights`` is real with the fidelities' shape (..., copies * N). Returns
-    G with the shape of ``v`` such that d(w . f) = Re sum conj(G) dV. With
-    amps = M_q @ folded for qubit q's rows M_q, G_q = 2 (amps * w_q) @
-    folded^H, written back to V's rows.
-    """
-    v = _isometries(v, len(targets))
-    kernel = FidelityKernel(kets, targets, v.shape[-2])
-    return kernel.adjoint(kernel.amplitudes(v), np.asarray(weights, dtype=float))
-
-
-def anticlone(psi: QubitState, v: np.ndarray, tol: float = 1e-10) -> CloneOutput:
+def anticlone(psi: QubitState, v: np.ndarray) -> CloneOutput:
     """Send one qubit through the machine and reduce to the two clones.
 
     ``v`` is an isometry from the input qubit into (clone 1, clone 2,
@@ -335,7 +323,7 @@ def anticlone(psi: QubitState, v: np.ndarray, tol: float = 1e-10) -> CloneOutput
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 2:
         raise ValueError(f"expected an isometry with two columns, got {v.shape}")
-    if np.max(np.abs(v.conj().T @ v - np.eye(2))) > tol:
+    if np.max(np.abs(v.conj().T @ v - np.eye(2))) > ISOMETRY_TOL:
         raise ValueError("matrix is not an isometry within tolerance")
 
     check_density_matrix(psi.density())
@@ -349,8 +337,9 @@ def anticlone(psi: QubitState, v: np.ndarray, tol: float = 1e-10) -> CloneOutput
 
 def target_forms(n, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Ideal output pair ((1 + eta n.sigma)/2, (1 - eta n.sigma)/2) for a
-    BlochVector ``n``, or a pair of (N, 2, 2) stacks for an (N, 3) array."""
-    d = n.as_array() if isinstance(n, BlochVector) else np.asarray(n, dtype=float)
+    unit direction ``n``: a pair of 2x2 matrices for a (3,) array, or of
+    (N, 2, 2) stacks for an (N, 3) array."""
+    d = np.asarray(n, dtype=float)
     if np.any(np.abs(np.linalg.norm(d, axis=-1) - 1.0) > 1e-10):
         raise ValueError("direction must be a unit vector")
     if not 0.0 <= eta <= 1.0:
@@ -425,13 +414,7 @@ def haar_directions(count: int, seed: int = 0) -> np.ndarray:
     if count < 1:
         raise ValueError("need at least one direction")
     v = philox_stream(seed, 0).standard_normal((count, 3))
-    norms = np.linalg.norm(v, axis=1)
-    # a Gaussian triple is never numerically zero in practice; guard anyway
-    bad = norms < 1e-12
-    if np.any(bad):
-        v[bad] = np.array([0.0, 0.0, 1.0])
-        norms[bad] = 1.0
-    return v / norms[:, None]
+    return v / np.linalg.norm(v, axis=1)[:, None]
 
 
 def measure_prepare_baseline(samples: int, seed: int = 0) -> BaselineReport:

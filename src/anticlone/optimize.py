@@ -98,12 +98,11 @@ class OptimizerResult:
         return 0.5 * (1.0 + self.best_eta)
 
 
-def direction_set(samples: int = DIRECTION_SAMPLES) -> np.ndarray:
-    """Fixed direction net: spherical Fibonacci lattice plus the six poles."""
-    if samples < 1:
-        raise ValueError("need at least one lattice sample")
-    i = np.arange(samples)
-    z = 1.0 - (2.0 * i + 1.0) / samples
+def direction_set() -> np.ndarray:
+    """Fixed direction net: spherical Fibonacci lattice of
+    ``DIRECTION_SAMPLES`` points plus the six poles."""
+    i = np.arange(DIRECTION_SAMPLES)
+    z = 1.0 - (2.0 * i + 1.0) / DIRECTION_SAMPLES
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     golden = np.pi * (3.0 - np.sqrt(5.0))
     pts = np.column_stack([r * np.cos(i * golden), r * np.sin(i * golden), z])

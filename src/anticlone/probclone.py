@@ -24,7 +24,6 @@ from .qubit import QubitState, antiunitary_flip
 from .rng import philox_stream
 
 __all__ = [
-    "StateSet",
     "CopySpec",
     "FeasibilityResult",
     "ProbCloner",
@@ -43,20 +42,6 @@ RANK_TOL = 1e-10  # Gram eigenvalues at or below this count as zero
 PHASE_EQUIVALENCE_TOL = 1e-12
 SHOT_BLOCK = 1 << 16  # shots per Philox stream in ``run_prob_anticlone``
 PROBE_SUCCESS = basis_ket(2, 0)  # probe state that flags exact copies
-
-
-@dataclass(frozen=True)
-class StateSet:
-    """Known candidate input states."""
-
-    states: list[QubitState]
-
-    def __post_init__(self):
-        if not self.states:
-            raise ValueError("state set must be non-empty")
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 @dataclass(frozen=True)
@@ -193,8 +178,9 @@ def _phase_equivalent(g: np.ndarray, h: np.ndarray) -> bool:
     return bool(np.max(np.abs(h - d[:, None] * g * d.conj())) <= PHASE_EQUIVALENCE_TOL)
 
 
-def max_feasible_f(state_set: StateSet, mu: CopySpec = CopySpec(1, 1)) -> FeasibilityResult:
-    """Largest f in [0, 1] with G - f H positive semidefinite, solved directly.
+def max_feasible_f(states: list[QubitState], mu: CopySpec = CopySpec(1, 1)) -> FeasibilityResult:
+    """Largest f in [0, 1] with G - f H positive semidefinite, solved directly,
+    for a non-empty list of known candidate input states.
 
     G collects the input overlaps; H the overlaps of the target outputs,
     i.e. elementwise G^L times the anti-aligned overlaps^M. The spin flip is
@@ -211,7 +197,9 @@ def max_feasible_f(state_set: StateSet, mu: CopySpec = CopySpec(1, 1)) -> Feasib
     be min(distinct, 2). Raises ``ValueError`` when it is not: the rank cut
     then merged two distinct states too close for it to tell apart.
     """
-    kets = _aligned_kets(state_set.states)
+    if not states:
+        raise ValueError("state set must be non-empty")
+    kets = _aligned_kets(states)
     n = len(kets)
     g = np.array([[np.vdot(kets[i], kets[j]) for j in range(n)] for i in range(n)])
     h = g**mu.L * g.conj() ** mu.M

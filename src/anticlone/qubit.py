@@ -25,6 +25,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+DENSITY_TOL = 1e-10  # tolerance of each property ``check_density_matrix`` checks
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,10 @@ class QubitState:
         return np.outer(k, k.conj())
 
 
-def check_density_matrix(rho, tol: float = 1e-10) -> np.ndarray:
-    """Validate a 2x2 density matrix: Hermitian, unit trace, PSD, and no
-    NaN or infinite entries."""
+def check_density_matrix(rho) -> np.ndarray:
+    """Validate a 2x2 density matrix: Hermitian, unit trace and PSD, each to
+    ``DENSITY_TOL``, and no NaN or infinite entries."""
+    tol = DENSITY_TOL
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {rho.shape}")

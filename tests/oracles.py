@@ -378,7 +378,7 @@ def fidelities_by_moved_axes(v, kets, targets):
 
 
 def fidelities_adjoint_by_moved_axes(v, kets, targets, weights):
-    """``machine.output_fidelities_adjoint`` in the same form, recomputing
+    """``machine.FidelityKernel.adjoint`` in the same form, recomputing
     the forward products."""
     lead = v.shape[:-2]
     regs = v.reshape(lead + (2,) * len(targets) + (-1, 2))

@@ -24,7 +24,6 @@ from anticlone.machine import (
 from anticlone.optimize import OptimizerConfig, optimize_spinflip
 from anticlone.probclone import (
     CopySpec,
-    StateSet,
     build_two_state_anticloner,
     max_feasible_f,
     run_prob_anticlone,
@@ -50,7 +49,7 @@ def test_criterion_1_universal_anticloner_exactness():
     for row in dirs:
         n = BlochVector.from_array(row)
         out = anticlone(bloch_to_state(n), v)
-        t1, t2 = target_forms(n, 1 / 3)
+        t1, t2 = target_forms(row, 1 / 3)
         worst_rho = max(
             worst_rho,
             float(np.max(np.abs(out.rho1 - t1))),
@@ -147,11 +146,11 @@ def test_criterion_7_feasibility_oracle_equivalence():
     worst = 0.0
     for theta in THETA_GRID:
         c = np.cos(theta)
-        pair = StateSet([QubitState(1, 0), QubitState.normalized(c, np.sin(theta))])
+        pair = [QubitState(1, 0), QubitState.normalized(c, np.sin(theta))]
         for mu in ((1, 1), (2, 1), (5, 5), (10, 10)):
             f_max = max_feasible_f(pair, CopySpec(*mu)).f_max
             worst = max(worst, abs(f_max - two_state_efficiency(c, *mu)))
-    pair = StateSet([QubitState(1, 0), QubitState.normalized(0.5, np.sqrt(3) / 2)])
+    pair = [QubitState(1, 0), QubitState.normalized(0.5, np.sqrt(3) / 2)]
     f_many = max_feasible_f(pair, CopySpec(10, 10)).f_max
     limit_gap = abs(f_many - 0.5)
     report(
@@ -164,7 +163,7 @@ def test_criterion_7_feasibility_oracle_equivalence():
 
 
 def test_criterion_8_no_signalling_bound():
-    trio = StateSet([QubitState(1, 0), QubitState(0, 1), QubitState.normalized(1, 1)])
+    trio = [QubitState(1, 0), QubitState(0, 1), QubitState.normalized(1, 1)]
     f = max_feasible_f(trio, CopySpec(1, 1)).f_max
     report(8, f < 1e-9, f"three dependent states: f_max {f:.2e} < 1e-9")
 

@@ -100,7 +100,18 @@ class TestParseArgs:
             parse_args(["verify", "--samples", "many"])
         assert exc.value.code == 2
         cfg = parse_args(["verify", "--samples", "7"])
-        assert (cfg.subcommand, cfg.samples, cfg.tol) == ("verify", 7, 1e-9)
+        assert (cfg.subcommand, cfg.samples, cfg.seed) == ("verify", 7, 0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--tol", "1e-9"], ["feasibility", "--seed", "0"]],
+        ids=["verify-tol", "feasibility-seed"],
+    )
+    def test_fixed_gate_and_unused_seed_are_not_options(self, tmp_path, argv):
+        path = write_states(tmp_path / "s.json", PAIR_60)
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv + (["--states", path] if argv[0] == "feasibility" else []))
+        assert exc.value.code == 2
 
 
 class TestStateFile:
@@ -154,6 +165,14 @@ class TestStateFile:
         assert captured.out == ""
         assert "state 0 is not a pair of [re, im] pairs of numbers in float range" in captured.err
 
+    def test_too_deeply_nested_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text('{"states": ' + "[" * 100000 + "]" * 100000 + "}")
+        assert main(["feasibility", "--states", str(path)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"anticlone feasibility: {path}: JSON nested too deeply to read\n"
+
     def test_norm_is_reported_as_plain_float(self, tmp_path):
         path = write_states(tmp_path / "s.json", [[[float("inf"), 0], [0, 0]]])
         with pytest.raises(ValueError, match=r"state 0 has norm inf, outside tolerance 1e-8$"):
@@ -191,15 +210,14 @@ class TestVerifyCampaign:
         for name, value in oracle.items():
             assert abs(metrics[name] - value) <= 1e-12, name
 
-    def test_impossible_tolerance_fails_with_exit_1(self):
-        report, code = run(parse_args(["verify", "--samples", "50", "--tol", "1e-20"]))
-        assert code == EXIT_VERIFICATION_FAILED
-        assert not report.all_pass
-
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-    def test_meaningless_tolerance_is_input_error(self, tol, capsys):
-        assert main(["verify", "--samples", "10", "--tol", tol]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr().out == ""
+    def test_non_universal_machine_fails_with_exit_1(self, rng, monkeypatch, capsys):
+        m = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+        v = np.linalg.qr(m)[0]
+        monkeypatch.setattr(machine, "build_isometry", lambda params: v)
+        assert main(["verify", "--samples", "50"]) == EXIT_VERIFICATION_FAILED
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["all_pass"] is False
+        assert not payload["metrics"][0]["pass"] and payload["metrics"][0]["tolerance"] == 1e-9
 
 
 class TestFeasibilityCampaign:
@@ -413,11 +431,10 @@ class TestReports:
         assert line and 0.0 < float(line[1]) < 60.0
 
     def test_input_error_prints_only_its_error(self, capsys):
-        assert main(["verify", "--samples", "10", "--tol", "nan"]) == EXIT_INPUT_ERROR
+        assert main(["verify", "--samples", "0"]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith("anticlone verify: tol must be positive")
+        assert captured.err == "anticlone verify: need at least one direction\n"
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("stale", [b"stale report text\n" * 4096, b"{}\n", b""],

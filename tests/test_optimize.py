@@ -48,7 +48,7 @@ def x_opt(opt_isometry):
 
 @pytest.fixture(scope="module")
 def net():
-    return direction_set(62)
+    return direction_set()
 
 
 class TestParameterize:
@@ -177,7 +177,7 @@ class TestSearchGradient:
         assert np.linalg.norm(gradient() - want) <= 1e-6 * np.linalg.norm(want)
 
     def test_degenerate_columns_get_a_finite_zero_gradient(self):
-        objective = _Objective(2, 4, direction_set(62))
+        objective = _Objective(2, 4, direction_set())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             grad = objective.evaluate(np.zeros(64), 1e-3)[2]()
@@ -189,7 +189,7 @@ class TestSearchGradient:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = optimize_universal(OptimizerConfig(restarts=1, max_iters=40), init=np.zeros(64))
-        start = objective_universal(parameterize_isometry(np.zeros(64), 16), direction_set(62))
+        start = objective_universal(parameterize_isometry(np.zeros(64), 16), direction_set())
         assert np.isfinite(res.best_eta)
         assert res.best_eta == 2 * start - 1
 
@@ -362,7 +362,7 @@ class TestOptimizeSpinflip:
 
 class TestDirectionSet:
     def test_contains_poles_and_unit_rows(self):
-        d = direction_set(62)
+        d = direction_set()
         assert d.shape == (68, 3)
         assert np.max(np.abs(np.linalg.norm(d, axis=1) - 1)) < 1e-12
         for pole in np.vstack([np.eye(3), -np.eye(3)]):

@@ -7,7 +7,6 @@ from anticlone.probclone import (
     SHOT_BLOCK,
     CopySpec,
     ProbCloner,
-    StateSet,
     build_two_state_anticloner,
     max_feasible_f,
     run_prob_anticlone,
@@ -28,7 +27,7 @@ COMPLETION_GRID = THETA_GRID + (1e-6, 1e-5, 3e-3)
 
 
 def pair_at_angle(theta):
-    return StateSet([QubitState(1, 0), QubitState.normalized(np.cos(theta), np.sin(theta))])
+    return [QubitState(1, 0), QubitState.normalized(np.cos(theta), np.sin(theta))]
 
 
 def state(ket):
@@ -48,11 +47,11 @@ class TestMaxFeasibleF:
         assert abs(res.f_max - 2 / 3) < 1e-9
 
     def test_orthogonal_states_clone_perfectly(self):
-        res = max_feasible_f(StateSet([QubitState(1, 0), QubitState(0, 1)]), CopySpec(1, 1))
+        res = max_feasible_f([QubitState(1, 0), QubitState(0, 1)], CopySpec(1, 1))
         assert res.f_max == 1.0
 
     def test_three_dependent_states_cannot_be_cloned(self):
-        trio = StateSet([QubitState(1, 0), QubitState(0, 1), QubitState.normalized(1, 1)])
+        trio = [QubitState(1, 0), QubitState(0, 1), QubitState.normalized(1, 1)]
         res = max_feasible_f(trio, CopySpec(1, 1))
         assert res.f_max < 1e-9
         # independent certificate: the Gram null vector k = (1, 1, -sqrt(2))
@@ -91,7 +90,7 @@ class TestMaxFeasibleF:
     def test_phase_redefinition_handles_complex_overlaps(self):
         s1 = QubitState(1, 0)
         s2 = QubitState.normalized(0.5 * np.exp(1.3j), np.sqrt(3) / 2)
-        res = max_feasible_f(StateSet([s1, s2]), CopySpec(1, 1))
+        res = max_feasible_f([s1, s2], CopySpec(1, 1))
         assert abs(res.f_max - 2 / 3) < 1e-9
         assert abs(res.gram_G[0, 1].imag) < 1e-14
         assert res.gram_G[0, 1].real >= 0
@@ -102,8 +101,8 @@ class TestMaxFeasibleF:
         copy_specs = [CopySpec(*mu) for mu in ((1, 1), (2, 1), (0, 3), (2, 0), (5, 5))]
         for i, c in enumerate([*rng.uniform(0.0, 0.9999, 30), 0.999, 0.9999]):
             a = random_ket(rng, 2)
-            pair = StateSet([state(a), state(ket_at_overlap(rng, a, c))])
-            overlap = abs(np.vdot(pair.states[0].ket(), pair.states[1].ket()))
+            pair = [state(a), state(ket_at_overlap(rng, a, c))]
+            overlap = abs(np.vdot(pair[0].ket(), pair[1].ket()))
             mu = copy_specs[i % len(copy_specs)]
             res = max_feasible_f(pair, mu)
             assert res.rank == res.distinct == 2
@@ -112,7 +111,7 @@ class TestMaxFeasibleF:
             assert abs(res.f_max - oracle) <= oracle_tol
 
         for n in range(3, 17):
-            states = StateSet([state(random_ket(rng, 2)) for _ in range(n)])
+            states = [state(random_ket(rng, 2)) for _ in range(n)]
             res = max_feasible_f(states, CopySpec(*(int(k) for k in rng.integers(1, 3, size=2))))
             assert res.rank == 2
             assert res.distinct == n
@@ -129,7 +128,7 @@ class TestMaxFeasibleF:
             ([a, b, phase * b, phase * a], pair_f, 2),
             ([a, phase * a, b, random_ket(rng, 2)], 0.0, 3),
         ):
-            res = max_feasible_f(StateSet([state(k) for k in kets]), CopySpec(2, 1))
+            res = max_feasible_f([state(k) for k in kets], CopySpec(2, 1))
             assert abs(res.f_max - expected) <= 1e-12
             assert res.distinct == distinct
             oracle = max_feasible_f_by_bisection(res.gram_G, res.gram_H)
@@ -155,14 +154,14 @@ class TestMaxFeasibleF:
             (real_trio, (2, 0), False),
             (complex_trio, (0, 2), False),
         ):
-            res = max_feasible_f(StateSet([state(k) for k in kets]), CopySpec(*mu))
+            res = max_feasible_f([state(k) for k in kets], CopySpec(*mu))
             assert res.phase_equivalent is expected, (mu, kets)
 
     @pytest.mark.parametrize("gap", [5e-11, 1e-12, 3e-14, 1e-14])
     def test_near_duplicate_pair_is_rejected(self, gap):
         # two distinct states whose Gram eigenvalue 1 - c falls under RANK_TOL
         c = 1.0 - gap
-        pair = StateSet([QubitState(1, 0), QubitState.normalized(c, np.sqrt(1 - c * c))])
+        pair = [QubitState(1, 0), QubitState.normalized(c, np.sqrt(1 - c * c))]
         with pytest.raises(ValueError, match="RANK_TOL"):
             max_feasible_f(pair, CopySpec(1, 1))
 
@@ -177,7 +176,7 @@ class TestMaxFeasibleF:
             c = rng.uniform(size=n - 1)
             z = np.sqrt(1 - c * c) * np.exp(2j * np.pi * rng.uniform(size=n - 1))
             states = [QubitState(1, 0), *(QubitState(*k) for k in zip(c, z))]
-            res = max_feasible_f(StateSet(states), CopySpec(*mu))
+            res = max_feasible_f(states, CopySpec(*mu))
             oracle = output_gram_by_flipped_kets(states, *mu)
             assert np.max(np.abs(res.gram_H - oracle)) <= 1e-15
 
@@ -311,8 +310,8 @@ class TestRunProbAnticlone:
 
 class TestStateSetAndCopySpec:
     def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            StateSet([])
+        with pytest.raises(ValueError, match="non-empty"):
+            max_feasible_f([])
 
     def test_copyspec_validation(self):
         with pytest.raises(ValueError):
