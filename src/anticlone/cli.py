@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import machine, optimize, probclone
+from .linalg import isometry_residual
 from .qubit import PAULI, QubitState, direction_kets
 
 __all__ = ["MetricCheck", "Report", "parse_args", "run", "write_report", "main"]
@@ -225,7 +226,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=100000)
 
     p = sub.add_parser("feasibility", parents=[common], help="Gram feasibility of a state set")
-    p.add_argument("--states", type=_existing_file, required=True, help="JSON state-list file")
+    p.add_argument("--states", required=True, help="JSON state-list file")
     p.add_argument("--L", type=int, default=1, help="aligned copies")
     p.add_argument("--M", type=int, default=1, help="anti-aligned copies")
 
@@ -238,12 +239,6 @@ def parse_args(argv) -> argparse.Namespace:
     """Parse and validate one campaign invocation; exits with code 2 on bad
     usage (argparse convention)."""
     return _parser().parse_args(list(argv))
-
-
-def _existing_file(path: str) -> str:
-    if not os.path.isfile(path):
-        raise argparse.ArgumentTypeError(f"file not found: {path}")
-    return path
 
 
 def _campaign_verify(cfg: argparse.Namespace) -> tuple[dict, list[MetricCheck]]:
@@ -270,11 +265,7 @@ def _campaign_verify(cfg: argparse.Namespace) -> tuple[dict, list[MetricCheck]]:
         MetricCheck("max_bloch_opposition_deviation", float(np.max(np.abs(bloch_sum))), 1e-10),
         MetricCheck("fidelity_stddev_across_inputs", float(np.std(fidelities[:, 0])), 1e-10),
         MetricCheck("max_constraint_residual", report.max_residual, 1e-12),
-        MetricCheck(
-            "isometry_residual",
-            float(np.max(np.abs(v.conj().T @ v - np.eye(2)))),
-            1e-12,
-        ),
+        MetricCheck("isometry_residual", isometry_residual(v), 1e-12),
     ]
     return {"samples": cfg.samples, "seed": cfg.seed}, metrics
 
@@ -315,16 +306,10 @@ def _campaign_optimize(cfg: argparse.Namespace) -> tuple[dict, list[MetricCheck]
 
 
 def _campaign_prob(cfg: argparse.Namespace) -> tuple[dict, list[MetricCheck]]:
-    if cfg.shots < 0:
-        raise ValueError(f"shots must be >= 0, got {cfg.shots}")
     pc = probclone.build_two_state_anticloner(cfg.theta)
     metrics = [
         MetricCheck("efficiency", pc.f),
-        MetricCheck(
-            "unitarity_residual",
-            float(np.max(np.abs(pc.u.conj().T @ pc.u - np.eye(8)))),
-            1e-12,
-        ),
+        MetricCheck("unitarity_residual", isometry_residual(pc.u), 1e-12),
     ]
     sigma = np.sqrt(max(pc.f * (1.0 - pc.f), 1e-300) / max(cfg.shots, 1))
     for which in (1, 2):

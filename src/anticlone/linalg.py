@@ -16,11 +16,15 @@ __all__ = [
     "tensor",
     "partial_trace",
     "hermitian_eigenvalues",
+    "isometry_residual",
+    "require_isometry",
     "orthonormal_complete",
     "unitary_from_correspondence",
 ]
 
 DEFAULT_TOL = 1e-10
+# Largest entry of |A^+ A - I| that still counts as an isometry.
+ISOMETRY_TOL = 1e-10
 
 
 class RankError(ValueError):
@@ -108,6 +112,19 @@ def hermitian_eigenvalues(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     if np.max(np.abs(h - h.conj().T)) > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(0.5 * (h + h.conj().T))
+
+
+def isometry_residual(a: np.ndarray) -> float:
+    """Largest entry of |A^+ A - I|: how far the columns of ``a`` are from
+    orthonormal."""
+    return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[1]))))
+
+
+def require_isometry(a: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless ``a`` is an isometry within ``ISOMETRY_TOL``, NaN included."""
+    err = isometry_residual(a)
+    if not err <= ISOMETRY_TOL:
+        raise ValueError(f"{what} is not an isometry (deviation {err:.3e})")
 
 
 def _mgs_pass(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import basis_ket, tensor
+from .linalg import basis_ket, require_isometry, tensor
 from .rng import philox_stream
 from .qubit import PAULI, QubitState, antiunitary_flip, check_density_matrix
 
@@ -53,8 +53,6 @@ OPTIMAL_FIDELITY = 2.0 / 3.0
 
 # Samples per Philox stream in ``measure_prepare_baseline``.
 BASELINE_BLOCK = 1 << 15
-# Largest entry of |V^+ V - 1| that still counts as an isometry.
-ISOMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ class AnticlonerParams:
             v = np.asarray(self.ancillas[k], dtype=complex)
             if v.shape != (4,):
                 raise ValueError(f"ancilla {k!r} must be a 4-dim ket, got shape {v.shape}")
-            if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+            if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
                 raise ValueError(f"ancilla {k!r} is not normalized")
             ancs[k] = v
         object.__setattr__(self, "ancillas", ancs)
@@ -161,7 +159,7 @@ def build_isometry(p: AnticlonerParams) -> np.ndarray:
     Image of |0>: a|00>A + b|01>B + c|10>C + d|11>D; image of |1> is the
     tilded row on the bit-flipped clone kets: at|11>At + bt|10>Bt + ct|01>Ct
     + dt|00>Dt. Raises if the result is not an isometry within
-    ``ISOMETRY_TOL``.
+    ``linalg.ISOMETRY_TOL``.
     """
     c, anc = p.coeffs, p.ancillas
     e0, e1 = basis_ket(2, 0), basis_ket(2, 1)
@@ -178,9 +176,7 @@ def build_isometry(p: AnticlonerParams) -> np.ndarray:
         + c["dt"] * tensor(e0, e0, anc["dt"])
     )
     v = np.stack([col0, col1], axis=1)
-    err = np.max(np.abs(v.conj().T @ v - np.eye(2)))
-    if err > ISOMETRY_TOL:
-        raise ValueError(f"parameters do not define an isometry (deviation {err:.3e})")
+    require_isometry(v, "the parameters' transform")
     return v
 
 
@@ -323,8 +319,7 @@ def anticlone(psi: QubitState, v: np.ndarray) -> CloneOutput:
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 2:
         raise ValueError(f"expected an isometry with two columns, got {v.shape}")
-    if np.max(np.abs(v.conj().T @ v - np.eye(2))) > ISOMETRY_TOL:
-        raise ValueError("matrix is not an isometry within tolerance")
+    require_isometry(v, "the machine")
 
     check_density_matrix(psi.density())
     k, k_opp = psi.ket()[None], antiunitary_flip(psi).ket()[None]
@@ -340,7 +335,7 @@ def target_forms(n, eta: float) -> tuple[np.ndarray, np.ndarray]:
     unit direction ``n``: a pair of 2x2 matrices for a (3,) array, or of
     (N, 2, 2) stacks for an (N, 3) array."""
     d = np.asarray(n, dtype=float)
-    if np.any(np.abs(np.linalg.norm(d, axis=-1) - 1.0) > 1e-10):
+    if not np.all(np.abs(np.linalg.norm(d, axis=-1) - 1.0) <= 1e-10):
         raise ValueError("direction must be a unit vector")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"shrinking factor must lie in [0, 1], got {eta}")

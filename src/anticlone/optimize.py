@@ -319,8 +319,8 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
     for r in range(cfg.restarts):
         if init is not None and r == 0:
             x = np.asarray(init, dtype=float).copy()
-            if x.shape != (nparams,):
-                raise ValueError(f"init must have length {nparams}")
+            if x.shape != (nparams,) or not np.isfinite(x).all():
+                raise ValueError(f"init must hold {nparams} finite numbers")
         else:
             x = philox_stream(cfg.seed, r).standard_normal(nparams)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import basis_ket, tensor
+from .linalg import basis_ket, require_isometry, tensor
 from .qubit import QubitState, antiunitary_flip
 from .rng import philox_stream
 
@@ -94,10 +94,9 @@ class ProbCloner:
         object.__setattr__(self, "u", u)
         if u.shape != (8, 8):
             raise ValueError(f"expected an 8x8 unitary, got {u.shape}")
-        if np.max(np.abs(u.conj().T @ u - np.eye(8))) > 1e-10:
-            raise ValueError("matrix is not unitary within tolerance")
+        require_isometry(u, "u")
         expected = two_state_efficiency(np.cos(self.theta))
-        if abs(self.f - expected) > 1e-12:
+        if not abs(self.f - expected) <= 1e-12:
             raise ValueError(f"f={self.f!r} does not match the efficiency bound {expected!r}")
 
     def input_state(self, which: int) -> QubitState:
@@ -284,7 +283,7 @@ def run_prob_anticlone(pc: ProbCloner, which: int, shots: int, seed: int = 0) ->
     """
     m = pc.input_state(which)
     if shots < 0:
-        raise ValueError("shots must be >= 0")
+        raise ValueError(f"shots must be >= 0, got {shots}")
     start = tensor(m.ket(), basis_ket(2, 0), PROBE_SUCCESS)
     out = pc.u @ start
     # probe is the last register: amplitudes reshape to (copies, probe)

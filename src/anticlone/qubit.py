@@ -38,7 +38,7 @@ class BlochVector:
 
     def __post_init__(self):
         n2 = self.nx**2 + self.ny**2 + self.nz**2
-        if not np.isfinite(n2) or n2 > 1.0 + 1e-12:
+        if not n2 <= 1.0 + 1e-12:
             raise ValueError(f"Bloch vector has norm {np.sqrt(n2):.12f} > 1")
 
     @classmethod
@@ -67,7 +67,7 @@ class QubitState:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:
             raise ValueError(f"amplitudes have squared norm {n!r}, expected 1")
 
     @classmethod

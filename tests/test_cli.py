@@ -71,11 +71,12 @@ class TestParseArgs:
         assert abs(cfg.theta - np.pi / 3) < 1e-9
         assert cfg.shots == 100000
 
-    def test_missing_states_file_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            parse_args(["feasibility", "--states", "definitely-not-here.json"])
-        assert exc.value.code == 2
-        assert "usage" in capsys.readouterr().err
+    def test_missing_states_file_exits_2(self, tmp_path):
+        # the path is opened when the campaign runs, not checked at parse time
+        path = str(tmp_path / "definitely-not-here.json")
+        cfg = parse_args(["feasibility", "--states", path])
+        assert cfg.states == path
+        assert run(cfg)[1] == EXIT_INPUT_ERROR
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -172,6 +173,15 @@ class TestStateFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"anticlone feasibility: {path}: JSON nested too deeply to read\n"
+
+    @pytest.mark.parametrize("where", ["missing", "directory", "dev-null"])
+    def test_unreadable_states_path_is_input_error(self, tmp_path, capsys, where):
+        path = {"missing": str(tmp_path / "missing.json"), "directory": str(tmp_path),
+                "dev-null": os.devnull}[where]
+        assert main(["feasibility", "--states", path]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"anticlone feasibility: [^\n]+\n", captured.err)
 
     def test_norm_is_reported_as_plain_float(self, tmp_path):
         path = write_states(tmp_path / "s.json", [[[float("inf"), 0], [0, 0]]])
@@ -499,4 +509,7 @@ class TestReports:
     def test_console_entry_missing_file(self):
         r = cli("feasibility", "--states", "missing.json")
         assert r.returncode == 2
-        assert "usage" in r.stderr
+        assert r.stdout == ""
+        assert r.stderr == (
+            "anticlone feasibility: [Errno 2] No such file or directory: 'missing.json'\n"
+        )
