@@ -93,14 +93,13 @@ class AnticlonerParams:
 
 @dataclass(frozen=True)
 class CloneOutput:
-    """The two reduced single-qubit outputs and their fidelities."""
+    """The two reduced single-qubit outputs and their fidelities; each
+    output's shrinking factor is 2f - 1."""
 
     rho1: np.ndarray
     rho2: np.ndarray
     f1: float
     f2: float
-    eta1: float
-    eta2: float
 
 
 @dataclass(frozen=True)
@@ -122,12 +121,12 @@ class ConstraintReport:
 
 @dataclass(frozen=True)
 class BaselineReport:
-    """Monte Carlo estimate of the measure-and-prepare strategy."""
+    """Monte Carlo estimate of the measure-and-prepare strategy.
 
-    avg_fidelity_clone: float
+    The copy and the anti-copy score the same fidelity sample for sample,
+    so one average serves both."""
+
     avg_fidelity_anticlone: float
-    samples: int
-    seed: int
     stderr: float
 
 
@@ -325,9 +324,7 @@ def anticlone(psi: QubitState, v: np.ndarray) -> CloneOutput:
     k, k_opp = psi.ket()[None], antiunitary_flip(psi).ket()[None]
     rho1, rho2 = (check_density_matrix(rho[0]) for rho in output_states(v, k, 2))
     f1, f2 = (float(f) for f in output_fidelities(v, k, (k, k_opp)))
-    return CloneOutput(
-        rho1=rho1, rho2=rho2, f1=f1, f2=f2, eta1=2 * f1 - 1, eta2=2 * f2 - 1,
-    )
+    return CloneOutput(rho1=rho1, rho2=rho2, f1=f1, f2=f2)
 
 
 def target_forms(n, eta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -418,8 +415,8 @@ def measure_prepare_baseline(samples: int, seed: int = 0) -> BaselineReport:
     Each sample takes a uniform input direction n and a uniform measurement
     axis m, projects onto {|m>, |-m>}, and prepares (|m>, |-m>) or
     (|-m>, |m>) according to the outcome. Reports the average fidelity of
-    each output against its target (n for the copy, -n for the anti-copy)
-    and the standard error of the anti-copy average.
+    the outputs against their targets (n for the copy, -n for the
+    anti-copy), one average for both, and its standard error.
 
     The score depends on n and m only through t = n.m, and by Archimedes'
     hat-box theorem t is exactly uniform on [-1, 1] for independent uniform
@@ -432,8 +429,7 @@ def measure_prepare_baseline(samples: int, seed: int = 0) -> BaselineReport:
     on one thread per usable CPU, each pinned to its own CPU and taking the
     next unscored block until none is left, and the per-block sums are added
     in block order. So the report does not depend on the thread count or on
-    which thread scored which block. A single block, or a single usable CPU,
-    is scored on the calling thread.
+    which thread scored which block.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -443,10 +439,7 @@ def measure_prepare_baseline(samples: int, seed: int = 0) -> BaselineReport:
     # the calling thread allocates every draw buffer, so the scoring threads
     # grow no heap arena of their own (peak RSS stays flat)
     draws = [np.empty(2 * min(BASELINE_BLOCK, samples)) for _ in cpus]
-    if len(cpus) == 1:
-        _score_baseline_blocks(streams, range(len(streams)), samples, sums, draws[0])
-    else:
-        _score_baseline_in_parallel(streams, cpus, samples, sums, draws)
+    _score_baseline_in_parallel(streams, cpus, samples, sums, draws)
 
     total = total_sq = 0.0
     for block_total, block_sq in sums:
@@ -454,14 +447,7 @@ def measure_prepare_baseline(samples: int, seed: int = 0) -> BaselineReport:
         total_sq += block_sq
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
-    stderr = float(np.sqrt(var / samples))
-    return BaselineReport(
-        avg_fidelity_clone=mean,
-        avg_fidelity_anticlone=mean,
-        samples=samples,
-        seed=seed,
-        stderr=stderr,
-    )
+    return BaselineReport(avg_fidelity_anticlone=mean, stderr=float(np.sqrt(var / samples)))
 
 
 def _usable_cpus() -> list[int]:

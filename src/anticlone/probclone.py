@@ -120,7 +120,6 @@ class ShotStats:
     successes: int
     success_probability: float
     post_selected_fidelity: float
-    seed: int
 
     def __post_init__(self):
         if self.successes > max(self.shots, 0):
@@ -132,15 +131,15 @@ def two_state_efficiency(overlap: float, L: int = 1, M: int = 1) -> float:
 
     ``overlap`` is |<m1|m2>|. Equals (1 - c) / (1 - c^(L+M)), evaluated as
     1 / sum_{j<L+M} c^j, which does not cancel as c -> 1; the many-copy
-    limit is the unambiguous-discrimination probability 1 - c.
+    limit is the unambiguous-discrimination probability 1 - c. Raises
+    ``ValueError`` for an overlap outside [0, 1] and for copy counts that
+    ``CopySpec`` rejects.
     """
     c = float(overlap)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"overlap must lie in [0, 1], got {c}")
-    k = L + M
-    if k < 1:
-        raise ValueError("need at least one copy")
-    return 1.0 / sum(c**j for j in range(k))
+    mu = CopySpec(L, M)
+    return 1.0 / sum(c**j for j in range(mu.L + mu.M))
 
 
 def _aligned_kets(states: list[QubitState]) -> list[np.ndarray]:
@@ -307,5 +306,4 @@ def run_prob_anticlone(pc: ProbCloner, which: int, shots: int, seed: int = 0) ->
         successes=successes,
         success_probability=p_success,
         post_selected_fidelity=fidelity,
-        seed=seed,
     )

@@ -167,13 +167,7 @@ def measure_prepare_baseline_serial(samples: int, seed: int = 0) -> BaselineRepo
         total_sq += float(np.sum(f * f))
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
-    return BaselineReport(
-        avg_fidelity_clone=mean,
-        avg_fidelity_anticlone=mean,
-        samples=samples,
-        seed=seed,
-        stderr=float(np.sqrt(var / samples)),
-    )
+    return BaselineReport(avg_fidelity_anticlone=mean, stderr=float(np.sqrt(var / samples)))
 
 
 def verify_metrics_by_direction(v: np.ndarray, dirs: np.ndarray, eta: float) -> dict:

@@ -191,6 +191,13 @@ class TestTwoStateEfficiency:
         with pytest.raises(ValueError):
             two_state_efficiency(1.5)
 
+    @pytest.mark.parametrize("L, M", [(-1, 3), (3, -1), (0, 0)])
+    def test_rejects_copy_counts_copyspec_rejects(self, L, M):
+        with pytest.raises(ValueError):
+            CopySpec(L, M)
+        with pytest.raises(ValueError):
+            two_state_efficiency(0.5, L, M)
+
 
 class TestBuildTwoStateAnticloner:
     @pytest.mark.parametrize("theta", COMPLETION_GRID)
