@@ -23,16 +23,19 @@ re-derived, and the tests check it against a central-difference oracle.
 Every candidate's fidelities come from one ``machine.FidelityKernel``,
 prepared once per ascent, which takes each as the squared norm of the
 output projected onto the target ket and forms no reduced state; the
-gradient reuses the candidate's amplitudes. The ascent evaluates one point
-at a time, so the step is written for one point: the projection works on
-the two flat complex columns and hands the pullback a record of the norms
-and overlap it took, and the softmin reduces one value vector.
+gradient reuses the candidate's amplitudes. A rejected step is retried at
+half its size, so where a step is due the ascent scores that step and its
+half in one call, as two rows, and consumes them in order; a stage start is
+one row. The projection and the softmin therefore work on rows, and the
+projection hands the pullback a per-row record of the norms and overlap it
+took. The gradient is taken lazily, at one accepted row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -112,78 +115,80 @@ def direction_set() -> np.ndarray:
     return np.vstack([pts, poles])
 
 
-def _complex_columns(x: np.ndarray, out_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two complex columns (out_dim,) of a flat real vector."""
-    cols = x.reshape(2, out_dim, 2)
-    c = cols[..., 0] + 1j * cols[..., 1]
-    return c[0], c[1]
+def _norms(c: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis: the square root of the summed
+    |c|^2, which gives each row the bits it gets alone (a square root is
+    correctly rounded wherever it is taken)."""
+    return np.sqrt(np.add.reduce((c.conj() * c).real, axis=-1))
 
 
-def _norm(c: np.ndarray) -> float:
-    """Euclidean norm; the arithmetic of ``np.linalg.norm(c)`` without its
-    dispatch (a square root is correctly rounded wherever it is taken)."""
-    return math.sqrt(np.add.reduce((c.conj() * c).real))
-
-
-def _inner(a: np.ndarray, z: np.ndarray) -> complex:
-    """<a, z>."""
-    return np.add.reduce(a.conj() * z)
+def _inner(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """<a, z> along the last axis."""
+    return np.add.reduce(a.conj() * z, axis=-1)
 
 
 class _GramSchmidt(NamedTuple):
-    """What the projection of one point computed that its pullback needs:
-    the raw column 1, the raw norm of column 0, <e0, c1> and the raw norm of
-    c1 - <e0, c1> e0, both norms taken before any fallback."""
+    """What the projection computed that its pullback needs, one entry per
+    row: the raw column 1, the raw norm of column 0, <e0, c1> and the raw
+    norm of c1 - <e0, c1> e0, both norms taken before any fallback."""
 
     c1: np.ndarray
-    n0: float
-    overlap: complex
-    n1: float
+    n0: np.ndarray
+    overlap: np.ndarray
+    n1: np.ndarray
 
 
 def _isometry_batch(x: np.ndarray, out_dim: int) -> tuple[np.ndarray, _GramSchmidt]:
-    """Project one flat real vector onto an isometry, shape (out_dim, 2),
-    and return it with the Gram-Schmidt record that ``_isometry_pullback``
-    reads.
+    """Project each row of ``x``, shape (K, 4 * out_dim), onto an isometry,
+    shape (K, out_dim, 2), and return them with the Gram-Schmidt record that
+    ``_isometry_pullback`` reads.
 
     Column 0 is normalized; column 1 is projected off column 0 and
-    normalized. Degenerate columns fall back to deterministic
-    computational-basis vectors, so the map is total. The name predates
-    the one-point form; ``perfbench`` traces the projection under it, so it
-    stays until the benchmark's own change (ROADMAP item 1).
+    normalized. A degenerate column falls back, in its row alone, to a
+    deterministic computational-basis vector, so the map is total; the
+    fallback divides by no vanishing norm. Each row gets the bits it would
+    get alone.
     """
-    if x.shape != (4 * out_dim,):
-        raise ValueError(f"expected a flat real parameter vector of length {4 * out_dim}, got shape {x.shape}")
-    c0, c1 = _complex_columns(x, out_dim)
-    v = np.empty((out_dim, 2), dtype=complex)
+    if x.ndim != 2 or x.shape[1] != 4 * out_dim:
+        raise ValueError(f"expected rows of {4 * out_dim} real parameters, got shape {x.shape}")
+    cols = x.reshape(len(x), 2, out_dim, 2)
+    c = cols[..., 0] + 1j * cols[..., 1]
+    c0, c1 = c[:, 0], c[:, 1]
+    v = np.empty((len(x), out_dim, 2), dtype=complex)
+    e0, e1 = v[..., 0], v[..., 1]
 
-    n0 = _norm(c0)
-    if n0 < DEGENERACY_TOL:
-        v[:, 0] = e0 = basis_ket(out_dim, 0)
-    else:
-        v[:, 0] = e0 = c0 / n0
+    # where a norm is under DEGENERACY_TOL, its row divides by
+    # DEGENERACY_TOL instead and the fallback then replaces the column, so
+    # nothing divides by zero; the checks read plain floats, as there are
+    # few rows, and a NaN norm takes the careful path
+    n0 = _norms(c0)
+    dead0 = not min(n0.tolist()) >= DEGENERACY_TOL
+    np.divide(c0, (np.maximum(n0, DEGENERACY_TOL) if dead0 else n0)[:, None], out=e0)
+    if dead0:
+        e0[n0 < DEGENERACY_TOL] = basis_ket(out_dim, 0)
 
     overlap = _inner(e0, c1)
-    r1 = c1 - overlap * e0
-    n1 = _norm(r1)
-    if n1 < DEGENERACY_TOL:
-        # first basis vector with substantial residual off column 0
-        for k in range(out_dim):
-            cand = basis_ket(out_dim, k)
-            cand = cand - np.vdot(e0, cand) * e0
-            if np.linalg.norm(cand) > 0.5:  # always reachable: e0 overlaps most basis kets weakly
-                r1 = cand
-                break
-        v[:, 1] = r1 / _norm(r1)
-    else:
-        v[:, 1] = r1 / n1
+    r1 = c1 - overlap[:, None] * e0
+    n1 = _norms(r1)
+    dead1 = not min(n1.tolist()) >= DEGENERACY_TOL
+    np.divide(r1, (np.maximum(n1, DEGENERACY_TOL) if dead1 else n1)[:, None], out=e1)
+    if dead1:
+        for row in np.flatnonzero(n1 < DEGENERACY_TOL):
+            # first basis vector with substantial residual off column 0
+            for k in range(out_dim):
+                cand = basis_ket(out_dim, k)
+                cand = cand - np.vdot(e0[row], cand) * e0[row]
+                if np.linalg.norm(cand) > 0.5:  # always reachable: e0 overlaps most basis kets weakly
+                    e1[row] = cand / _norms(cand)
+                    break
     return v, _GramSchmidt(c1, n0, overlap, n1)
 
 
-def _isometry_pullback(v: np.ndarray, record: _GramSchmidt, g: np.ndarray) -> np.ndarray:
-    """Gradient in the flat parameters of Re sum conj(g) V, where V, ``record``
-    = ``_isometry_batch(x)`` and ``g``, shape (out_dim, 2), is the gradient
-    with respect to V. Returns shape (4 * out_dim,).
+def _isometry_pullback(v: np.ndarray, record: _GramSchmidt, row: int, g: np.ndarray) -> np.ndarray:
+    """Gradient in row ``row``'s flat parameters of Re sum conj(g) V, where
+    V = ``v[row]``, ``v`` and ``record`` = ``_isometry_batch(x)`` and ``g``,
+    shape (out_dim, 2), is the gradient with respect to V. Returns shape
+    (4 * out_dim,).
 
     Reverses the Gram-Schmidt steps from the projection's record, with no
     recomputation: for e = u / |u| the gradient on u is (g - Re<e, g> e) /
@@ -192,12 +197,12 @@ def _isometry_pullback(v: np.ndarray, record: _GramSchmidt, g: np.ndarray) -> np
     basis vector does not move with its parameters, so it gets a zero
     gradient and passes nothing on.
     """
-    c1, n0, overlap, n1 = record
-    e0, e1 = v[:, 0], v[:, 1]
+    c1, n0, overlap, n1 = (field[row] for field in record)
+    e0, e1 = v[row, :, 0], v[row, :, 1]
     g0, g1 = g[:, 0], g[:, 1]
-    grad = np.empty((2, len(v)), dtype=complex)
+    grad = np.empty((2, len(e0)), dtype=complex)
     if n1 < DEGENERACY_TOL:
-        h1 = np.zeros(len(v), dtype=complex)
+        h1 = np.zeros(len(e0), dtype=complex)
     else:
         h1 = (g1 - _inner(e1, g1).real * e1) / n1
     grad[1] = h1 - _inner(e0, h1) * e0
@@ -211,8 +216,9 @@ def _isometry_pullback(v: np.ndarray, record: _GramSchmidt, g: np.ndarray) -> np
 
 
 def parameterize_isometry(x: np.ndarray, out_dim: int) -> np.ndarray:
-    """Flat reals -> isometry: the ascent's projection, without its record."""
-    return _isometry_batch(np.asarray(x, dtype=float), out_dim)[0]
+    """Flat reals -> isometry: the ascent's projection of one row, without
+    its record."""
+    return _isometry_batch(np.asarray(x, dtype=float)[None], out_dim)[0][0]
 
 
 def _universal_values(vb: np.ndarray, kernel: FidelityKernel):
@@ -247,11 +253,12 @@ def objective_spinflip(v: np.ndarray, directions: np.ndarray) -> float:
     return float(output_fidelities(v, direction_kets(d), (direction_kets(-d),)).min())
 
 
-def _softmin(values: np.ndarray, temperature: float) -> float:
-    """The softmin -T log sum exp(-f/T) of one point's ``values``."""
-    scaled = -values / temperature
-    peak = scaled.max()
-    return -temperature * (np.log(np.exp(scaled - peak).sum()) + peak)
+def _softmin(values: np.ndarray, temperature: float) -> np.ndarray:
+    """The softmin -T log sum exp(-f/T) of each row of ``values``, shape
+    (K, M), reduced along the last axis."""
+    scaled = values / -temperature  # the bits of -values / temperature
+    peak = np.maximum.reduce(scaled, axis=-1)
+    return -temperature * (np.log(np.add.reduce(np.exp(scaled - peak[:, None]), axis=-1)) + peak)
 
 
 def _softmin_weights(values: np.ndarray, search: float, temperature: float) -> np.ndarray:
@@ -275,23 +282,23 @@ class _Objective:
         self.kernel = FidelityKernel(k_in, (k_in, k_opp)[2 - copies:], self.out_dim)
 
     def evaluate(self, x: np.ndarray, temperature: float):
-        """(softmin search value at ``temperature``, hard worst-case value,
-        gradient thunk) at one point; the thunk returns the search value's
-        gradient in ``x`` from the amplitudes and the Gram-Schmidt record
+        """(softmin search values at ``temperature``, hard worst-case
+        values, gradient) at the rows of ``x``, shape (K, n); the values
+        have shape (K,), and ``gradient(i)`` returns the search value's
+        gradient at row i from the amplitudes and the Gram-Schmidt record
         computed here."""
         v, record = _isometry_batch(x, self.out_dim)
         # looked up at call time, so a patched module attribute is the one
-        # called; the values layer takes a leading candidate axis of one
+        # called
         values_fn = _universal_values if self.copies == 2 else _spinflip_values
-        values, amps = values_fn(v[None], self.kernel)
-        values, amps = values[0], amps[0]
+        values, amps = values_fn(v, self.kernel)
         search = _softmin(values, temperature)
 
-        def gradient() -> np.ndarray:
-            weights = _softmin_weights(values, search, temperature)
-            return _isometry_pullback(v, record, self.kernel.adjoint(amps, weights))
+        def gradient(i: int) -> np.ndarray:
+            weights = _softmin_weights(values[i], search[i], temperature)
+            return _isometry_pullback(v, record, i, self.kernel.adjoint(amps[i], weights))
 
-        return float(search), float(values.min()), gradient
+        return search, np.minimum.reduce(values, axis=-1), gradient
 
 
 def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
@@ -303,6 +310,11 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
     stalls there. Headline values are always the hard minimum. The gradient
     is taken only where ``x`` moved: after an accepted step or at the start
     of a stage; a rejected step reuses it.
+
+    Where a step is due, the step and its half are scored in one call and
+    taken in order: the second row only if the first is rejected. So every
+    accept, trace entry, peak and ``max_seen`` is what scoring one
+    candidate per call would give, bit for bit.
     """
     objective = _Objective(copies, cfg.ancilla_dim, direction_set())
     evaluate = objective.evaluate
@@ -327,7 +339,8 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
         trace = []
         for stage, (temperature, iters) in enumerate(zip(SCHEDULE, stage_iters)):
             step = STEP_SIZE
-            s_cur, f_cur, gradient_at_x = evaluate(x, temperature)
+            search, hard, gradient_of = evaluate(x[None], temperature)
+            s_cur, f_cur, gradient_at_x = search[0], float(hard[0]), partial(gradient_of, 0)
             max_seen = max(max_seen, f_cur)
             if stage == 0:
                 # best point *visited*: softmin acceptance may trade a little
@@ -335,28 +348,42 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
                 # always the peak
                 x_peak, f_peak = x.copy(), f_cur
             grad = None
-            for _ in range(iters):
-                if step < STEP_FLOOR:
-                    break
+            done = 0
+            while done < iters and step >= STEP_FLOOR:
                 if grad is None:
                     grad = gradient_at_x()
-                    gnorm = float(np.linalg.norm(grad))
+                    # the arithmetic of np.linalg.norm(grad) without its dispatch
+                    gnorm = math.sqrt(grad.dot(grad))
                 if gnorm < 1e-14:
                     step *= 0.5
                     trace.append(f_cur)
+                    done += 1
                     continue
-                cand = x + step * grad / gnorm
-                s_new, f_new, gradient_at_cand = evaluate(cand, temperature)
-                max_seen = max(max_seen, f_new)
-                if s_new > s_cur:
-                    x, s_cur, f_cur, gradient_at_x = cand, s_new, f_new, gradient_at_cand
-                    grad = None
-                    step = min(step * 2.0, STEP_SIZE)
-                    if f_new > f_peak:
-                        x_peak, f_peak = cand.copy(), f_new
-                else:
+                # a rejected step is retried at half the size from the same
+                # x and gradient, so that candidate is scored in the same
+                # call, unless the stage or the step floor would end first
+                steps = [step]
+                if done + 1 < iters and step * 0.5 >= STEP_FLOOR:
+                    steps.append(step * 0.5)
+                cands = x + np.multiply.outer(steps, grad) / gnorm
+                search, hard, gradient_of = evaluate(cands, temperature)
+                # rows in order, each an iteration; a row after an accepted
+                # one is dropped unseen, as the one-row ascent never scores it
+                for row, s_new in enumerate(search):
+                    f_new = float(hard[row])
+                    max_seen = max(max_seen, f_new)
+                    done += 1
+                    if s_new > s_cur:
+                        x, s_cur, f_cur = cands[row], s_new, f_new
+                        gradient_at_x = partial(gradient_of, row)
+                        grad = None
+                        step = min(step * 2.0, STEP_SIZE)
+                        if f_new > f_peak:
+                            x_peak, f_peak = x.copy(), f_new
+                        trace.append(f_cur)
+                        break
                     step *= 0.5
-                trace.append(f_cur)
+                    trace.append(f_cur)
 
         per_restart.append((f_peak, x_peak, trace))
         if f_peak > best[0]:

@@ -15,13 +15,16 @@ is the optimizer's search objective as it was before the fidelity kernel
 was prepared once per ascent: every call folds the targets again, gathers
 each qubit's rows by ``np.moveaxis`` and recomputes the forward products
 for the gradient, and it projects and pulls back in batch form, with the
-norms and overlap recomputed in the pullback.
+norms and overlap recomputed in the pullback. ``ascend_one_point`` is the
+optimizer's ascent as it was before the step ladder: one candidate per
+``evaluate`` call, each decided before the next is formed.
 """
 
 import numpy as np
 
 from anticlone.linalg import basis_ket, unitary_from_correspondence
 from anticlone.machine import BASELINE_BLOCK, AnticlonerParams, BaselineReport, output_states
+from anticlone.optimize import SCHEDULE, STEP_FLOOR, STEP_SIZE
 from anticlone.qubit import (
     QubitState,
     antiunitary_flip,
@@ -463,14 +466,70 @@ class ObjectiveByMovedAxes:
         self.targets = (self.k_in, direction_kets(-directions))[2 - copies:]
 
     def evaluate(self, x, temperature):
-        xb = x[None]
-        vb = isometry_batch_by_norm(xb, self.out_dim)
+        vb = isometry_batch_by_norm(x, self.out_dim)
         values = fidelities_by_moved_axes(vb, self.k_in, self.targets)
         search = softmin(values, temperature)
 
-        def gradient():
-            weights = np.exp((search[..., None] - values) / temperature)
-            g = fidelities_adjoint_by_moved_axes(vb, self.k_in, self.targets, weights)
-            return isometry_pullback_by_norm(xb, vb, g)[0]
+        def gradient(i):
+            rows = slice(i, i + 1)
+            weights = np.exp((search[rows, None] - values[rows]) / temperature)
+            g = fidelities_adjoint_by_moved_axes(vb[rows], self.k_in, self.targets, weights)
+            return isometry_pullback_by_norm(x[rows], vb[rows], g)[0]
 
-        return float(search[0]), float(values.min(axis=1)[0]), gradient
+        return search, values.min(axis=1), gradient
+
+
+def ascend_one_point(objective, cfg, init=None):
+    """``optimize._ascend`` with one candidate per call: ``objective`` (an
+    ``optimize._Objective``) scores each stage start and each step candidate
+    as a batch of one row, and the accept-or-halve rule decides it before
+    the next candidate is formed. Returns what ``_ascend`` returns."""
+
+    def evaluate(x, temperature):
+        search, hard, gradient = objective.evaluate(x[None], temperature)
+        return float(search[0]), float(hard[0]), lambda: gradient(0)
+
+    stage_iters = [cfg.max_iters // len(SCHEDULE)] * len(SCHEDULE)
+    stage_iters[-1] += cfg.max_iters % len(SCHEDULE)
+    per_restart = []
+    best = (-np.inf, None, None)
+    max_seen = -np.inf
+    for r in range(cfg.restarts):
+        if init is not None and r == 0:
+            x = np.asarray(init, dtype=float).copy()
+        else:
+            x = philox_stream(cfg.seed, r).standard_normal(4 * objective.out_dim)
+        trace = []
+        for stage, (temperature, iters) in enumerate(zip(SCHEDULE, stage_iters)):
+            step = STEP_SIZE
+            s_cur, f_cur, gradient_at_x = evaluate(x, temperature)
+            max_seen = max(max_seen, f_cur)
+            if stage == 0:
+                x_peak, f_peak = x.copy(), f_cur
+            grad = None
+            for _ in range(iters):
+                if step < STEP_FLOOR:
+                    break
+                if grad is None:
+                    grad = gradient_at_x()
+                    gnorm = float(np.linalg.norm(grad))
+                if gnorm < 1e-14:
+                    step *= 0.5
+                    trace.append(f_cur)
+                    continue
+                cand = x + step * grad / gnorm
+                s_new, f_new, gradient_at_cand = evaluate(cand, temperature)
+                max_seen = max(max_seen, f_new)
+                if s_new > s_cur:
+                    x, s_cur, f_cur, gradient_at_x = cand, s_new, f_new, gradient_at_cand
+                    grad = None
+                    step = min(step * 2.0, STEP_SIZE)
+                    if f_new > f_peak:
+                        x_peak, f_peak = cand.copy(), f_new
+                else:
+                    step *= 0.5
+                trace.append(f_cur)
+        per_restart.append((f_peak, x_peak, trace))
+        if f_peak > best[0]:
+            best = (f_peak, x_peak, trace)
+    return per_restart, best, max_seen

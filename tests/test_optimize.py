@@ -9,7 +9,10 @@ from anticlone.machine import build_isometry, optimal_params
 from anticlone import optimize
 from anticlone.optimize import (
     OptimizerConfig,
+    _ascend,
+    _isometry_batch,
     _Objective,
+    _spinflip_values,
     _universal_values,
     direction_set,
     objective_spinflip,
@@ -19,7 +22,13 @@ from anticlone.optimize import (
     parameterize_isometry,
 )
 from anticlone.qubit import direction_kets
-from oracles import ObjectiveByMovedAxes, clone_outputs_by_sum, fd_gradient, ket_by_angles
+from oracles import (
+    ObjectiveByMovedAxes,
+    ascend_one_point,
+    clone_outputs_by_sum,
+    fd_gradient,
+    ket_by_angles,
+)
 
 TWO_THIRDS = 2 / 3
 
@@ -34,6 +43,31 @@ def encode(v):
     x[half::2] = v[:, 1].real
     x[half + 1:: 2] = v[:, 1].imag
     return x
+
+
+def scored_rows(monkeypatch, run):
+    """``run()`` and the rows of every ``_Objective.evaluate`` call it made,
+    one list per call, each row as (temperature, parameter bytes): a stage
+    start scores the previous stage's last point again, at a new
+    temperature."""
+    calls = []
+    original = _Objective.evaluate
+
+    def recorded(self, x, temperature):
+        calls.append([(temperature, row.tobytes()) for row in x])
+        return original(self, x, temperature)
+
+    monkeypatch.setattr(_Objective, "evaluate", recorded)
+    try:
+        return run(), calls
+    finally:
+        monkeypatch.setattr(_Objective, "evaluate", original)
+
+
+def parallel_columns(rng, copies):
+    """Flat parameters whose column 1 is a multiple of column 0."""
+    half = rng.standard_normal(2 * 2**copies * 4)
+    return np.concatenate([half, -2.5 * half])
 
 
 @pytest.fixture(scope="module")
@@ -167,20 +201,19 @@ class TestSearchGradient:
         assert objective.out_dim == 2**copies * ancilla
 
         def search(xb):
-            # the ascent evaluates one point per call, so the probes loop
-            return np.array([objective.evaluate(x, temperature)[0] for x in xb])
+            return objective.evaluate(xb, temperature)[0]
 
         x = rng.standard_normal(4 * objective.out_dim)
-        s, _, gradient = objective.evaluate(x, temperature)
-        assert s == ObjectiveByMovedAxes(copies, ancilla, net).evaluate(x, temperature)[0]
+        s, _, gradient = objective.evaluate(x[None], temperature)
+        assert s[0] == ObjectiveByMovedAxes(copies, ancilla, net).evaluate(x[None], temperature)[0][0]
         want = fd_gradient(search, x)
-        assert np.linalg.norm(gradient() - want) <= 1e-6 * np.linalg.norm(want)
+        assert np.linalg.norm(gradient(0) - want) <= 1e-6 * np.linalg.norm(want)
 
     def test_degenerate_columns_get_a_finite_zero_gradient(self):
         objective = _Objective(2, 4, direction_set())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grad = objective.evaluate(np.zeros(64), 1e-3)[2]()
+            grad = objective.evaluate(np.zeros((1, 64)), 1e-3)[2](0)
         assert np.array_equal(grad, np.zeros(64))
 
     def test_degenerate_start_stays_finite(self):
@@ -201,10 +234,11 @@ class TestPreparedKernelIsBitwiseOracle:
 
     @staticmethod
     def assert_same_point(x, copies, ancilla, temperature):
-        got = _Objective(copies, ancilla, direction_set()).evaluate(x, temperature)
-        want = ObjectiveByMovedAxes(copies, ancilla, direction_set()).evaluate(x, temperature)
-        assert got[:2] == want[:2]
-        assert got[2]().tobytes() == want[2]().tobytes()
+        got = _Objective(copies, ancilla, direction_set()).evaluate(x[None], temperature)
+        want = ObjectiveByMovedAxes(copies, ancilla, direction_set()).evaluate(x[None], temperature)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2](0).tobytes() == want[2](0).tobytes()
 
     @pytest.mark.parametrize("temperature", [3e-2, 1e-3])
     @pytest.mark.parametrize("ancilla", [1, 2, 4])
@@ -222,8 +256,7 @@ class TestPreparedKernelIsBitwiseOracle:
     @pytest.mark.parametrize("copies", [1, 2])
     def test_parallel_columns(self, rng, copies):
         # column 1 is a multiple of column 0, so it falls back to a basis ket
-        half = rng.standard_normal(2 * 2**copies * 4)
-        self.assert_same_point(np.concatenate([half, -2.5 * half]), copies, 4, 3e-2)
+        self.assert_same_point(parallel_columns(rng, copies), copies, 4, 3e-2)
 
     @staticmethod
     def assert_same_ascent(monkeypatch, run, cfg):
@@ -245,6 +278,97 @@ class TestPreparedKernelIsBitwiseOracle:
         cfg = OptimizerConfig(restarts=1, seed=0)
         assert cfg.max_iters == 600
         self.assert_same_ascent(monkeypatch, run, cfg)
+
+
+class TestRowsAreIndependent:
+    """Each row of a two-row evaluate call gets the bits it gets scored
+    alone, degenerate rows included, so the ladder's speculative row cannot
+    move the row the ascent keeps."""
+
+    @pytest.mark.parametrize("temperature", [3e-2, 1e-3])
+    @pytest.mark.parametrize("copies", [1, 2])
+    @pytest.mark.parametrize("pair", ["live-live", "zero-live", "live-parallel", "parallel-zero"])
+    def test_row_matches_the_row_alone(self, rng, copies, temperature, pair):
+        n = 4 * 2**copies * 4
+        make = {"live": lambda: rng.standard_normal(n),
+                "zero": lambda: np.zeros(n),
+                "parallel": lambda: parallel_columns(rng, copies)}
+        xs = np.array([make[kind]() for kind in pair.split("-")])
+        objective = _Objective(copies, 4, direction_set())
+        values_fn = _universal_values if copies == 2 else _spinflip_values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            both = objective.evaluate(xs, temperature)
+            v, record = _isometry_batch(xs, objective.out_dim)
+            values, amps = values_fn(v, objective.kernel)
+            for i in range(2):
+                alone = objective.evaluate(xs[i:i + 1], temperature)
+                assert both[0][i].tobytes() == alone[0][0].tobytes()
+                assert both[1][i].tobytes() == alone[1][0].tobytes()
+                assert both[2](i).tobytes() == alone[2](0).tobytes()
+                v1, record1 = _isometry_batch(xs[i:i + 1], objective.out_dim)
+                assert v[i].tobytes() == v1[0].tobytes()
+                for field, field1 in zip(record, record1):
+                    assert field[i].tobytes() == field1[0].tobytes()
+                values1, amps1 = values_fn(v1, objective.kernel)
+                assert values[i].tobytes() == values1[0].tobytes()
+                assert amps[i].tobytes() == amps1[0].tobytes()
+
+
+# (copies, seed, iterations run): the restarts of optimize_plan(1) in
+# perfbench/workloads.py, cycles 0-9; the spin-flip restarts that end short
+# of 600 iterations stop at the step floor
+BENCHMARK_RESTARTS = [
+    (2, 1016164991, 600), (1, 1099128568, 537), (2, 1621709874, 600), (1, 2041105244, 600),
+    (2, 74845286, 600), (1, 309580410, 577), (2, 1767258088, 600), (1, 2037209174, 576),
+    (2, 535214420, 600), (1, 669652943, 565), (2, 1866217507, 600), (1, 909086626, 543),
+    (2, 586626705, 600), (1, 1777477784, 579), (2, 551886180, 600), (1, 878748453, 519),
+    (2, 1382612244, 600), (1, 1180243456, 572), (2, 184123696, 600), (1, 59182744, 530),
+]
+
+
+class TestLadderIsTheOneRowAscent:
+    """The two-row step ladder against the ascent that scores one candidate
+    per call (``oracles.ascend_one_point``), bit for bit: every restart's
+    peak, peak parameters and trace, and the largest objective seen."""
+
+    @staticmethod
+    def assert_same_ascent(copies, cfg, init=None):
+        per_restart, best, max_seen = _ascend(cfg, copies, init)
+        objective = _Objective(copies, cfg.ancilla_dim, direction_set())
+        want_per_restart, want_best, want_max_seen = ascend_one_point(objective, cfg, init)
+        assert max_seen == want_max_seen
+        assert [(f, x.tobytes(), trace) for f, x, trace in per_restart] == [
+            (f, x.tobytes(), trace) for f, x, trace in want_per_restart
+        ]
+        assert best[1].tobytes() == want_best[1].tobytes()
+        return per_restart
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3, 5, 7, 13, 600])
+    @pytest.mark.parametrize("ancilla", [1, 2, 4])
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_every_budget_and_ancilla(self, copies, ancilla, max_iters):
+        restarts = 1 if max_iters == 600 else 3
+        cfg = OptimizerConfig(restarts=restarts, max_iters=max_iters, seed=11, ancilla_dim=ancilla)
+        self.assert_same_ascent(copies, cfg)
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_zero_vector_start(self, copies):
+        # a zero gradient halves the step without a candidate until the floor
+        cfg = OptimizerConfig(restarts=2, max_iters=600, seed=4)
+        per_restart = self.assert_same_ascent(copies, cfg, init=np.zeros(4 * 2**copies * 4))
+        assert len(per_restart[0][2]) < 600
+
+    def test_start_at_the_optimum(self, x_opt):
+        cfg = OptimizerConfig(restarts=1, max_iters=600, seed=0)
+        self.assert_same_ascent(2, cfg, init=x_opt)
+        # the spin flip from the best point a full ascent found
+        self.assert_same_ascent(1, cfg, init=optimize_spinflip(cfg).best_params)
+
+    @pytest.mark.parametrize("copies, seed, iterations", BENCHMARK_RESTARTS)
+    def test_benchmark_restart(self, copies, seed, iterations):
+        per_restart = self.assert_same_ascent(copies, OptimizerConfig(restarts=1, seed=seed))
+        assert len(per_restart[0][2]) == iterations
 
 
 class TestOptimizeUniversal:
@@ -284,18 +408,25 @@ class TestOptimizeUniversal:
         assert len(res.objective_trace) == iters
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
-        # one call per stage start (the first is the restart's start point)
-        # and one per step candidate
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return _universal_values(*args)
-
-        monkeypatch.setattr(optimize, "_universal_values", counted)
-        res = optimize_universal(OptimizerConfig(restarts=1, max_iters=8, seed=0))
-        assert len(res.objective_trace) == 8
-        assert len(calls) == 4 + 8
+        # a call holds a stage start, or a step candidate and its halved
+        # fallback: the one-row ascent's points in its order, plus second
+        # rows dropped after an accepted first row, and nothing twice
+        cfg = OptimizerConfig(restarts=1, max_iters=40, seed=0)
+        for run, copies in ((optimize_universal, 2), (optimize_spinflip, 1)):
+            res, calls = scored_rows(monkeypatch, lambda: run(cfg))
+            objective = _Objective(copies, 4, direction_set())
+            _, one_row_calls = scored_rows(monkeypatch, lambda: ascend_one_point(objective, cfg))
+            assert len(res.objective_trace) == 40
+            # one point per stage start and per consumed candidate
+            points = [c[0] for c in one_row_calls]
+            assert len(one_row_calls) == len(points) == 4 + 40
+            assert all(len(c) in (1, 2) for c in calls)
+            rows = [r for c in calls for r in c]
+            assert len(set(rows)) == len(rows)
+            speculative = set(rows) - set(points)
+            assert speculative and speculative <= {c[1] for c in calls if len(c) == 2}
+            assert [r for r in rows if r not in speculative] == points
+            assert len(rows) == 4 + 40 + len(speculative)
 
 
 class TestTracedRun:
@@ -329,22 +460,26 @@ class TestTracedRun:
         ids=["universal", "spinflip"],
     )
     def test_every_point_passes_each_traced_layer_once(self, monkeypatch, run, values_layer):
-        # one point per stage start and per step candidate: a step that
-        # bypassed a traced layer would leave the benchmark's per-restart
-        # counts reading 0 with no layer missing
+        # every evaluate call passes the projection, the values layer and
+        # the softmin once, with all of its rows: a step that bypassed a
+        # traced layer would leave the benchmark's per-restart counts
+        # unequal with no layer missing
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         from layers import LAYERS
         from tracer import Tracer, patched, self_times
 
+        cfg = OptimizerConfig(restarts=1, max_iters=40, seed=0)
+        _, calls = scored_rows(monkeypatch, lambda: run(cfg))
         tracer = Tracer()
         with patched(tracer, LAYERS):
-            res = run(OptimizerConfig(restarts=1, max_iters=8, seed=0))
-        assert len(res.objective_trace) == 8
+            res = run(cfg)
+        assert len(res.objective_trace) == 40
         per_layer = self_times(tracer.spans)
         for name in ("optimize._isometry_batch", "optimize._softmin", values_layer):
-            assert per_layer[name][0] == 4 + 8, name
-        # the values layer takes a leading candidate axis of one
-        assert tracer.counts[f"{values_layer}.rows"] == 4 + 8
+            assert per_layer[name][0] == len(calls), name
+        rows = tracer.counts[f"{values_layer}.rows"]
+        assert rows == sum(len(c) for c in calls)
+        assert len(calls) < rows <= 2 * len(calls)
 
 
 class TestOptimizeSpinflip:
