@@ -271,7 +271,7 @@ class FidelityKernel:
         flat = v.reshape(v.shape[:-2] + (self.size,))
         # Stacked, not merged: a single (batch x rest)-row product is large
         # enough for BLAS to thread, which stalls on a busy CPU.
-        return np.take(flat, self.maps, axis=-1) @ self.folds
+        return flat.take(self.maps, axis=-1) @ self.folds
 
     @staticmethod
     def fidelities(amps: np.ndarray) -> np.ndarray:
@@ -288,7 +288,7 @@ class FidelityKernel:
         lead = amps.shape[:-3]
         w = weights.reshape(lead + (amps.shape[-3], 1, -1))
         g = (2.0 * (amps * w) @ self.folds_h).reshape(lead + (-1,))
-        grad = np.add.reduce(np.take(g, self.inverse, axis=-1), axis=-2, initial=0.0)
+        grad = np.add.reduce(g.take(self.inverse, axis=-1), axis=-2, initial=0.0)
         return grad.reshape(lead + (-1, 2))
 
 

@@ -14,26 +14,28 @@ whole sphere, not a lower bound. Two campaigns:
   fidelity 2/3 again, which is what makes anti-cloning exactly as good as
   measure-and-reprepare.
 
-The ascent is deliberately simple: normalized gradient steps with geometric
-step decay. The gradient is plain calculus of the generic fidelity
-functional: softmax weights of the softmin, the adjoint of
+Each softmin stage is one L-BFGS ascent (Nocedal and Wright, Numerical
+Optimization, 2006: the two-loop recursion, Alg. 7.4, and Armijo
+backtracking, Sec. 3.1). The gradient is plain calculus of the generic
+fidelity functional: softmax weights of the softmin, the adjoint of
 ``machine.output_fidelities`` and the pullback of the Gram-Schmidt
 projection. It presumes nothing of the anti-cloner algebra being
 re-derived, and the tests check it against a central-difference oracle.
 Every candidate's fidelities come from one ``machine.FidelityKernel``,
 prepared once per ascent, which takes each as the squared norm of the
 output projected onto the target ket and forms no reduced state; the
-gradient reuses the candidate's amplitudes. A rejected step is retried at
-half its size, so where a step is due the ascent scores that step and its
-half in one call, as two rows, and consumes them in order; a stage start is
-one row. The projection and the softmin therefore work on rows, and the
-projection hands the pullback a per-row record of the norms and overlap it
-took. The gradient is taken lazily, at one accepted row.
+gradient reuses the candidate's amplitudes. A rejected trial is retried at
+half its length, so the line search scores a trial and its half in one
+call, as two rows, and takes the first that meets the Armijo condition; a
+stage start is one row. The projection and the softmin therefore work on
+rows, and the projection hands the pullback a per-row record of the norms
+and overlap it took. The gradient is taken lazily, at one accepted row.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -56,8 +58,12 @@ __all__ = [
     "optimize_spinflip",
 ]
 
-STEP_SIZE = 0.25  # largest normalized step; an accepted step doubles back up to it
-STEP_FLOOR = 1e-9
+STEP_SIZE = 0.25  # length of a stage's first step, along the gradient
+STEP_FLOOR = 1e-9  # shortest trial step of the line search
+MEMORY = 8  # (s, y) pairs the L-BFGS model keeps
+ARMIJO = 1e-4  # sufficient-increase constant of the line search
+CURVATURE_TOL = 1e-16  # a pair needs s.y above this times |s| |y|
+GAIN_TOL = 1e-12  # a stage ends after a step that gains less softmin
 DIRECTION_SAMPLES = 62  # Fibonacci-lattice points of the direction net
 SCHEDULE = (3e-2, 1e-2, 3e-3, 1e-3)  # softmin temperature of each annealing stage
 DEGENERACY_TOL = 1e-12
@@ -65,10 +71,12 @@ DEGENERACY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the multi-restart gradient ascent."""
+    """Knobs for the multi-restart ascent. ``max_iters`` caps the L-BFGS
+    iterations (accepted steps) of each restart, split over the
+    ``SCHEDULE`` stages."""
 
     restarts: int = 20
-    max_iters: int = 600
+    max_iters: int = 100
     seed: int = 0
     ancilla_dim: int = 4
 
@@ -85,9 +93,9 @@ class OptimizerResult:
 
     ``max_objective_seen`` is the largest hard-min objective over every
     point the run evaluated: stage start points, the first of which is the
-    restart's start point, and step candidates (the gradient is analytic,
-    so there are no probe points). It staying at or below the analytic bound
-    is itself a verification result.
+    restart's start point, and every line-search trial, halved fallbacks
+    included (the gradient is analytic, so there are no probe points). It
+    staying at or below the analytic bound is itself a verification result.
     """
 
     best_eta: float
@@ -301,26 +309,49 @@ class _Objective:
         return search, np.minimum.reduce(values, axis=-1), gradient
 
 
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """H g for the L-BFGS inverse-Hessian model H of the (s, y, 1 / s.y)
+    ``pairs``, oldest first, with H0 = (s.y / y.y) I from the newest pair:
+    the two-loop recursion (Nocedal and Wright, Numerical Optimization,
+    2006, Alg. 7.4)."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * s.dot(q)
+        q -= alpha * y
+        alphas.append(alpha)
+    s, y, rho = pairs[-1]
+    q *= 1.0 / (rho * y.dot(y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * y.dot(q)) * s
+    return q
+
+
 def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
-    """Multi-restart projected gradient ascent. Returns per-restart results.
+    """Multi-restart projected L-BFGS ascent. Returns per-restart results.
 
     Searches on a softmin surrogate annealed over the four ``SCHEDULE``
     stages: the hard worst-case objective is kinked wherever directions tie,
     which is exactly what happens near a universal machine, and plain ascent
-    stalls there. Headline values are always the hard minimum. The gradient
-    is taken only where ``x`` moved: after an accepted step or at the start
-    of a stage; a rejected step reuses it.
+    stalls there. Headline values are always the hard minimum.
 
-    Where a step is due, the step and its half are scored in one call and
-    taken in order: the second row only if the first is rejected. So every
-    accept, trace entry, peak and ``max_seen`` is what scoring one
-    candidate per call would give, bit for bit.
+    Each stage is one L-BFGS loop on its own softmin, with a fresh memory of
+    the newest ``MEMORY`` (s, y) pairs, y the change in the gradient of the
+    negated softmin; a pair whose curvature s.y is not above
+    ``CURVATURE_TOL`` |s| |y| is skipped. The first step of a stage is
+    ``STEP_SIZE`` along the gradient, later ones follow the two-loop
+    direction. The line search backtracks from t = 1, halving t, to the
+    first trial that meets the Armijo condition with constant ``ARMIJO``; a
+    trial and its halved fallback are scored in one call, as two rows. A
+    stage ends at its share of ``max_iters`` (the coldest stage takes the
+    remainder), after a step that gains less than ``GAIN_TOL``, or when no
+    trial down to ``STEP_FLOOR`` long meets the Armijo condition. The
+    gradient is taken at an accepted point only when another step follows.
     """
     objective = _Objective(copies, cfg.ancilla_dim, direction_set())
     evaluate = objective.evaluate
     nparams = 4 * objective.out_dim
 
-    # the coldest stage takes the remainder, so the stages add up to max_iters
     stage_iters = [cfg.max_iters // len(SCHEDULE)] * len(SCHEDULE)
     stage_iters[-1] += cfg.max_iters % len(SCHEDULE)
 
@@ -338,7 +369,6 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
 
         trace = []
         for stage, (temperature, iters) in enumerate(zip(SCHEDULE, stage_iters)):
-            step = STEP_SIZE
             search, hard, gradient_of = evaluate(x[None], temperature)
             s_cur, f_cur, gradient_at_x = search[0], float(hard[0]), partial(gradient_of, 0)
             max_seen = max(max_seen, f_cur)
@@ -347,43 +377,49 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
                 # hard minimum for average gains, so the endpoint is not
                 # always the peak
                 x_peak, f_peak = x.copy(), f_cur
-            grad = None
-            done = 0
-            while done < iters and step >= STEP_FLOOR:
-                if grad is None:
-                    grad = gradient_at_x()
+            pairs = deque(maxlen=MEMORY)
+            step = None  # the last accepted step and the gradient before it
+            for _ in range(iters):
+                grad = gradient_at_x()
+                if step is not None:
+                    s, g_old = step
+                    y = g_old - grad  # the gradient change of the negated softmin
+                    sy = s.dot(y)
+                    if sy > CURVATURE_TOL * math.sqrt(s.dot(s) * y.dot(y)):
+                        pairs.append((s, y, 1.0 / sy))
+                if pairs:
+                    direction = _two_loop(grad, pairs)
+                else:
                     # the arithmetic of np.linalg.norm(grad) without its dispatch
                     gnorm = math.sqrt(grad.dot(grad))
-                if gnorm < 1e-14:
-                    step *= 0.5
-                    trace.append(f_cur)
-                    done += 1
-                    continue
-                # a rejected step is retried at half the size from the same
-                # x and gradient, so that candidate is scored in the same
-                # call, unless the stage or the step floor would end first
-                steps = [step]
-                if done + 1 < iters and step * 0.5 >= STEP_FLOOR:
-                    steps.append(step * 0.5)
-                cands = x + np.multiply.outer(steps, grad) / gnorm
-                search, hard, gradient_of = evaluate(cands, temperature)
-                # rows in order, each an iteration; a row after an accepted
-                # one is dropped unseen, as the one-row ascent never scores it
-                for row, s_new in enumerate(search):
-                    f_new = float(hard[row])
-                    max_seen = max(max_seen, f_new)
-                    done += 1
-                    if s_new > s_cur:
-                        x, s_cur, f_cur = cands[row], s_new, f_new
-                        gradient_at_x = partial(gradient_of, row)
-                        grad = None
-                        step = min(step * 2.0, STEP_SIZE)
-                        if f_new > f_peak:
-                            x_peak, f_peak = x.copy(), f_new
-                        trace.append(f_cur)
-                        break
-                    step *= 0.5
-                    trace.append(f_cur)
+                    direction = grad * (STEP_SIZE / gnorm) if gnorm > 0.0 else grad
+                slope = grad.dot(direction)
+                length = math.sqrt(direction.dot(direction))
+                # backtrack until a row meets the Armijo condition, scoring
+                # a trial and its halved fallback together unless the
+                # fallback is under the floor
+                t, accepted = 1.0, None
+                while accepted is None and t * length >= STEP_FLOOR:
+                    ts = [t, 0.5 * t] if 0.5 * t * length >= STEP_FLOOR else [t]
+                    cands = x + np.multiply.outer(ts, direction)
+                    search, hard, gradient_of = evaluate(cands, temperature)
+                    max_seen = max(max_seen, *hard.tolist())
+                    for row, t_row in enumerate(ts):
+                        if search[row] >= s_cur + ARMIJO * t_row * slope:
+                            accepted = row
+                            break
+                    t *= 0.25
+                if accepted is None:
+                    break  # no step up above the floor, as at a zero gradient
+                gain = search[accepted] - s_cur
+                step = (cands[accepted] - x, grad)
+                x, s_cur, f_cur = cands[accepted], search[accepted], float(hard[accepted])
+                gradient_at_x = partial(gradient_of, accepted)
+                trace.append(f_cur)
+                if f_cur > f_peak:
+                    x_peak, f_peak = x.copy(), f_cur
+                if not gain >= GAIN_TOL:
+                    break
 
         per_restart.append((f_peak, x_peak, trace))
         if f_peak > best[0]:

@@ -15,16 +15,29 @@ is the optimizer's search objective as it was before the fidelity kernel
 was prepared once per ascent: every call folds the targets again, gathers
 each qubit's rows by ``np.moveaxis`` and recomputes the forward products
 for the gradient, and it projects and pulls back in batch form, with the
-norms and overlap recomputed in the pullback. ``ascend_one_point`` is the
-optimizer's ascent as it was before the step ladder: one candidate per
-``evaluate`` call, each decided before the next is formed.
+norms and overlap recomputed in the pullback. ``bfgs_inverse_hessian`` is
+the optimizer's L-BFGS model as a dense matrix, built by the BFGS update
+formula in place of the two-loop recursion. ``ascend_one_point`` is the
+optimizer's ascent with a one-row line search: each trial is scored alone
+and decided before the next, half as long, is formed.
 """
+
+import math
 
 import numpy as np
 
 from anticlone.linalg import basis_ket, unitary_from_correspondence
 from anticlone.machine import BASELINE_BLOCK, AnticlonerParams, BaselineReport, output_states
-from anticlone.optimize import SCHEDULE, STEP_FLOOR, STEP_SIZE
+from anticlone.optimize import (
+    ARMIJO,
+    CURVATURE_TOL,
+    GAIN_TOL,
+    MEMORY,
+    SCHEDULE,
+    STEP_FLOOR,
+    STEP_SIZE,
+    _two_loop,
+)
 from anticlone.qubit import (
     QubitState,
     antiunitary_flip,
@@ -479,15 +492,32 @@ class ObjectiveByMovedAxes:
         return search, values.min(axis=1), gradient
 
 
+def bfgs_inverse_hessian(pairs) -> np.ndarray:
+    """The dense BFGS inverse Hessian of the (s, y) ``pairs``, oldest
+    first: H0 = (s.y / y.y) I from the newest pair, then one update
+    H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T per pair, oldest
+    first, with rho = 1 / s.y."""
+    s_new, y_new = pairs[-1]
+    n = len(s_new)
+    h = np.eye(n) * (s_new @ y_new) / (y_new @ y_new)
+    for s, y in pairs:
+        rho = 1.0 / (s @ y)
+        left = np.eye(n) - rho * np.outer(s, y)
+        h = left @ h @ left.T + rho * np.outer(s, s)
+    return h
+
+
 def ascend_one_point(objective, cfg, init=None):
-    """``optimize._ascend`` with one candidate per call: ``objective`` (an
-    ``optimize._Objective``) scores each stage start and each step candidate
-    as a batch of one row, and the accept-or-halve rule decides it before
-    the next candidate is formed. Returns what ``_ascend`` returns."""
+    """``optimize._ascend`` with one row per call: ``objective`` (an
+    ``optimize._Objective``) scores each stage start and each line-search
+    trial as a batch of one row, and the Armijo test decides a trial before
+    the next, half as long, is formed. The search directions come from
+    ``optimize._two_loop``, which ``bfgs_inverse_hessian`` checks in turn.
+    Returns what ``_ascend`` returns."""
 
     def evaluate(x, temperature):
         search, hard, gradient = objective.evaluate(x[None], temperature)
-        return float(search[0]), float(hard[0]), lambda: gradient(0)
+        return search[0], float(hard[0]), lambda: gradient(0)
 
     stage_iters = [cfg.max_iters // len(SCHEDULE)] * len(SCHEDULE)
     stage_iters[-1] += cfg.max_iters % len(SCHEDULE)
@@ -501,34 +531,40 @@ def ascend_one_point(objective, cfg, init=None):
             x = philox_stream(cfg.seed, r).standard_normal(4 * objective.out_dim)
         trace = []
         for stage, (temperature, iters) in enumerate(zip(SCHEDULE, stage_iters)):
-            step = STEP_SIZE
             s_cur, f_cur, gradient_at_x = evaluate(x, temperature)
             max_seen = max(max_seen, f_cur)
             if stage == 0:
                 x_peak, f_peak = x.copy(), f_cur
-            grad = None
+            pairs, previous = [], None
             for _ in range(iters):
-                if step < STEP_FLOOR:
-                    break
-                if grad is None:
-                    grad = gradient_at_x()
-                    gnorm = float(np.linalg.norm(grad))
-                if gnorm < 1e-14:
-                    step *= 0.5
-                    trace.append(f_cur)
-                    continue
-                cand = x + step * grad / gnorm
-                s_new, f_new, gradient_at_cand = evaluate(cand, temperature)
-                max_seen = max(max_seen, f_new)
-                if s_new > s_cur:
-                    x, s_cur, f_cur, gradient_at_x = cand, s_new, f_new, gradient_at_cand
-                    grad = None
-                    step = min(step * 2.0, STEP_SIZE)
-                    if f_new > f_peak:
-                        x_peak, f_peak = cand.copy(), f_new
+                g = gradient_at_x()
+                if previous is not None:
+                    s, y = previous[0], previous[1] - g
+                    if s.dot(y) > CURVATURE_TOL * math.sqrt(s.dot(s) * y.dot(y)):
+                        pairs = (pairs + [(s, y, 1.0 / s.dot(y))])[-MEMORY:]
+                if pairs:
+                    d = _two_loop(g, pairs)
                 else:
-                    step *= 0.5
+                    gnorm = math.sqrt(g.dot(g))
+                    d = g * (STEP_SIZE / gnorm) if gnorm > 0.0 else g
+                slope, length = g.dot(d), math.sqrt(d.dot(d))
+                t, accepted = 1.0, False
+                while not accepted and t * length >= STEP_FLOOR:
+                    cand = x + t * d
+                    s_new, f_new, gradient_at_cand = evaluate(cand, temperature)
+                    max_seen = max(max_seen, f_new)
+                    accepted = s_new >= s_cur + ARMIJO * t * slope
+                    t *= 0.5
+                if not accepted:
+                    break
+                gain = s_new - s_cur
+                previous = (cand - x, g)
+                x, s_cur, f_cur, gradient_at_x = cand, s_new, f_new, gradient_at_cand
                 trace.append(f_cur)
+                if f_cur > f_peak:
+                    x_peak, f_peak = x.copy(), f_cur
+                if not gain >= GAIN_TOL:
+                    break
         per_restart.append((f_peak, x_peak, trace))
         if f_peak > best[0]:
             best = (f_peak, x_peak, trace)

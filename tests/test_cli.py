@@ -59,7 +59,7 @@ class TestParseArgs:
 
     @pytest.mark.parametrize(
         "flag, field, value",
-        [("iters", "max_iters", 600), ("restarts", "restarts", 20), ("ancilla_dim", "ancilla_dim", 4)],
+        [("iters", "max_iters", 100), ("restarts", "restarts", 20), ("ancilla_dim", "ancilla_dim", 4)],
         ids=["iters", "restarts", "ancilla-dim"],
     )
     def test_optimize_default_is_the_config_value(self, flag, field, value):
