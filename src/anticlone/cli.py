@@ -32,7 +32,7 @@ import numpy as np
 
 from . import machine, optimize, probclone
 from .linalg import isometry_residual
-from .qubit import PAULI, QubitState, direction_kets
+from .qubit import PAULI, QubitState, direction_kets, squared_norm
 
 __all__ = ["MetricCheck", "Report", "parse_args", "run", "write_report", "main"]
 
@@ -171,8 +171,8 @@ def load_state_file(path: str) -> list[QubitState]:
             raise ValueError(
                 f"{path}: state {i} is not a pair of [re, im] pairs of numbers in float range"
             ) from exc
-        norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-        if not abs(norm - 1.0) <= 1e-8:  # also rejects NaN
+        norm = np.sqrt(squared_norm(alpha, beta))
+        if not abs(norm - 1.0) <= 1e-8:  # also rejects NaN and overflow
             raise ValueError(f"{path}: state {i} has norm {float(norm)!r}, outside tolerance 1e-8")
         states.append(QubitState(alpha / norm, beta / norm))
     if not states:

@@ -24,12 +24,11 @@ re-derived, and the tests check it against a central-difference oracle.
 Every candidate's fidelities come from one ``machine.FidelityKernel``,
 prepared once per ascent, which takes each as the squared norm of the
 output projected onto the target ket and forms no reduced state; the
-gradient reuses the candidate's amplitudes. A rejected trial is retried at
-half its length, so the line search scores a trial and its half in one
-call, as two rows, and takes the first that meets the Armijo condition; a
-stage start is one row. The projection and the softmin therefore work on
-rows, and the projection hands the pullback a per-row record of the norms
-and overlap it took. The gradient is taken lazily, at one accepted row.
+gradient reuses the candidate's amplitudes. Each stage start and each
+line-search trial is scored as one row. The projection, the values layer
+and the softmin work on rows (K, n), each row with the bits it gets alone,
+and the projection hands the pullback a per-row record of the norms and
+overlap it took. The gradient is taken lazily, at an accepted point.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import basis_ket
-from .machine import FidelityKernel, output_fidelities
+from .machine import FidelityKernel
 from .qubit import direction_kets
 from .rng import philox_stream
 
@@ -51,9 +50,6 @@ __all__ = [
     "OptimizerConfig",
     "OptimizerResult",
     "direction_set",
-    "parameterize_isometry",
-    "objective_universal",
-    "objective_spinflip",
     "optimize_universal",
     "optimize_spinflip",
 ]
@@ -93,7 +89,7 @@ class OptimizerResult:
 
     ``max_objective_seen`` is the largest hard-min objective over every
     point the run evaluated: stage start points, the first of which is the
-    restart's start point, and every line-search trial, halved fallbacks
+    restart's start point, and every line-search trial, rejected ones
     included (the gradient is analytic, so there are no probe points). It
     staying at or below the analytic bound is itself a verification result.
     """
@@ -223,12 +219,6 @@ def _isometry_pullback(v: np.ndarray, record: _GramSchmidt, row: int, g: np.ndar
     return grad.view(float).reshape(-1)
 
 
-def parameterize_isometry(x: np.ndarray, out_dim: int) -> np.ndarray:
-    """Flat reals -> isometry: the ascent's projection of one row, without
-    its record."""
-    return _isometry_batch(np.asarray(x, dtype=float)[None], out_dim)[0][0]
-
-
 def _universal_values(vb: np.ndarray, kernel: FidelityKernel):
     """Per-(candidate, direction, output) fidelities, shape (..., 2N), and
     the amplitudes they are the squared norms of: ``kernel`` scores clone 1
@@ -242,23 +232,6 @@ def _spinflip_values(vb: np.ndarray, kernel: FidelityKernel):
     and its amplitudes: ``kernel`` scores the one output against -n."""
     amps = kernel.amplitudes(vb)
     return kernel.fidelities(amps), amps
-
-
-def objective_universal(v: np.ndarray, directions: np.ndarray) -> float:
-    """Worst-direction anti-cloning fidelity of one isometry.
-
-    Equals min over the net of min(f1, f2), the fidelities of the two
-    outputs against n and -n, from ``machine.output_fidelities``.
-    """
-    d = np.atleast_2d(np.asarray(directions, dtype=float))
-    k_in = direction_kets(d)
-    return float(output_fidelities(v, k_in, (k_in, direction_kets(-d))).min())
-
-
-def objective_spinflip(v: np.ndarray, directions: np.ndarray) -> float:
-    """Worst-direction flip fidelity <-n|rho_out|-n> of a (2 x anc) isometry."""
-    d = np.atleast_2d(np.asarray(directions, dtype=float))
-    return float(output_fidelities(v, direction_kets(d), (direction_kets(-d),)).min())
 
 
 def _softmin(values: np.ndarray, temperature: float) -> np.ndarray:
@@ -341,16 +314,20 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
     ``CURVATURE_TOL`` |s| |y| is skipped. The first step of a stage is
     ``STEP_SIZE`` along the gradient, later ones follow the two-loop
     direction. The line search backtracks from t = 1, halving t, to the
-    first trial that meets the Armijo condition with constant ``ARMIJO``; a
-    trial and its halved fallback are scored in one call, as two rows. A
-    stage ends at its share of ``max_iters`` (the coldest stage takes the
-    remainder), after a step that gains less than ``GAIN_TOL``, or when no
-    trial down to ``STEP_FLOOR`` long meets the Armijo condition. The
-    gradient is taken at an accepted point only when another step follows.
+    first trial that meets the Armijo condition with constant ``ARMIJO``,
+    scoring one trial per call. A stage ends at its share of ``max_iters``
+    (the coldest stage takes the remainder), after a step that gains less
+    than ``GAIN_TOL``, or when no trial down to ``STEP_FLOOR`` long meets
+    the Armijo condition. The gradient is taken at an accepted point only
+    when another step follows.
     """
     objective = _Objective(copies, cfg.ancilla_dim, direction_set())
-    evaluate = objective.evaluate
     nparams = 4 * objective.out_dim
+
+    def score(point: np.ndarray, temperature: float):
+        """(search value, hard value, gradient) at one point, as one row."""
+        search, hard, gradient = objective.evaluate(point[None], temperature)
+        return search[0], float(hard[0]), partial(gradient, 0)
 
     stage_iters = [cfg.max_iters // len(SCHEDULE)] * len(SCHEDULE)
     stage_iters[-1] += cfg.max_iters % len(SCHEDULE)
@@ -369,8 +346,7 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
 
         trace = []
         for stage, (temperature, iters) in enumerate(zip(SCHEDULE, stage_iters)):
-            search, hard, gradient_of = evaluate(x[None], temperature)
-            s_cur, f_cur, gradient_at_x = search[0], float(hard[0]), partial(gradient_of, 0)
+            s_cur, f_cur, gradient_at_x = score(x, temperature)
             max_seen = max(max_seen, f_cur)
             if stage == 0:
                 # best point *visited*: softmin acceptance may trade a little
@@ -395,26 +371,19 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
                     direction = grad * (STEP_SIZE / gnorm) if gnorm > 0.0 else grad
                 slope = grad.dot(direction)
                 length = math.sqrt(direction.dot(direction))
-                # backtrack until a row meets the Armijo condition, scoring
-                # a trial and its halved fallback together unless the
-                # fallback is under the floor
-                t, accepted = 1.0, None
-                while accepted is None and t * length >= STEP_FLOOR:
-                    ts = [t, 0.5 * t] if 0.5 * t * length >= STEP_FLOOR else [t]
-                    cands = x + np.multiply.outer(ts, direction)
-                    search, hard, gradient_of = evaluate(cands, temperature)
-                    max_seen = max(max_seen, *hard.tolist())
-                    for row, t_row in enumerate(ts):
-                        if search[row] >= s_cur + ARMIJO * t_row * slope:
-                            accepted = row
-                            break
-                    t *= 0.25
-                if accepted is None:
+                t = 1.0
+                while t * length >= STEP_FLOOR:
+                    cand = x + t * direction
+                    s_new, f_new, gradient_at_cand = score(cand, temperature)
+                    max_seen = max(max_seen, f_new)
+                    if s_new >= s_cur + ARMIJO * t * slope:
+                        break
+                    t *= 0.5
+                else:
                     break  # no step up above the floor, as at a zero gradient
-                gain = search[accepted] - s_cur
-                step = (cands[accepted] - x, grad)
-                x, s_cur, f_cur = cands[accepted], search[accepted], float(hard[accepted])
-                gradient_at_x = partial(gradient_of, accepted)
+                gain = s_new - s_cur
+                step = (cand - x, grad)
+                x, s_cur, f_cur, gradient_at_x = cand, s_new, f_new, gradient_at_cand
                 trace.append(f_cur)
                 if f_cur > f_peak:
                     x_peak, f_peak = x.copy(), f_cur

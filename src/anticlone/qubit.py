@@ -56,6 +56,15 @@ class BlochVector:
         return BlochVector(-self.nx, -self.ny, -self.nz)
 
 
+def squared_norm(alpha: complex, beta: complex) -> float:
+    """|alpha|^2 + |beta|^2, or inf where that overflows: Python raises
+    ``OverflowError`` for 1e200 ** 2 and for abs(1e308 + 1e308j)."""
+    try:
+        return abs(alpha) ** 2 + abs(beta) ** 2
+    except OverflowError:
+        return float("inf")
+
+
 @dataclass(frozen=True)
 class QubitState:
     """Pure qubit state alpha|0> + beta|1>, normalized."""
@@ -66,15 +75,17 @@ class QubitState:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        n = squared_norm(self.alpha, self.beta)
         if not abs(n - 1.0) <= 1e-12:
             raise ValueError(f"amplitudes have squared norm {n!r}, expected 1")
 
     @classmethod
     def normalized(cls, alpha: complex, beta: complex) -> "QubitState":
-        n = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+        n = np.sqrt(squared_norm(alpha, beta))
         if n < 1e-12:
             raise ValueError("cannot normalize the zero vector")
+        if n == np.inf:
+            raise ValueError("cannot normalize amplitudes whose squared norm overflows")
         return cls(complex(alpha) / n, complex(beta) / n)
 
     def ket(self) -> np.ndarray:

@@ -17,27 +17,25 @@ each qubit's rows by ``np.moveaxis`` and recomputes the forward products
 for the gradient, and it projects and pulls back in batch form, with the
 norms and overlap recomputed in the pullback. ``bfgs_inverse_hessian`` is
 the optimizer's L-BFGS model as a dense matrix, built by the BFGS update
-formula in place of the two-loop recursion. ``ascend_one_point`` is the
-optimizer's ascent with a one-row line search: each trial is scored alone
-and decided before the next, half as long, is formed.
-"""
+formula in place of the two-loop recursion.
 
-import math
+``parameterize_isometry``, ``objective_universal`` and ``objective_spinflip``
+are not oracles but thin wrappers over the library for the tests: the
+optimizer's projection of one flat vector, and the worst fidelity over a
+direction net from ``machine.output_fidelities``.
+"""
 
 import numpy as np
 
 from anticlone.linalg import basis_ket, unitary_from_correspondence
-from anticlone.machine import BASELINE_BLOCK, AnticlonerParams, BaselineReport, output_states
-from anticlone.optimize import (
-    ARMIJO,
-    CURVATURE_TOL,
-    GAIN_TOL,
-    MEMORY,
-    SCHEDULE,
-    STEP_FLOOR,
-    STEP_SIZE,
-    _two_loop,
+from anticlone.machine import (
+    BASELINE_BLOCK,
+    AnticlonerParams,
+    BaselineReport,
+    output_fidelities,
+    output_states,
 )
+from anticlone.optimize import _isometry_batch
 from anticlone.qubit import (
     QubitState,
     antiunitary_flip,
@@ -507,65 +505,21 @@ def bfgs_inverse_hessian(pairs) -> np.ndarray:
     return h
 
 
-def ascend_one_point(objective, cfg, init=None):
-    """``optimize._ascend`` with one row per call: ``objective`` (an
-    ``optimize._Objective``) scores each stage start and each line-search
-    trial as a batch of one row, and the Armijo test decides a trial before
-    the next, half as long, is formed. The search directions come from
-    ``optimize._two_loop``, which ``bfgs_inverse_hessian`` checks in turn.
-    Returns what ``_ascend`` returns."""
+def parameterize_isometry(x, out_dim: int) -> np.ndarray:
+    """Flat reals -> isometry: the optimizer's projection of one row,
+    without its record."""
+    return _isometry_batch(np.asarray(x, dtype=float)[None], out_dim)[0][0]
 
-    def evaluate(x, temperature):
-        search, hard, gradient = objective.evaluate(x[None], temperature)
-        return search[0], float(hard[0]), lambda: gradient(0)
 
-    stage_iters = [cfg.max_iters // len(SCHEDULE)] * len(SCHEDULE)
-    stage_iters[-1] += cfg.max_iters % len(SCHEDULE)
-    per_restart = []
-    best = (-np.inf, None, None)
-    max_seen = -np.inf
-    for r in range(cfg.restarts):
-        if init is not None and r == 0:
-            x = np.asarray(init, dtype=float).copy()
-        else:
-            x = philox_stream(cfg.seed, r).standard_normal(4 * objective.out_dim)
-        trace = []
-        for stage, (temperature, iters) in enumerate(zip(SCHEDULE, stage_iters)):
-            s_cur, f_cur, gradient_at_x = evaluate(x, temperature)
-            max_seen = max(max_seen, f_cur)
-            if stage == 0:
-                x_peak, f_peak = x.copy(), f_cur
-            pairs, previous = [], None
-            for _ in range(iters):
-                g = gradient_at_x()
-                if previous is not None:
-                    s, y = previous[0], previous[1] - g
-                    if s.dot(y) > CURVATURE_TOL * math.sqrt(s.dot(s) * y.dot(y)):
-                        pairs = (pairs + [(s, y, 1.0 / s.dot(y))])[-MEMORY:]
-                if pairs:
-                    d = _two_loop(g, pairs)
-                else:
-                    gnorm = math.sqrt(g.dot(g))
-                    d = g * (STEP_SIZE / gnorm) if gnorm > 0.0 else g
-                slope, length = g.dot(d), math.sqrt(d.dot(d))
-                t, accepted = 1.0, False
-                while not accepted and t * length >= STEP_FLOOR:
-                    cand = x + t * d
-                    s_new, f_new, gradient_at_cand = evaluate(cand, temperature)
-                    max_seen = max(max_seen, f_new)
-                    accepted = s_new >= s_cur + ARMIJO * t * slope
-                    t *= 0.5
-                if not accepted:
-                    break
-                gain = s_new - s_cur
-                previous = (cand - x, g)
-                x, s_cur, f_cur, gradient_at_x = cand, s_new, f_new, gradient_at_cand
-                trace.append(f_cur)
-                if f_cur > f_peak:
-                    x_peak, f_peak = x.copy(), f_cur
-                if not gain >= GAIN_TOL:
-                    break
-        per_restart.append((f_peak, x_peak, trace))
-        if f_peak > best[0]:
-            best = (f_peak, x_peak, trace)
-    return per_restart, best, max_seen
+def objective_universal(v: np.ndarray, directions) -> float:
+    """Worst-direction anti-cloning fidelity of one isometry: the minimum
+    over the directions n of the two outputs' fidelities against n and -n."""
+    d = np.atleast_2d(np.asarray(directions, dtype=float))
+    k_in = direction_kets(d)
+    return float(output_fidelities(v, k_in, (k_in, direction_kets(-d))).min())
+
+
+def objective_spinflip(v: np.ndarray, directions) -> float:
+    """Worst-direction flip fidelity <-n|rho_out|-n> of a (2 x anc) isometry."""
+    d = np.atleast_2d(np.asarray(directions, dtype=float))
+    return float(output_fidelities(v, direction_kets(d), (direction_kets(-d),)).min())

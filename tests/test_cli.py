@@ -183,6 +183,16 @@ class TestStateFile:
         assert captured.out == ""
         assert re.fullmatch(r"anticlone feasibility: [^\n]+\n", captured.err)
 
+    def test_overflowing_amplitude_is_input_error(self, tmp_path, capsys):
+        # 1e200 is a float, but its square is not
+        path = write_states(tmp_path / "s.json", [[[1e200, 0], [0, 0]], [[1, 0], [0, 0]]])
+        assert main(["feasibility", "--states", path]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"anticlone feasibility: {path}: state 0 has norm inf, outside tolerance 1e-8\n"
+        )
+
     def test_norm_is_reported_as_plain_float(self, tmp_path):
         path = write_states(tmp_path / "s.json", [[[float("inf"), 0], [0, 0]]])
         with pytest.raises(ValueError, match=r"state 0 has norm inf, outside tolerance 1e-8$"):

@@ -1,5 +1,6 @@
 """Every validity gate rejects NaN: `not (x <= tol)` fails where `x > tol`
-would let a NaN deviation through."""
+would let a NaN deviation through. The qubit-state gates also reject
+amplitudes whose squared norm overflows with `ValueError`."""
 
 import numpy as np
 import pytest
@@ -40,6 +41,22 @@ NAN_CASES = {
 @pytest.mark.parametrize("make", NAN_CASES.values(), ids=NAN_CASES.keys())
 def test_nan_is_rejected(make):
     with pytest.raises(ValueError):
+        make()
+
+
+OVERFLOW_CASES = {
+    "qubit-state": lambda: QubitState(1e200, 0),
+    "qubit-state-normalized": lambda: QubitState.normalized(1e200, 0),
+    "qubit-state-modulus": lambda: QubitState(complex(1e308, 1e308), 0),
+    "qubit-state-normalized-modulus": lambda: QubitState.normalized(0, complex(1e308, 1e308)),
+}
+
+
+@pytest.mark.parametrize("make", OVERFLOW_CASES.values(), ids=OVERFLOW_CASES.keys())
+def test_overflowing_amplitudes_are_rejected(make):
+    # squaring 1e200, or taking the modulus of 1e308 + 1e308j, raises
+    # OverflowError in plain Python arithmetic
+    with pytest.raises(ValueError, match="squared norm (inf|overflows)"):
         make()
 
 

@@ -25,7 +25,6 @@ from anticlone.machine import (
     output_states,
     target_forms,
 )
-from anticlone.optimize import parameterize_isometry
 from anticlone.rng import philox_stream
 from anticlone.qubit import (
     BlochVector,
@@ -43,6 +42,7 @@ from oracles import (
     haar_pair_dots,
     measure_prepare_baseline_serial,
     measure_prepare_by_directions,
+    parameterize_isometry,
     partial_trace_by_sum,
     reduced_outputs_from_coefficients,
 )
