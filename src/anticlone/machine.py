@@ -116,7 +116,8 @@ class ConstraintReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        """Largest residual; NaN if any residual is NaN (``max`` would skip it)."""
+        return float(np.max(list(self.residuals.values())))
 
 
 @dataclass(frozen=True)
@@ -355,9 +356,12 @@ def constraint_residuals(p: AnticlonerParams) -> ConstraintReport:
 
     a, b, cc, d = c["a"], c["b"], c["c"], c["d"]
     at, bt, ct, dt = c["at"], c["bt"], c["ct"], c["dt"]
+    # squared moduli as products: abs(x) ** 2 raises OverflowError where
+    # abs(x) * abs(x) overflows to inf
+    sq = {k: abs(x) * abs(x) for k, x in c.items()}
 
-    eta_moduli = abs(b) ** 2 - abs(cc) ** 2
-    eta_moduli_alt = 2 * abs(b) ** 2 + 2 * abs(a) ** 2 - 1
+    eta_moduli = sq["b"] - sq["c"]
+    eta_moduli_alt = 2 * sq["b"] + 2 * sq["a"] - 1
     cross_aligned = np.conj(a) * bt * ip["abt"] + np.conj(b) * at * ip["bat"]
     cross_flipped = ct * np.conj(a) * ip["act"] + at * np.conj(cc) * ip["cat"]
     # The flipped copy's transverse terms enter with opposite sign, so this
@@ -372,8 +376,8 @@ def constraint_residuals(p: AnticlonerParams) -> ConstraintReport:
     eta_spread = max(abs(x - y) for x in etas for y in etas)
 
     residuals = {
-        "norm_input0": abs(abs(a) ** 2 + abs(b) ** 2 + abs(cc) ** 2 + abs(d) ** 2 - 1),
-        "norm_input1": abs(abs(at) ** 2 + abs(bt) ** 2 + abs(ct) ** 2 + abs(dt) ** 2 - 1),
+        "norm_input0": abs(sq["a"] + sq["b"] + sq["c"] + sq["d"] - 1),
+        "norm_input1": abs(sq["at"] + sq["bt"] + sq["ct"] + sq["dt"] - 1),
         "orthogonality": abs(
             np.conj(a) * dt * ip["adt"] + np.conj(cc) * bt * ip["cbt"]
             + np.conj(b) * ct * ip["bct"] + np.conj(d) * at * ip["dat"]

@@ -1,5 +1,5 @@
-"""Single-qubit states: Bloch-vector conversions, the anti-unitary spin flip
-and direction fidelity."""
+"""Single-qubit states: Bloch directions to kets, the anti-unitary spin flip
+and the density-matrix gate."""
 
 from __future__ import annotations
 
@@ -16,9 +16,7 @@ __all__ = [
     "check_density_matrix",
     "direction_kets",
     "bloch_to_state",
-    "state_to_bloch",
     "antiunitary_flip",
-    "fidelity_direction",
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -141,12 +139,6 @@ def bloch_to_state(n: BlochVector) -> QubitState:
     return QubitState.normalized(*direction_kets(n.as_array()[None])[0])
 
 
-def state_to_bloch(rho) -> BlochVector:
-    """Bloch vector n_k = Tr(rho sigma_k) of a 2x2 density matrix."""
-    rho = check_density_matrix(rho)
-    return BlochVector(*(float(np.trace(rho @ s).real) for s in PAULI))
-
-
 def antiunitary_flip(psi: QubitState) -> QubitState:
     """Spin flip (alpha, beta) -> (-beta*, alpha*); negates the Bloch vector.
 
@@ -154,11 +146,3 @@ def antiunitary_flip(psi: QubitState) -> QubitState:
     target map that anti-cloning approximates.
     """
     return QubitState(-np.conj(psi.beta), np.conj(psi.alpha))
-
-
-def fidelity_direction(rho, n: BlochVector) -> float:
-    """Overlap <n|rho|n> of a density matrix with the pure state along n."""
-    rho = check_density_matrix(rho)
-    _require_unit(n)
-    k = bloch_to_state(n).ket()
-    return float(np.real(k.conj() @ rho @ k))

@@ -4,13 +4,19 @@ Everything here is deliberately written the dumb way (explicit index sums,
 hand-transcribed closed forms) and must not import the code paths it checks.
 ``fidelities_from_states`` builds on ``machine.output_states``, the reduced-
 state path that the explicit partial-trace sums here check in turn.
-``fidelities_by_bloch`` goes through ``qubit``'s Bloch conversions, which
-the fidelity kernel in ``machine`` does not use.
+``fidelities_by_bloch`` goes through a Bloch round trip, which the fidelity
+kernel in ``machine`` does not use: the input's Bloch vector by Pauli traces
+(``bloch_vector_by_trace``), then overlaps with the kets that
+``qubit.bloch_to_state`` rebuilds from it (``fidelity_along``).
 ``two_state_unitary_by_correspondence`` is the two-state probabilistic
-machine as ``linalg.unitary_from_correspondence`` completed it, before the
-QR completion. ``measure_prepare_baseline_serial`` is the baseline Monte
-Carlo as one loop over its Philox blocks, scored with the Born-rule
-comparison and the +-t fidelity written out. ``ObjectiveByMovedAxes``
+machine by joint Gram-Schmidt of its inputs and images and completion of
+both bases (``unitary_by_correspondence``, ``orthonormal_complete``), the
+construction the library used before the QR completion.
+``test_linalg.py`` and ``test_qubit.py`` check these partial-trace,
+Gram-Schmidt and Bloch oracles against closed forms.
+``measure_prepare_baseline_serial`` is the baseline Monte Carlo as one loop
+over its Philox blocks, scored with the Born-rule comparison and the +-t
+fidelity written out. ``ObjectiveByMovedAxes``
 is the optimizer's search objective as it was before the fidelity kernel
 was prepared once per ascent: every call folds the targets again, gathers
 each qubit's rows by ``np.moveaxis`` and recomputes the forward products
@@ -27,7 +33,7 @@ direction net from ``machine.output_fidelities``.
 
 import numpy as np
 
-from anticlone.linalg import basis_ket, unitary_from_correspondence
+from anticlone.linalg import basis_ket
 from anticlone.machine import (
     BASELINE_BLOCK,
     AnticlonerParams,
@@ -37,11 +43,13 @@ from anticlone.machine import (
 )
 from anticlone.optimize import _isometry_batch
 from anticlone.qubit import (
+    PAULI,
+    BlochVector,
     QubitState,
     antiunitary_flip,
+    bloch_to_state,
+    check_density_matrix,
     direction_kets,
-    fidelity_direction,
-    state_to_bloch,
 )
 from anticlone.rng import philox_stream
 
@@ -113,12 +121,27 @@ def clone_outputs_by_sum(v: np.ndarray, ket: np.ndarray) -> tuple[np.ndarray, np
     return partial_trace_by_sum(rho, dims, [0]), partial_trace_by_sum(rho, dims, [1])
 
 
+def bloch_vector_by_trace(rho) -> np.ndarray:
+    """Bloch vector n_k = Tr(rho sigma_k) of a 2x2 density matrix, which
+    must pass ``qubit.check_density_matrix``."""
+    rho = check_density_matrix(rho)
+    return np.array([float(np.trace(rho @ s).real) for s in PAULI])
+
+
+def fidelity_along(rho, n: BlochVector) -> float:
+    """Overlap <n|rho|n> with the ket ``bloch_to_state`` builds along n;
+    ``rho`` must pass ``qubit.check_density_matrix``."""
+    rho = check_density_matrix(rho)
+    k = bloch_to_state(n).ket()
+    return float(np.real(k.conj() @ rho @ k))
+
+
 def fidelities_by_bloch(psi: QubitState, rho1: np.ndarray, rho2: np.ndarray) -> tuple[float, float]:
     """Clone fidelities by the Bloch round trip: the input's Bloch vector n
     from its density matrix, then <n|rho1|n> and <-n|rho2|-n> through the
     kets ``bloch_to_state`` rebuilds from n and -n."""
-    n = state_to_bloch(psi.density())
-    return fidelity_direction(rho1, n), fidelity_direction(rho2, -n)
+    n = BlochVector(*bloch_vector_by_trace(psi.density()))
+    return fidelity_along(rho1, n), fidelity_along(rho2, -n)
 
 
 def fidelities_from_states(v: np.ndarray, kets: np.ndarray, targets) -> np.ndarray:
@@ -361,10 +384,77 @@ def two_state_images(theta: float) -> tuple[np.ndarray, np.ndarray]:
     return n1, n2
 
 
+GRAM_SCHMIDT_TOL = 1e-10  # residual norm at which a vector counts as dependent
+
+
+def _project_out(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+    for b in basis:
+        vec = vec - np.vdot(b, vec) * b
+    return vec
+
+
+def orthonormal_complete(vs, dim: int) -> list[np.ndarray]:
+    """Orthonormalize ``vs`` in order and extend to a basis of C^dim.
+
+    Modified Gram-Schmidt with one re-orthogonalization pass; completion
+    vectors come from the computational basis in index order, skipping those
+    that project away. Raises ``ValueError`` on a dependent input.
+    """
+    basis: list[np.ndarray] = []
+    for i, v in enumerate(vs):
+        w = _project_out(_project_out(v, basis), basis)
+        norm = np.linalg.norm(w)
+        if norm < GRAM_SCHMIDT_TOL:
+            raise ValueError(f"input vector {i} is linearly dependent on its predecessors")
+        basis.append(w / norm)
+    for k in range(dim):
+        if len(basis) == dim:
+            break
+        w = _project_out(_project_out(basis_ket(dim, k), basis), basis)
+        norm = np.linalg.norm(w)
+        if norm >= GRAM_SCHMIDT_TOL:
+            basis.append(w / norm)
+    return basis
+
+
+def unitary_by_correspondence(inputs, images) -> np.ndarray:
+    """Unitary U with U @ inputs[i] = images[i], by joint Gram-Schmidt.
+
+    The Gram matrices must agree to ``GRAM_SCHMIDT_TOL``, else ``ValueError``.
+    Both lists shrink by the projection coefficients of the inputs, so a
+    vector dependent on its predecessors must be dependent in both lists.
+    The two orthonormal lists are completed to bases, and U maps basis to
+    basis.
+    """
+    g_in = np.array([[np.vdot(a, b) for b in inputs] for a in inputs])
+    g_out = np.array([[np.vdot(a, b) for b in images] for a in images])
+    if not np.max(np.abs(g_in - g_out)) <= GRAM_SCHMIDT_TOL:
+        raise ValueError("Gram matrices differ; no unitary maps the lists")
+    in_basis: list[np.ndarray] = []
+    out_basis: list[np.ndarray] = []
+    for i, (u, w) in enumerate(zip(inputs, images)):
+        for b_in, b_out in zip(in_basis, out_basis):
+            coef = np.vdot(b_in, u)
+            u = u - coef * b_in
+            w = w - coef * b_out
+        nu, nw = np.linalg.norm(u), np.linalg.norm(w)
+        if nu < GRAM_SCHMIDT_TOL and nw < GRAM_SCHMIDT_TOL:
+            continue
+        if nu < GRAM_SCHMIDT_TOL or nw < GRAM_SCHMIDT_TOL:
+            raise ValueError(f"vector {i} is dependent in one list but not the other")
+        in_basis.append(u / nu)
+        out_basis.append(w / nw)
+    dim = len(inputs[0])
+    out = np.zeros((dim, dim), dtype=complex)
+    for b_in, b_out in zip(orthonormal_complete(in_basis, dim), orthonormal_complete(out_basis, dim)):
+        out += np.outer(b_out, b_in.conj())
+    return out
+
+
 def two_state_unitary_by_correspondence(theta: float) -> np.ndarray:
     """The two-state machine by joint Gram-Schmidt of (|000>, |100>) and
     (n1, n2) and completion of both bases from the computational basis."""
-    return unitary_from_correspondence(
+    return unitary_by_correspondence(
         [basis_ket(8, 0b000), basis_ket(8, 0b100)], list(two_state_images(theta))
     )
 

@@ -19,6 +19,7 @@ from anticlone.machine import (
     haar_directions,
     measure_prepare_baseline,
     optimal_params,
+    output_states,
     target_forms,
 )
 from anticlone.optimize import OptimizerConfig, optimize_spinflip
@@ -30,7 +31,7 @@ from anticlone.probclone import (
     two_state_efficiency,
 )
 from anticlone.qubit import BlochVector, QubitState, antiunitary_flip, bloch_to_state
-from oracles import partial_trace_by_sum
+from oracles import clone_outputs_by_sum
 
 THETA_GRID = (np.pi / 6, np.pi / 4, np.pi / 3, np.pi / 2)
 
@@ -195,19 +196,18 @@ def test_criterion_9_property_suites(rng, tmp_path):
             if np.max(np.abs(lhs - rhs)) > 1e-12:
                 failures.append("anti-linearity")
 
-    # partial trace against the brute-force oracle
-    from anticlone.linalg import partial_trace
-
-    m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    rho = m @ m.conj().T
-    rho /= np.trace(rho).real
-    for keep in ([0], [1], [2], [0, 2]):
-        if not np.allclose(
-            partial_trace(rho, [2, 2, 2], keep),
-            partial_trace_by_sum(rho, [2, 2, 2], keep),
-            atol=1e-12,
-        ):
-            failures.append(f"partial trace keep={keep}")
+    # both reduced states of output_states on random isometries against the
+    # brute-force partial-trace sums
+    for ancilla_dim in (1, 2, 4):
+        shape = (4 * ancilla_dim, 2)
+        v = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+        kets = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        states = output_states(v, kets, 2)
+        for n, ket in enumerate(kets):
+            for q, expected in enumerate(clone_outputs_by_sum(v, ket)):
+                if not np.allclose(states[q][n], expected, atol=1e-12):
+                    failures.append(f"reduced state of output {q + 1}, ancilla dim {ancilla_dim}")
 
     # CLI determinism: byte-identical reports for a fixed seed
     outs = []
@@ -225,6 +225,6 @@ def test_criterion_9_property_suites(rng, tmp_path):
     report(
         9,
         not failures,
-        "anti-unitarity, partial-trace oracle, CLI determinism all hold"
+        "anti-unitarity, reduced states against the partial-trace oracle, CLI determinism all hold"
         if not failures else f"failed: {failures}",
     )

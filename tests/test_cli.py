@@ -174,7 +174,16 @@ class TestStateFile:
         assert captured.out == ""
         assert captured.err == f"anticlone feasibility: {path}: JSON nested too deeply to read\n"
 
-    @pytest.mark.parametrize("where", ["missing", "directory", "dev-null"])
+    def test_too_deeply_nested_file_is_input_error_at_the_default_recursion_limit(self, tmp_path):
+        # a fresh interpreter, so the limit is Python's default, not whatever
+        # this process runs under
+        path = tmp_path / "deep.json"
+        path.write_text('{"states": ' + "[" * 100000 + "]" * 100000 + "}\n")
+        out = cli("feasibility", "--states", str(path))
+        assert out.returncode == EXIT_INPUT_ERROR
+        assert out.stderr == f"anticlone feasibility: {path}: JSON nested too deeply to read\n"
+
+    @pytest.mark.parametrize("where",["missing", "directory", "dev-null"])
     def test_unreadable_states_path_is_input_error(self, tmp_path, capsys, where):
         path = {"missing": str(tmp_path / "missing.json"), "directory": str(tmp_path),
                 "dev-null": os.devnull}[where]

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -32,9 +33,10 @@ from anticlone.qubit import (
     antiunitary_flip,
     bloch_to_state,
     direction_kets,
-    state_to_bloch,
 )
+from conftest import DELETED_LAYERS
 from oracles import (
+    bloch_vector_by_trace,
     fd_gradient,
     fidelities_adjoint_by_moved_axes,
     fidelities_by_bloch,
@@ -187,8 +189,8 @@ class TestAnticlone:
             v = rng.standard_normal(3)
             n = BlochVector.from_array(v / np.linalg.norm(v))
             out = anticlone(bloch_to_state(n), isometry)
-            b1 = state_to_bloch(out.rho1).as_array()
-            b2 = state_to_bloch(out.rho2).as_array()
+            b1 = bloch_vector_by_trace(out.rho1)
+            b2 = bloch_vector_by_trace(out.rho2)
             assert np.max(np.abs(b1 + b2)) < 1e-10
 
     @pytest.mark.parametrize("ancilla_dim", [1, 2, 4])
@@ -416,6 +418,23 @@ class TestConstraintResiduals:
         rep = constraint_residuals(params.replace_coeff(key, params.coeffs[key] + 1e-3j))
         assert rep.max_residual > 1e-4
 
+    @pytest.mark.parametrize("key", COEFF_KEYS)
+    def test_huge_coefficient_reports_inf_without_a_warning(self, params, key):
+        # each squared modulus of 1e200 overflows; it must read inf, with
+        # every warning an error, not raise OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = constraint_residuals(params.replace_coeff(key, 1e200))
+        norm = "norm_input1" if key.endswith("t") else "norm_input0"
+        assert rep.residuals[norm] == np.inf
+        # inf, or NaN where two eta expressions are both infinite
+        assert not rep.max_residual <= 1e-12
+
+    @pytest.mark.parametrize("key", COEFF_KEYS)
+    def test_nan_coefficient_gives_nan_max_residual(self, params, key):
+        rep = constraint_residuals(params.replace_coeff(key, float("nan")))
+        assert np.isnan(rep.max_residual)
+
     def test_eta_values_agree_at_optimum(self, params):
         vals = constraint_residuals(params).eta_values
         for v in vals.values():
@@ -538,7 +557,7 @@ class TestTracedBaseline:
             machine.measure_prepare_baseline(3 * BASELINE_BLOCK + 5, seed=2)
         wall = time.perf_counter() - start
 
-        assert missing == []
+        assert sorted(missing) == DELETED_LAYERS
         check_nesting(tracer.spans)
         streams = [s for s in tracer.spans if s[NAME] == "rng.philox_stream"]
         assert len(streams) == 4

@@ -8,11 +8,9 @@ from anticlone.qubit import (
     antiunitary_flip,
     bloch_to_state,
     check_density_matrix,
-    fidelity_direction,
-    state_to_bloch,
 )
 from conftest import random_direction
-from oracles import flip_density
+from oracles import bloch_vector_by_trace, fidelity_along, flip_density
 
 
 def raw_flip(v):
@@ -74,29 +72,31 @@ class TestBlochToState:
 
 
 class TestStateToBloch:
+    """The oracle ``bloch_vector_by_trace``, and ``bloch_to_state`` through it."""
+
     def test_maximally_mixed(self):
-        n = state_to_bloch(np.eye(2) / 2)
-        assert n.norm() < 1e-14
+        n = bloch_vector_by_trace(np.eye(2) / 2)
+        assert np.linalg.norm(n) < 1e-14
 
     def test_ground_state(self):
-        n = state_to_bloch(np.diag([1.0, 0.0]))
-        assert np.allclose(n.as_array(), [0, 0, 1])
+        n = bloch_vector_by_trace(np.diag([1.0, 0.0]))
+        assert np.allclose(n, [0, 0, 1])
 
     def test_shrunk_output_direction(self):
         rho = 0.5 * (np.eye(2) + (1 / 3) * SIGMA_X)
-        n = state_to_bloch(rho)
-        assert np.allclose(n.as_array(), [1 / 3, 0, 0], atol=1e-14)
+        n = bloch_vector_by_trace(rho)
+        assert np.allclose(n, [1 / 3, 0, 0], atol=1e-14)
 
     def test_round_trip_on_pure_states(self, rng):
         for _ in range(50):
             n = BlochVector.from_array(random_direction(rng))
             s = bloch_to_state(n)
-            back = state_to_bloch(s.density())
-            assert np.max(np.abs(back.as_array() - n.as_array())) < 1e-10
+            back = bloch_vector_by_trace(s.density())
+            assert np.max(np.abs(back - n.as_array())) < 1e-10
 
     def test_rejects_non_density(self):
         with pytest.raises(ValueError):
-            state_to_bloch(np.array([[1.2, 0], [0, -0.2]]))  # not PSD
+            bloch_vector_by_trace(np.array([[1.2, 0], [0, -0.2]]))  # not PSD
 
 
 NON_FINITE = [
@@ -116,7 +116,7 @@ class TestCheckDensityMatrix:
 
     def test_fidelity_of_nan_matrix_raises(self):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            fidelity_direction(np.array([[np.nan, 0], [0, 1.0]]), BlochVector(0.0, 0.0, 1.0))
+            fidelity_along(np.array([[np.nan, 0], [0, 1.0]]), BlochVector(0.0, 0.0, 1.0))
 
 
 class TestAntiunitaryFlip:
@@ -129,7 +129,7 @@ class TestAntiunitaryFlip:
         out = antiunitary_flip(s)
         assert abs(out.alpha + 1 / np.sqrt(2)) < 1e-12
         assert abs(out.beta - 1 / np.sqrt(2)) < 1e-12
-        assert np.allclose(state_to_bloch(out.density()).as_array(), [-1, 0, 0], atol=1e-12)
+        assert np.allclose(bloch_vector_by_trace(out.density()), [-1, 0, 0], atol=1e-12)
 
     def test_double_flip_is_minus_identity(self, rng):
         for _ in range(20):
@@ -161,8 +161,8 @@ class TestAntiunitaryFlip:
     def test_negates_bloch_vector(self, rng):
         for _ in range(30):
             s = random_state(rng)
-            n = state_to_bloch(s.density()).as_array()
-            m = state_to_bloch(antiunitary_flip(s).density()).as_array()
+            n = bloch_vector_by_trace(s.density())
+            m = bloch_vector_by_trace(antiunitary_flip(s).density())
             assert np.max(np.abs(n + m)) < 1e-12
 
     def test_matches_density_flip_oracle(self, rng):
@@ -174,20 +174,22 @@ class TestAntiunitaryFlip:
 
 
 class TestFidelityAndShrink:
+    """The oracle ``fidelity_along`` against closed forms and the Bloch formula."""
+
     def test_pure_state_fidelity_one(self, rng):
         n = BlochVector.from_array(random_direction(rng))
-        assert abs(fidelity_direction(bloch_to_state(n).density(), n) - 1) < 1e-12
+        assert abs(fidelity_along(bloch_to_state(n).density(), n) - 1) < 1e-12
 
     def test_maximally_mixed_half(self, rng):
         n = BlochVector.from_array(random_direction(rng))
-        assert abs(fidelity_direction(np.eye(2) / 2, n) - 0.5) < 1e-14
+        assert abs(fidelity_along(np.eye(2) / 2, n) - 0.5) < 1e-14
 
     def test_one_third_shrunk_gives_two_thirds(self, rng):
         n = BlochVector.from_array(random_direction(rng))
         ns = sum(c * s for c, s in zip(n.as_array(), (SIGMA_X,
                  np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))))
         rho = 0.5 * (np.eye(2) + (1 / 3) * ns)
-        assert abs(fidelity_direction(rho, n) - 2 / 3) < 1e-12
+        assert abs(fidelity_along(rho, n) - 2 / 3) < 1e-12
 
     def test_matches_bloch_formula(self, rng):
         from conftest import random_density
@@ -195,6 +197,6 @@ class TestFidelityAndShrink:
         for _ in range(20):
             rho = random_density(rng, 2)
             n = BlochVector.from_array(random_direction(rng))
-            direct = fidelity_direction(rho, n)
-            via_bloch = 0.5 * (1 + np.dot(n.as_array(), state_to_bloch(rho).as_array()))
+            direct = fidelity_along(rho, n)
+            via_bloch = 0.5 * (1 + np.dot(n.as_array(), bloch_vector_by_trace(rho)))
             assert abs(direct - via_bloch) < 1e-12
