@@ -25,10 +25,9 @@ Every candidate's fidelities come from one ``machine.FidelityKernel``,
 prepared once per ascent, which takes each as the squared norm of the
 output projected onto the target ket and forms no reduced state; the
 gradient reuses the candidate's amplitudes. Each stage start and each
-line-search trial is scored as one row. The projection, the values layer
-and the softmin work on rows (K, n), each row with the bits it gets alone,
-and the projection hands the pullback a per-row record of the norms and
-overlap it took. The gradient is taken lazily, at an accepted point.
+line-search trial is one call on one flat parameter vector, and the
+projection hands the pullback a record of the norms and overlap it took.
+The gradient is taken lazily, at an accepted point.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -119,80 +117,66 @@ def direction_set() -> np.ndarray:
     return np.vstack([pts, poles])
 
 
-def _norms(c: np.ndarray) -> np.ndarray:
-    """Euclidean norm along the last axis: the square root of the summed
-    |c|^2, which gives each row the bits it gets alone (a square root is
-    correctly rounded wherever it is taken)."""
-    return np.sqrt(np.add.reduce((c.conj() * c).real, axis=-1))
+def _norm(c: np.ndarray) -> float:
+    """Euclidean norm of ``c``: the square root of the summed |c|^2."""
+    return math.sqrt(np.add.reduce((c.conj() * c).real))
 
 
-def _inner(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """<a, z> along the last axis."""
-    return np.add.reduce(a.conj() * z, axis=-1)
+def _inner(a: np.ndarray, z: np.ndarray) -> complex:
+    """<a, z>."""
+    return np.add.reduce(a.conj() * z)
 
 
 class _GramSchmidt(NamedTuple):
-    """What the projection computed that its pullback needs, one entry per
-    row: the raw column 1, the raw norm of column 0, <e0, c1> and the raw
-    norm of c1 - <e0, c1> e0, both norms taken before any fallback."""
+    """What the projection computed that its pullback needs: the raw column
+    1, the raw norm of column 0, <e0, c1> and the raw norm of
+    c1 - <e0, c1> e0, both norms taken before any fallback."""
 
     c1: np.ndarray
-    n0: np.ndarray
-    overlap: np.ndarray
-    n1: np.ndarray
+    n0: float
+    overlap: complex
+    n1: float
 
 
 def _isometry_batch(x: np.ndarray, out_dim: int) -> tuple[np.ndarray, _GramSchmidt]:
-    """Project each row of ``x``, shape (K, 4 * out_dim), onto an isometry,
-    shape (K, out_dim, 2), and return them with the Gram-Schmidt record that
+    """Project ``x``, shape (4 * out_dim,), onto an isometry, shape
+    (out_dim, 2), and return it with the Gram-Schmidt record that
     ``_isometry_pullback`` reads.
 
     Column 0 is normalized; column 1 is projected off column 0 and
-    normalized. A degenerate column falls back, in its row alone, to a
-    deterministic computational-basis vector, so the map is total; the
-    fallback divides by no vanishing norm. Each row gets the bits it would
-    get alone.
+    normalized. A degenerate column falls back to a deterministic
+    computational-basis vector, so the map is total; the fallback divides by
+    no vanishing norm, and a NaN norm divides, as it is not under
+    ``DEGENERACY_TOL``.
     """
-    if x.ndim != 2 or x.shape[1] != 4 * out_dim:
-        raise ValueError(f"expected rows of {4 * out_dim} real parameters, got shape {x.shape}")
-    cols = x.reshape(len(x), 2, out_dim, 2)
-    c = cols[..., 0] + 1j * cols[..., 1]
-    c0, c1 = c[:, 0], c[:, 1]
-    v = np.empty((len(x), out_dim, 2), dtype=complex)
-    e0, e1 = v[..., 0], v[..., 1]
+    if x.shape != (4 * out_dim,):
+        raise ValueError(f"expected {4 * out_dim} real parameters, got shape {x.shape}")
+    cols = x.reshape(2, out_dim, 2)
+    c0, c1 = cols[..., 0] + 1j * cols[..., 1]
 
-    # where a norm is under DEGENERACY_TOL, its row divides by
-    # DEGENERACY_TOL instead and the fallback then replaces the column, so
-    # nothing divides by zero; the checks read plain floats, as there are
-    # few rows, and a NaN norm takes the careful path
-    n0 = _norms(c0)
-    dead0 = not min(n0.tolist()) >= DEGENERACY_TOL
-    np.divide(c0, (np.maximum(n0, DEGENERACY_TOL) if dead0 else n0)[:, None], out=e0)
-    if dead0:
-        e0[n0 < DEGENERACY_TOL] = basis_ket(out_dim, 0)
+    n0 = _norm(c0)
+    e0 = basis_ket(out_dim, 0) if n0 < DEGENERACY_TOL else c0 / n0
 
     overlap = _inner(e0, c1)
-    r1 = c1 - overlap[:, None] * e0
-    n1 = _norms(r1)
-    dead1 = not min(n1.tolist()) >= DEGENERACY_TOL
-    np.divide(r1, (np.maximum(n1, DEGENERACY_TOL) if dead1 else n1)[:, None], out=e1)
-    if dead1:
-        for row in np.flatnonzero(n1 < DEGENERACY_TOL):
-            # first basis vector with substantial residual off column 0
-            for k in range(out_dim):
-                cand = basis_ket(out_dim, k)
-                cand = cand - np.vdot(e0[row], cand) * e0[row]
-                if np.linalg.norm(cand) > 0.5:  # always reachable: e0 overlaps most basis kets weakly
-                    e1[row] = cand / _norms(cand)
-                    break
-    return v, _GramSchmidt(c1, n0, overlap, n1)
+    r1 = c1 - overlap * e0
+    n1 = _norm(r1)
+    if n1 < DEGENERACY_TOL:
+        # first basis vector with substantial residual off column 0
+        for k in range(out_dim):
+            cand = basis_ket(out_dim, k)
+            cand = cand - np.vdot(e0, cand) * e0
+            if np.linalg.norm(cand) > 0.5:  # always reachable: e0 overlaps most basis kets weakly
+                e1 = cand / _norm(cand)
+                break
+    else:
+        e1 = r1 / n1
+    return np.column_stack([e0, e1]), _GramSchmidt(c1, n0, overlap, n1)
 
 
-def _isometry_pullback(v: np.ndarray, record: _GramSchmidt, row: int, g: np.ndarray) -> np.ndarray:
-    """Gradient in row ``row``'s flat parameters of Re sum conj(g) V, where
-    V = ``v[row]``, ``v`` and ``record`` = ``_isometry_batch(x)`` and ``g``,
-    shape (out_dim, 2), is the gradient with respect to V. Returns shape
-    (4 * out_dim,).
+def _isometry_pullback(v: np.ndarray, record: _GramSchmidt, g: np.ndarray) -> np.ndarray:
+    """Gradient in the flat parameters of Re sum conj(g) V, where ``v`` and
+    ``record`` = ``_isometry_batch(x)`` and ``g``, shape (out_dim, 2), is
+    the gradient with respect to V. Returns shape (4 * out_dim,).
 
     Reverses the Gram-Schmidt steps from the projection's record, with no
     recomputation: for e = u / |u| the gradient on u is (g - Re<e, g> e) /
@@ -201,8 +185,8 @@ def _isometry_pullback(v: np.ndarray, record: _GramSchmidt, row: int, g: np.ndar
     basis vector does not move with its parameters, so it gets a zero
     gradient and passes nothing on.
     """
-    c1, n0, overlap, n1 = (field[row] for field in record)
-    e0, e1 = v[row, :, 0], v[row, :, 1]
+    c1, n0, overlap, n1 = record
+    e0, e1 = v[:, 0], v[:, 1]
     g0, g1 = g[:, 0], g[:, 1]
     grad = np.empty((2, len(e0)), dtype=complex)
     if n1 < DEGENERACY_TOL:
@@ -234,12 +218,11 @@ def _spinflip_values(vb: np.ndarray, kernel: FidelityKernel):
     return kernel.fidelities(amps), amps
 
 
-def _softmin(values: np.ndarray, temperature: float) -> np.ndarray:
-    """The softmin -T log sum exp(-f/T) of each row of ``values``, shape
-    (K, M), reduced along the last axis."""
+def _softmin(values: np.ndarray, temperature: float) -> float:
+    """The softmin -T log sum exp(-f/T) of ``values``."""
     scaled = values / -temperature  # the bits of -values / temperature
-    peak = np.maximum.reduce(scaled, axis=-1)
-    return -temperature * (np.log(np.add.reduce(np.exp(scaled - peak[:, None]), axis=-1)) + peak)
+    peak = np.maximum.reduce(scaled)
+    return -temperature * (np.log(np.add.reduce(np.exp(scaled - peak))) + peak)
 
 
 def _softmin_weights(values: np.ndarray, search: float, temperature: float) -> np.ndarray:
@@ -263,23 +246,24 @@ class _Objective:
         self.kernel = FidelityKernel(k_in, (k_in, k_opp)[2 - copies:], self.out_dim)
 
     def evaluate(self, x: np.ndarray, temperature: float):
-        """(softmin search values at ``temperature``, hard worst-case
-        values, gradient) at the rows of ``x``, shape (K, n); the values
-        have shape (K,), and ``gradient(i)`` returns the search value's
-        gradient at row i from the amplitudes and the Gram-Schmidt record
-        computed here."""
+        """(softmin search value at ``temperature``, hard worst-case value,
+        gradient) at ``x``, shape (4 * out_dim,); ``gradient()`` returns
+        the search value's gradient from the amplitudes and the
+        Gram-Schmidt record computed here."""
         v, record = _isometry_batch(x, self.out_dim)
         # looked up at call time, so a patched module attribute is the one
         # called
         values_fn = _universal_values if self.copies == 2 else _spinflip_values
-        values, amps = values_fn(v, self.kernel)
+        # the kernel takes a stack of isometries: this one is a stack of one
+        values, amps = values_fn(v[None], self.kernel)
+        values, amps = values[0], amps[0]
         search = _softmin(values, temperature)
 
-        def gradient(i: int) -> np.ndarray:
-            weights = _softmin_weights(values[i], search[i], temperature)
-            return _isometry_pullback(v, record, i, self.kernel.adjoint(amps[i], weights))
+        def gradient() -> np.ndarray:
+            weights = _softmin_weights(values, search, temperature)
+            return _isometry_pullback(v, record, self.kernel.adjoint(amps, weights))
 
-        return search, np.minimum.reduce(values, axis=-1), gradient
+        return search, float(np.minimum.reduce(values)), gradient
 
 
 def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
@@ -324,11 +308,6 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
     objective = _Objective(copies, cfg.ancilla_dim, direction_set())
     nparams = 4 * objective.out_dim
 
-    def score(point: np.ndarray, temperature: float):
-        """(search value, hard value, gradient) at one point, as one row."""
-        search, hard, gradient = objective.evaluate(point[None], temperature)
-        return search[0], float(hard[0]), partial(gradient, 0)
-
     stage_iters = [cfg.max_iters // len(SCHEDULE)] * len(SCHEDULE)
     stage_iters[-1] += cfg.max_iters % len(SCHEDULE)
 
@@ -346,7 +325,7 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
 
         trace = []
         for stage, (temperature, iters) in enumerate(zip(SCHEDULE, stage_iters)):
-            s_cur, f_cur, gradient_at_x = score(x, temperature)
+            s_cur, f_cur, gradient_at_x = objective.evaluate(x, temperature)
             max_seen = max(max_seen, f_cur)
             if stage == 0:
                 # best point *visited*: softmin acceptance may trade a little
@@ -374,7 +353,7 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
                 t = 1.0
                 while t * length >= STEP_FLOOR:
                     cand = x + t * direction
-                    s_new, f_new, gradient_at_cand = score(cand, temperature)
+                    s_new, f_new, gradient_at_cand = objective.evaluate(cand, temperature)
                     max_seen = max(max_seen, f_new)
                     if s_new >= s_cur + ARMIJO * t * slope:
                         break

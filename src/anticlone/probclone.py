@@ -15,6 +15,7 @@ explicit 8x8 unitary on (copy 1, copy 2, probe).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +41,14 @@ RANK_TOL = 1e-10  # Gram eigenvalues at or below this count as zero
 # times below the smallest residual, 7e-11, over 1945 random near-degenerate
 # sets of three distinct states at L + M >= 2.
 PHASE_EQUIVALENCE_TOL = 1e-12
-SHOT_BLOCK = 1 << 16  # shots per Philox stream in ``run_prob_anticlone``
+COUNT_MAX = 2**63 - 1  # largest copy or shot count: numpy draws int64 counts
 PROBE_SUCCESS = basis_ket(2, 0)  # probe state that flags exact copies
 
 
 @dataclass(frozen=True)
 class CopySpec:
-    """Output layout: L aligned copies and M anti-aligned copies."""
+    """Output layout: L aligned copies and M anti-aligned copies, each at
+    most ``COUNT_MAX``."""
 
     L: int
     M: int
@@ -54,6 +56,8 @@ class CopySpec:
     def __post_init__(self):
         if self.L < 0 or self.M < 0 or self.L + self.M < 1:
             raise ValueError("need non-negative copy counts with L + M >= 1")
+        if max(self.L, self.M) > COUNT_MAX:
+            raise ValueError(f"copy counts must be at most {COUNT_MAX}")
 
 
 @dataclass(frozen=True)
@@ -129,17 +133,23 @@ class ShotStats:
 def two_state_efficiency(overlap: float, L: int = 1, M: int = 1) -> float:
     """Closed-form maximum success probability for two states.
 
-    ``overlap`` is |<m1|m2>|. Equals (1 - c) / (1 - c^(L+M)), evaluated as
-    1 / sum_{j<L+M} c^j, which does not cancel as c -> 1; the many-copy
-    limit is the unambiguous-discrimination probability 1 - c. Raises
-    ``ValueError`` for an overlap outside [0, 1] and for copy counts that
-    ``CopySpec`` rejects.
+    ``overlap`` is |<m1|m2>|. Equals (1 - c) / (1 - c^k) with k = L + M,
+    evaluated as expm1(log c) / expm1(k log c), which does not cancel as
+    c -> 1 and takes the same time at every k; c = 0 gives 1 and c = 1 the
+    limit 1 / k. The many-copy limit is the unambiguous-discrimination
+    probability 1 - c. Raises ``ValueError`` for an overlap outside [0, 1]
+    and for copy counts that ``CopySpec`` rejects.
     """
     c = float(overlap)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"overlap must lie in [0, 1], got {c}")
     mu = CopySpec(L, M)
-    return 1.0 / sum(c**j for j in range(mu.L + mu.M))
+    if c == 0.0:
+        return 1.0
+    if c == 1.0:
+        return 1.0 / (mu.L + mu.M)
+    log_c = math.log(c)
+    return math.expm1(log_c) / math.expm1((mu.L + mu.M) * log_c)
 
 
 def _aligned_kets(states: list[QubitState]) -> list[np.ndarray]:
@@ -277,12 +287,13 @@ def run_prob_anticlone(pc: ProbCloner, which: int, shots: int, seed: int = 0) ->
     Prepares |m>|0> |success-probe>, applies the unitary, and projects the
     probe. The exact success probability and the post-selected fidelity
     against (|m>, |-m>) come from the amplitudes; ``shots`` > 0 additionally
-    samples the success count (``shots == 0`` skips sampling entirely), block
-    b of ``SHOT_BLOCK`` shots from Philox stream (seed, b).
+    samples the success count as one binomial draw from Philox stream
+    (seed, which) (``shots == 0`` skips sampling entirely). ``shots`` may be
+    at most ``COUNT_MAX``.
     """
     m = pc.input_state(which)
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
+    if not 0 <= shots <= COUNT_MAX:
+        raise ValueError(f"shots must lie in [0, {COUNT_MAX}], got {shots}")
     start = tensor(m.ket(), basis_ket(2, 0), PROBE_SUCCESS)
     out = pc.u @ start
     # probe is the last register: amplitudes reshape to (copies, probe)
@@ -297,10 +308,7 @@ def run_prob_anticlone(pc: ProbCloner, which: int, shots: int, seed: int = 0) ->
     else:
         fidelity = 0.0
 
-    successes = 0
-    for block, start in enumerate(range(0, shots, SHOT_BLOCK)):
-        rng = philox_stream(seed, block)
-        successes += int(rng.binomial(min(SHOT_BLOCK, shots - start), p_success))
+    successes = int(philox_stream(seed, which).binomial(shots, p_success)) if shots else 0
     return ShotStats(
         shots=shots,
         successes=successes,

@@ -559,14 +559,18 @@ def softmin(values, temperature):
 
 class ObjectiveByMovedAxes:
     """The optimizer's softmin search objective, with the interface of
-    ``optimize._Objective``, evaluated by the functions above."""
+    ``optimize._Objective``, evaluated by the functions above.
+    ``evaluate_rows`` scores the rows of a (K, n) batch in one call, and
+    ``evaluate`` one point, as a batch of one."""
 
     def __init__(self, copies, ancilla_dim, directions):
         self.out_dim = 2**copies * ancilla_dim
         self.k_in = direction_kets(directions)
         self.targets = (self.k_in, direction_kets(-directions))[2 - copies:]
 
-    def evaluate(self, x, temperature):
+    def evaluate_rows(self, x, temperature):
+        """(search values, hard values, gradient) at the rows of ``x``;
+        ``gradient(i)`` is the search value's gradient at row i."""
         vb = isometry_batch_by_norm(x, self.out_dim)
         values = fidelities_by_moved_axes(vb, self.k_in, self.targets)
         search = softmin(values, temperature)
@@ -578,6 +582,10 @@ class ObjectiveByMovedAxes:
             return isometry_pullback_by_norm(x[rows], vb[rows], g)[0]
 
         return search, values.min(axis=1), gradient
+
+    def evaluate(self, x, temperature):
+        search, hard, gradient = self.evaluate_rows(x[None], temperature)
+        return search[0], float(hard[0]), lambda: gradient(0)
 
 
 def bfgs_inverse_hessian(pairs) -> np.ndarray:
@@ -596,9 +604,9 @@ def bfgs_inverse_hessian(pairs) -> np.ndarray:
 
 
 def parameterize_isometry(x, out_dim: int) -> np.ndarray:
-    """Flat reals -> isometry: the optimizer's projection of one row,
-    without its record."""
-    return _isometry_batch(np.asarray(x, dtype=float)[None], out_dim)[0][0]
+    """Flat reals -> isometry: the optimizer's projection, without its
+    record."""
+    return _isometry_batch(np.asarray(x, dtype=float), out_dim)[0]
 
 
 def objective_universal(v: np.ndarray, directions) -> float:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -267,6 +268,23 @@ class TestFeasibilityCampaign:
         assert metrics["closed_form_deviation"].value < 1e-9
         assert report.parameters["dependent"] is False
 
+    def test_huge_copy_count_pair_meets_closed_form_quickly(self, tmp_path):
+        # both kets have norm exactly 1 in floats: G's diagonal is raised
+        # to the L-th power
+        path = write_states(tmp_path / "pair.json", [[[1, 0], [0, 0]], [[0.6, 0], [0, 0.8]]])
+        start = time.perf_counter()
+        report, code = run(parse_args(["feasibility", "--states", path, "--L", str(10**18), "--M", "1"]))
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK, report.metrics
+        metrics = {m.name: m for m in report.metrics}
+        assert metrics["closed_form_deviation"].value < 1e-9
+
+    def test_copy_count_past_int64_is_input_error(self, tmp_path, capsys):
+        path = write_states(tmp_path / "pair.json", PAIR_60)
+        report, code = run(parse_args(["feasibility", "--states", path, "--L", "9" * 401]))
+        assert code == EXIT_INPUT_ERROR
+        assert "copy counts must be at most" in capsys.readouterr().err
+
     def test_near_parallel_pair_meets_closed_form(self, tmp_path):
         c = 0.9999
         pair = [[[1, 0], [0, 0]], [[c, 0], [np.sqrt(1 - c * c), 0]]]
@@ -379,6 +397,18 @@ class TestProbCampaign:
     def test_negative_shots_is_input_error(self):
         report, code = run(parse_args(["prob", "--theta", "1", "--shots", "-5"]))
         assert code == EXIT_INPUT_ERROR
+
+    def test_huge_shot_count_takes_one_draw(self):
+        # each input draws its count once, whatever the shot count
+        start = time.perf_counter()
+        report, code = run(parse_args(["prob", "--theta", "1.0", "--shots", str(10**18)]))
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK, report.metrics
+
+    def test_shot_count_past_int64_is_input_error(self, capsys):
+        report, code = run(parse_args(["prob", "--theta", "1.0", "--shots", str(2**63)]))
+        assert code == EXIT_INPUT_ERROR
+        assert "shots must lie in" in capsys.readouterr().err
 
 
 class TestBaselineCampaign:

@@ -19,9 +19,7 @@ from anticlone.optimize import (
     OptimizerConfig,
     _isometry_batch,
     _Objective,
-    _spinflip_values,
     _two_loop,
-    _universal_values,
     direction_set,
     optimize_spinflip,
     optimize_universal,
@@ -33,6 +31,7 @@ from oracles import (
     bfgs_inverse_hessian,
     clone_outputs_by_sum,
     fd_gradient,
+    isometry_batch_by_norm,
     ket_by_angles,
     objective_spinflip,
     objective_universal,
@@ -55,14 +54,14 @@ def encode(v):
 
 
 class Scored(NamedTuple):
-    """One ``_Objective.evaluate`` call: its rows and temperature, what it
-    returned, and the gradients the ascent then asked of it, by row."""
+    """One ``_Objective.evaluate`` call: its point and temperature, what it
+    returned, and each gradient the ascent then asked of it."""
 
     temperature: float
     x: np.ndarray
-    search: np.ndarray
-    hard: np.ndarray
-    gradients: dict
+    search: float
+    hard: float
+    gradients: list
 
 
 def recorded_calls(monkeypatch, run):
@@ -72,12 +71,12 @@ def recorded_calls(monkeypatch, run):
 
     def recorded(self, x, temperature):
         search, hard, gradient = original(self, x, temperature)
-        call = Scored(temperature, x.copy(), search, hard, {})
+        call = Scored(temperature, x.copy(), search, hard, [])
         calls.append(call)
 
-        def recorded_gradient(i):
-            call.gradients[i] = gradient(i)
-            return call.gradients[i]
+        def recorded_gradient():
+            call.gradients.append(gradient())
+            return call.gradients[-1]
 
         return search, hard, recorded_gradient
 
@@ -99,18 +98,17 @@ def replay(calls, cfg):
     returns, per restart, its stage start values, its trace (the hard value
     of each accepted step) and its iterations per stage.
 
-    Every call scores one row. A stage scores its start point, where the
-    previous stage ended. Each iteration asks for the gradient g at the
-    current point x, then searches along a trial step p: STEP_SIZE along g
-    while the stage has no (s, y) pairs, else the two-loop direction of the
-    pairs of its accepted steps (s.y above CURVATURE_TOL |s| |y|, the newest
-    MEMORY of them). A trial that fails the Armijo condition
-    s(x + p) >= s(x) + ARMIJO g.p is followed by its half. A step that gains
-    less than GAIN_TOL ends the stage. No stage exceeds its share of
-    max_iters; one that ends short has a line search whose next trial is
-    under STEP_FLOOR (a zero gradient's at once) or a last step that gained
-    less than GAIN_TOL.
-    Gradients are asked only at stage starts and accepted trials."""
+    A stage scores its start point, where the previous stage ended. Each
+    iteration asks for the gradient g at the current point x, then searches
+    along a trial step p: STEP_SIZE along g while the stage has no (s, y)
+    pairs, else the two-loop direction of the pairs of its accepted steps
+    (s.y above CURVATURE_TOL |s| |y|, the newest MEMORY of them). A trial
+    that fails the Armijo condition s(x + p) >= s(x) + ARMIJO g.p is
+    followed by its half. A step that gains less than GAIN_TOL ends the
+    stage. No stage exceeds its share of max_iters; one that ends short has
+    a line search whose next trial is under STEP_FLOOR (a zero gradient's at
+    once) or a last step that gained less than GAIN_TOL. Gradients are asked
+    only at stage starts and accepted trials, at most once at each."""
     shares = stage_shares(cfg.max_iters)
     stages = []
     for call in calls:
@@ -119,21 +117,19 @@ def replay(calls, cfg):
         stages[-1].append(call)
     assert [stage[0].temperature for stage in stages] == list(SCHEDULE) * cfg.restarts
 
-    assert all(len(call.x) == 1 for call in calls)
     restarts = []
     for k, (start, *searches) in enumerate(stages):
         if k % len(SCHEDULE) == 0:
             restarts.append(([], [], []))
         else:
-            assert start.x[0].tobytes() == x.tobytes()
+            assert start.x.tobytes() == x.tobytes()
         starts, trace, iterations = restarts[-1]
-        starts.append(float(start.hard[0]))
-        x, s_cur, at = start.x[0], start.search[0], start
+        starts.append(start.hard)
+        x, s_cur, at = start.x, start.search, start
         pairs, previous, gain, iters, stopped = [], None, None, 0, False
         remaining = iter(searches)
         while at.gradients:
-            assert set(at.gradients) == {0}
-            g = at.gradients[0]
+            (g,) = at.gradients
             if previous is not None:
                 s, g_old = previous
                 y = g_old - g
@@ -147,18 +143,18 @@ def replay(calls, cfg):
                     assert np.linalg.norm(trial) < STEP_FLOOR
                     stopped = True
                     break
-                assert np.allclose(call.x[0] - x, trial, rtol=1e-9, atol=1e-13)
-                if call.search[0] >= s_cur + ARMIJO * g.dot(call.x[0] - x):
+                assert np.allclose(call.x - x, trial, rtol=1e-9, atol=1e-13)
+                if call.search >= s_cur + ARMIJO * g.dot(call.x - x):
                     break
                 assert not call.gradients
                 trial = 0.5 * trial
             if stopped:
                 break
             iters += 1
-            gain = call.search[0] - s_cur
-            previous = (call.x[0] - x, g)
-            x, s_cur, at = call.x[0], call.search[0], call
-            trace.append(float(call.hard[0]))
+            gain = call.search - s_cur
+            previous = (call.x - x, g)
+            x, s_cur, at = call.x, call.search, call
+            trace.append(call.hard)
             if not gain >= GAIN_TOL:
                 assert not at.gradients
         assert next(remaining, None) is None
@@ -173,18 +169,18 @@ def replay(calls, cfg):
 def check_ascent(monkeypatch, run, cfg, init=None):
     """Runs the ascent, replays its calls and checks the result against the
     replay: each restart's peak over its stage starts and accepted points,
-    the best restart's trace, the largest hard value of every row scored,
-    and no (temperature, row) scored twice. Returns the result and the
-    replay."""
+    the best restart's trace, the largest hard value of every point scored,
+    and no (temperature, point) scored twice. Returns the result, the calls
+    and the replay."""
     res, calls = recorded_calls(monkeypatch, lambda: run(cfg, init))
     restarts = replay(calls, cfg)
     peaks = [max(starts + trace) for starts, trace, _ in restarts]
     assert res.per_restart_etas == [2.0 * f - 1.0 for f in peaks]
     best = peaks.index(max(peaks))
     assert res.objective_trace == restarts[best][1]
-    assert res.max_objective_seen == max(float(h) for c in calls for h in c.hard)
-    rows = [(c.temperature, r.tobytes()) for c in calls for r in c.x]
-    assert len(set(rows)) == len(rows)
+    assert res.max_objective_seen == max(c.hard for c in calls)
+    scored = [(c.temperature, c.x.tobytes()) for c in calls]
+    assert len(set(scored)) == len(scored)
     return res, calls, restarts
 
 
@@ -224,6 +220,13 @@ class TestParameterize:
     def test_zero_vector_falls_back(self):
         v = parameterize_isometry(np.zeros(16), 4)
         assert np.max(np.abs(v.conj().T @ v - np.eye(2))) < 1e-12
+
+    def test_nan_vector_divides_and_does_not_fall_back(self):
+        # a NaN norm is not under DEGENERACY_TOL, so no basis-vector
+        # fallback hides it
+        with np.errstate(invalid="ignore"):
+            v = parameterize_isometry(np.full(16, np.nan), 4)
+        assert np.isnan(v).all()
 
     def test_random_vectors_give_isometries(self, rng):
         for out_dim in (4, 8, 16):
@@ -325,20 +328,26 @@ class TestSearchGradient:
         assert objective.out_dim == 2**copies * ancilla
 
         def search(xb):
-            return objective.evaluate(xb, temperature)[0]
+            return np.array([objective.evaluate(x, temperature)[0] for x in xb])
 
         x = rng.standard_normal(4 * objective.out_dim)
-        s, _, gradient = objective.evaluate(x[None], temperature)
-        assert s[0] == ObjectiveByMovedAxes(copies, ancilla, net).evaluate(x[None], temperature)[0][0]
+        s, _, gradient = objective.evaluate(x, temperature)
+        assert s == ObjectiveByMovedAxes(copies, ancilla, net).evaluate(x, temperature)[0]
         want = fd_gradient(search, x)
-        assert np.linalg.norm(gradient(0) - want) <= 1e-6 * np.linalg.norm(want)
+        assert np.linalg.norm(gradient() - want) <= 1e-6 * np.linalg.norm(want)
 
     def test_degenerate_columns_get_a_finite_zero_gradient(self):
         objective = _Objective(2, 4, direction_set())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grad = objective.evaluate(np.zeros((1, 64)), 1e-3)[2](0)
+            grad = objective.evaluate(np.zeros(64), 1e-3)[2]()
         assert np.array_equal(grad, np.zeros(64))
+
+    @pytest.mark.parametrize("shape", [(1, 64), (2, 64), (63,), (65,)])
+    def test_only_one_flat_vector_is_scored(self, shape):
+        objective = _Objective(2, 4, direction_set())
+        with pytest.raises(ValueError, match="expected 64 real parameters"):
+            objective.evaluate(np.zeros(shape), 1e-3)
 
     def test_degenerate_start_stays_finite(self):
         # both columns of the zero vector fall back to basis kets, which no
@@ -358,11 +367,11 @@ class TestPreparedKernelIsBitwiseOracle:
 
     @staticmethod
     def assert_same_point(x, copies, ancilla, temperature):
-        got = _Objective(copies, ancilla, direction_set()).evaluate(x[None], temperature)
-        want = ObjectiveByMovedAxes(copies, ancilla, direction_set()).evaluate(x[None], temperature)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-        assert got[2](0).tobytes() == want[2](0).tobytes()
+        got = _Objective(copies, ancilla, direction_set()).evaluate(x, temperature)
+        want = ObjectiveByMovedAxes(copies, ancilla, direction_set()).evaluate(x, temperature)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+        assert got[2]().tobytes() == want[2]().tobytes()
 
     @pytest.mark.parametrize("temperature", [3e-2, 1e-3])
     @pytest.mark.parametrize("ancilla", [1, 2, 4])
@@ -405,10 +414,11 @@ class TestPreparedKernelIsBitwiseOracle:
 
 
 class TestRowsAreIndependent:
-    """Each row of a two-row evaluate call gets the bits it gets scored
-    alone, degenerate rows included. The ascent scores one row per call, but
-    the benchmark counts the rows the values layer receives, and restarts
-    batched along the row axis would rely on this."""
+    """Each row of the batch oracle's two-row call gets the bits that the
+    optimizer's one-point path gives that point alone, degenerate rows
+    included. The optimizer scores one point per call; restarts batched
+    along a row axis would start from the batch forms in ``oracles``, and
+    this pins that those forms agree with it row by row."""
 
     @pytest.mark.parametrize("temperature", [3e-2, 1e-3])
     @pytest.mark.parametrize("copies", [1, 2])
@@ -420,24 +430,16 @@ class TestRowsAreIndependent:
                 "parallel": lambda: parallel_columns(rng, copies)}
         xs = np.array([make[kind]() for kind in pair.split("-")])
         objective = _Objective(copies, 4, direction_set())
-        values_fn = _universal_values if copies == 2 else _spinflip_values
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            both = objective.evaluate(xs, temperature)
-            v, record = _isometry_batch(xs, objective.out_dim)
-            values, amps = values_fn(v, objective.kernel)
+            both = ObjectiveByMovedAxes(copies, 4, direction_set()).evaluate_rows(xs, temperature)
+            vb = isometry_batch_by_norm(xs, objective.out_dim)
             for i in range(2):
-                alone = objective.evaluate(xs[i:i + 1], temperature)
-                assert both[0][i].tobytes() == alone[0][0].tobytes()
-                assert both[1][i].tobytes() == alone[1][0].tobytes()
-                assert both[2](i).tobytes() == alone[2](0).tobytes()
-                v1, record1 = _isometry_batch(xs[i:i + 1], objective.out_dim)
-                assert v[i].tobytes() == v1[0].tobytes()
-                for field, field1 in zip(record, record1):
-                    assert field[i].tobytes() == field1[0].tobytes()
-                values1, amps1 = values_fn(v1, objective.kernel)
-                assert values[i].tobytes() == values1[0].tobytes()
-                assert amps[i].tobytes() == amps1[0].tobytes()
+                alone = objective.evaluate(xs[i], temperature)
+                assert both[0][i].tobytes() == np.float64(alone[0]).tobytes()
+                assert both[1][i].tobytes() == np.float64(alone[1]).tobytes()
+                assert both[2](i).tobytes() == alone[2]().tobytes()
+                assert vb[i].tobytes() == _isometry_batch(xs[i], objective.out_dim)[0].tobytes()
 
 
 class TestTwoLoop:
@@ -531,9 +533,9 @@ class TestLadderIsTheOneRowAscent:
         # the bands the campaign judges
         assert target - 1e-3 <= headline <= target + 1e-6
         assert res.max_objective_seen <= TWO_THIRDS + 1e-6
-        # under half the rows the ladder scored on this restart (71-104
-        # rows against 519-600)
-        assert sum(len(c.x) for c in calls) < iterations / 2
+        # under half the points the ladder scored on this restart (71-104
+        # points against 519-600)
+        assert len(calls) < iterations / 2
 
     # spin-flip restarts of `perfbench/run.py --workload optimize` that a
     # step ladder left short of 2/3: at --seed 77 by 1.14e-2, at --seed 59
@@ -554,8 +556,8 @@ class QuadraticObjective:
         self.out_dim = 2**copies * ancilla_dim
 
     def evaluate(self, x, temperature):
-        search = -0.5 * np.einsum("ij,ij->i", x, x)
-        return search, search, lambda i: -x[i]
+        search = -0.5 * x.dot(x)
+        return search, search, lambda: -x
 
 
 class TestLineSearch:
@@ -566,25 +568,25 @@ class TestLineSearch:
 
     @staticmethod
     def first_step(monkeypatch, a):
-        """The trace of that iteration, x0, and the rows of each evaluate
+        """The trace of that iteration, x0, and the point of each evaluate
         call: the four stage starts, then the line search's trials."""
-        rows = []
+        points = []
 
         class Recorded(QuadraticObjective):
             def evaluate(self, x, temperature):
-                rows.append(len(x))
+                points.append(x)
                 return super().evaluate(x, temperature)
 
         monkeypatch.setattr(optimize, "_Objective", Recorded)
         x0 = np.zeros(64)
         x0[0] = STEP_SIZE / a
         res = optimize_universal(OptimizerConfig(restarts=1, max_iters=1), init=x0)
-        return res.objective_trace, x0, rows
+        return res.objective_trace, x0, points
 
     def test_takes_the_full_trial_that_meets_armijo(self, monkeypatch):
-        trace, x0, rows = self.first_step(monkeypatch, 1.5)
+        trace, x0, points = self.first_step(monkeypatch, 1.5)
         assert trace == [pytest.approx(-0.5 * (0.5 * x0[0]) ** 2, rel=1e-9)]
-        assert rows == [1] * (len(SCHEDULE) + 1)
+        assert [p[0] for p in points] == [x0[0]] * len(SCHEDULE) + [pytest.approx(-0.5 * x0[0])]
 
     def test_halves_a_trial_that_gains_less_than_armijo_asks(self, monkeypatch):
         # the trial at t gains (t a - (t a)^2 / 2) |x0|^2 against the
@@ -595,9 +597,9 @@ class TestLineSearch:
             for tried in [t * 2**k for k in range(trials)]:
                 meets = tried * a - (tried * a) ** 2 / 2 >= ARMIJO * tried * a
                 assert meets == (tried == t)
-            trace, x0, rows = self.first_step(monkeypatch, a)
+            trace, x0, points = self.first_step(monkeypatch, a)
             assert trace == [pytest.approx(-0.5 * ((1 - t * a) * x0[0]) ** 2, rel=1e-9)]
-            assert rows == [1] * (len(SCHEDULE) + trials)
+            assert len(points) == len(SCHEDULE) + trials
 
     def test_a_direction_that_is_not_uphill_ends_the_stage(self, monkeypatch):
         # a model that turns the gradient around finds no Armijo step above
@@ -651,19 +653,18 @@ class TestOptimizeUniversal:
         assert len(res.objective_trace) == sum(restarts[0][2]) <= iters
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
-        # a call holds one row, a stage start or a line-search trial; no
-        # (temperature, row) is scored twice, and a stage start scores the
-        # previous stage's last point at a new temperature
+        # a call scores one point, a stage start or a line-search trial; no
+        # (temperature, point) is scored twice (``check_ascent``), and a
+        # stage start scores the previous stage's last point at a new
+        # temperature
         cfg = OptimizerConfig(restarts=1, seed=0)
-        for run in (optimize_universal, optimize_spinflip):
+        for run, nparams in ((optimize_universal, 64), (optimize_spinflip, 32)):
             _, calls, restarts = check_ascent(monkeypatch, run, cfg)
-            assert all(len(c.x) == 1 for c in calls)
-            rows = [(c.temperature, r.tobytes()) for c in calls for r in c.x]
-            assert len(set(rows)) == len(rows)
-            points = {r for _, r in rows}
-            assert len(points) == len(rows) - (len(SCHEDULE) - 1)
+            assert all(c.x.shape == (nparams,) for c in calls)
+            points = {c.x.tobytes() for c in calls}
+            assert len(points) == len(calls) - (len(SCHEDULE) - 1)
             iterations = sum(restarts[0][2])
-            assert len(SCHEDULE) + iterations <= len(calls) == len(rows)
+            assert len(SCHEDULE) + iterations <= len(calls)
 
 
 class TestTracedRun:
@@ -698,9 +699,9 @@ class TestTracedRun:
     )
     def test_every_point_passes_each_traced_layer_once(self, monkeypatch, run, values_layer):
         # every evaluate call passes the projection, the values layer and
-        # the softmin once, with its one row: a step that bypassed a traced
-        # layer would leave the benchmark's per-restart counts unequal with
-        # no layer missing
+        # the softmin once, the values layer with a stack of one isometry: a
+        # step that bypassed a traced layer would leave the benchmark's
+        # per-restart counts unequal with no layer missing
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         from layers import LAYERS
         from tracer import Tracer, patched, self_times
@@ -715,7 +716,7 @@ class TestTracedRun:
         for name in ("optimize._isometry_batch", "optimize._softmin", values_layer):
             assert per_layer[name][0] == len(calls), name
         rows = tracer.counts[f"{values_layer}.rows"]
-        assert rows == sum(len(c.x) for c in calls) == len(calls)
+        assert rows == len(calls)
 
 
 class TestOptimizeSpinflip:

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from anticlone.linalg import basis_ket, tensor
 from anticlone.probclone import (
+    COUNT_MAX,
     PROBE_SUCCESS,
-    SHOT_BLOCK,
     CopySpec,
     ProbCloner,
     build_two_state_anticloner,
@@ -191,7 +193,28 @@ class TestTwoStateEfficiency:
         with pytest.raises(ValueError):
             two_state_efficiency(1.5)
 
-    @pytest.mark.parametrize("L, M", [(-1, 3), (3, -1), (0, 0)])
+    def test_matches_exact_sums(self, rng):
+        # 1 / sum_{j<k} c^j in exact rationals, for k = L + M up to 12
+        for c in np.concatenate([rng.random(200), 1 - rng.random(50) * 1e-6]):
+            for L, M in [(1, 0), (1, 1), (2, 1), (3, 4), (6, 6)]:
+                exact = 1 / sum(Fraction(float(c)) ** j for j in range(L + M))
+                got = two_state_efficiency(c, L, M)
+                assert abs(Fraction(got) - exact) <= Fraction(5e-16) * exact
+
+    def test_end_points(self):
+        for L, M in [(1, 0), (1, 1), (5, 2)]:
+            assert two_state_efficiency(0.0, L, M) == 1.0
+            assert two_state_efficiency(1.0, L, M) == 1.0 / (L + M)
+
+    def test_huge_copy_counts_reach_the_discrimination_limit(self):
+        # c^k underflows, leaving 1 - c; at c = 1 - 2^-40 and k = 2^41,
+        # c^k = exp(-2) to 1e-12
+        assert two_state_efficiency(0.5, 10**18, 1) == 0.5
+        assert two_state_efficiency(0.5, COUNT_MAX, COUNT_MAX) == 0.5
+        got = two_state_efficiency(1 - 2.0**-40, 2**41 - 1, 1)
+        assert got == pytest.approx(2.0**-40 / (1 - np.exp(-2)), rel=1e-11)
+
+    @pytest.mark.parametrize("L, M", [(-1, 3), (3, -1), (0, 0), (COUNT_MAX + 1, 0), (1, COUNT_MAX + 1)])
     def test_rejects_copy_counts_copyspec_rejects(self, L, M):
         with pytest.raises(ValueError):
             CopySpec(L, M)
@@ -289,15 +312,33 @@ class TestRunProbAnticlone:
         b = run_prob_anticlone(pc, 2, shots=5000, seed=21)
         assert a == b
 
-    def test_blocks_draw_from_their_own_streams(self):
-        # block b of SHOT_BLOCK shots draws its binomial from stream (seed, b)
+    def test_each_input_draws_once_from_its_own_stream(self):
+        # input i draws its one binomial from stream (seed, i)
         from anticlone.rng import philox_stream
 
         pc = build_two_state_anticloner(np.pi / 3)
-        st = run_prob_anticlone(pc, 1, shots=SHOT_BLOCK + 100, seed=8)
-        counts = [philox_stream(8, b).binomial(n, st.success_probability)
-                  for b, n in enumerate((SHOT_BLOCK, 100))]
-        assert st.successes == sum(counts)
+        for which in (1, 2):
+            st = run_prob_anticlone(pc, which, shots=(1 << 16) + 100, seed=8)
+            assert st.successes == philox_stream(8, which).binomial(st.shots, st.success_probability)
+
+    def test_the_two_inputs_draw_independent_counts(self):
+        # both inputs succeed with the same probability; counts drawn from
+        # one stream would agree on every seed
+        pc = build_two_state_anticloner(np.pi / 3)
+        same = sum(
+            run_prob_anticlone(pc, 1, shots=10**5, seed=seed).successes
+            == run_prob_anticlone(pc, 2, shots=10**5, seed=seed).successes
+            for seed in range(50)
+        )
+        assert same <= 2
+
+    def test_largest_shot_count_is_one_draw(self):
+        pc = build_two_state_anticloner(np.pi / 3)
+        st = run_prob_anticlone(pc, 1, shots=COUNT_MAX, seed=0)
+        sigma = np.sqrt(pc.f * (1 - pc.f) / COUNT_MAX)
+        assert abs(st.successes / COUNT_MAX - pc.f) < 3 * sigma
+        with pytest.raises(ValueError, match="shots must lie in"):
+            run_prob_anticlone(pc, 1, shots=COUNT_MAX + 1)
 
     def test_variance_halves_when_shots_double(self):
         pc = build_two_state_anticloner(np.pi / 3)
