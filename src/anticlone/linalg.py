@@ -1,8 +1,8 @@
 """Basis kets, tensor products and the isometry gate.
 
 Everything here operates on plain numpy arrays: 1-D complex arrays are kets,
-2-D complex arrays are operators. All functions are pure; nothing mutates its
-arguments.
+2-D complex arrays are isometries. All functions are pure; nothing mutates
+its arguments.
 """
 
 from __future__ import annotations
@@ -29,27 +29,22 @@ def basis_ket(dim: int, k: int) -> np.ndarray:
     return v
 
 
-def tensor(*operands) -> np.ndarray:
-    """Kronecker product of kets or operators, leftmost factor most significant.
+def tensor(*kets) -> np.ndarray:
+    """Kronecker product of kets, leftmost factor most significant.
 
     For kets a (dim m) and b (dim n) the result has entry (n*i + j) = a[i]*b[j],
-    so basis labels concatenate left to right: |i> x |j> = |ij>. Operators
-    multiply the same way on row and column labels. Every entry is one
-    complex product of one entry per factor, as ``np.kron`` forms it.
+    so basis labels concatenate left to right: |i> x |j> = |ij>. Every entry is
+    one complex product of one entry per factor, as ``np.kron`` forms it.
+    Raises ``ValueError`` on an operand that is not 1-D.
     """
-    if not operands:
-        raise ValueError("tensor() needs at least one operand")
-    out = _as_complex(operands[0])
-    for op in operands[1:]:
-        op = _as_complex(op)
-        if out.ndim != op.ndim or out.ndim not in (1, 2):
-            raise ValueError("tensor() takes kets only or operators only")
-        prod = np.multiply.outer(out, op)
-        if out.ndim == 1:
-            out = prod.reshape(-1)
-        else:
-            rows, cols = out.shape[0] * op.shape[0], out.shape[1] * op.shape[1]
-            out = prod.transpose(0, 2, 1, 3).reshape(rows, cols)
+    if not kets:
+        raise ValueError("tensor() needs at least one ket")
+    factors = [_as_complex(k) for k in kets]
+    if any(k.ndim != 1 for k in factors):
+        raise ValueError("tensor() takes kets only")
+    out = factors[0]
+    for k in factors[1:]:
+        out = np.multiply.outer(out, k).reshape(-1)
     return out
 
 

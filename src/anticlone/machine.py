@@ -14,7 +14,6 @@ measure-and-prepare strategy it has to beat.
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -34,7 +33,6 @@ __all__ = [
     "optimal_params",
     "build_isometry",
     "output_states",
-    "output_fidelities",
     "FidelityKernel",
     "anticlone",
     "target_forms",
@@ -188,27 +186,20 @@ _KEEP_ONE_QUBIT = {
 }
 
 
-def _isometries(v, copies: int) -> np.ndarray:
-    """``v`` as complex isometries (..., rows, 2) into ``copies`` output
-    qubits (1 or 2) followed by an ancilla; raises on any other shape."""
-    v = np.asarray(v, dtype=complex)
-    if copies not in _KEEP_ONE_QUBIT or v.ndim < 2 or v.shape[-1] != 2 or v.shape[-2] % 2**copies:
-        raise ValueError(
-            f"expected isometries into 1 or 2 qubits x ancilla, got copies={copies}, shape {v.shape}"
-        )
-    return v
-
-
 def output_states(v, kets: np.ndarray, copies: int) -> tuple[np.ndarray, ...]:
     """Reduced states of the leading output qubits for every input ket.
 
     ``v`` holds isometries, shape (..., rows, 2), from one qubit into
     ``copies`` output qubits (1 or 2) followed by an ancilla of any
     dimension; ``kets`` holds N input kets, shape (N, 2). Returns one
-    (..., N, 2, 2) array per output qubit, in register order. Callers that
-    need only fidelities use ``output_fidelities``, which forms no state.
+    (..., N, 2, 2) array per output qubit, in register order; raises on
+    any other shape.
     """
-    v = _isometries(v, copies)
+    v = np.asarray(v, dtype=complex)
+    if copies not in _KEEP_ONE_QUBIT or v.ndim < 2 or v.shape[-1] != 2 or v.shape[-2] % 2**copies:
+        raise ValueError(
+            f"expected isometries into 1 or 2 qubits x ancilla, got copies={copies}, shape {v.shape}"
+        )
     joint = np.einsum("...ri,ni->...nr", v, kets)
     j = joint.reshape(joint.shape[:-1] + (2,) * copies + (-1,))
     jc = j.conj()
@@ -221,29 +212,29 @@ def _fold(targets, kets: np.ndarray) -> np.ndarray:
     return (np.conj(targets)[..., :, None] * kets[:, None, :]).reshape(len(targets), -1, 4)
 
 
-@functools.lru_cache(maxsize=None)
 def _row_maps(copies: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The flat indices of V's entries (rows x input) that each output qubit
     q reads, stacked as (copies, rest, qubit q x input): V's registers (2,
     ..., 2, anc, 2) with qubit q moved next to the input axis. Also their
     inverse, (copies, 2 * rows): the position of each of V's entries in the
-    flattened stack, per qubit. Read-only, so one copy serves every caller."""
+    flattened stack, per qubit."""
     order = np.arange(2 * rows).reshape((2,) * copies + (-1, 2))
     maps = np.stack([np.moveaxis(order, q, -2).reshape(-1, 4) for q in range(copies)])
     inverse = np.argsort(maps.reshape(copies, -1), axis=1)
     inverse += 2 * rows * np.arange(copies)[:, None]
-    for m in (maps, inverse):
-        m.setflags(write=False)
     return maps, inverse
 
 
 class FidelityKernel:
-    """``output_fidelities`` and its adjoint for fixed input kets, targets
-    and isometry row count.
+    """The optimizer's fidelities <t_n|rho_n|t_n> of the leading output
+    qubits, without rho, and their adjoint, for fixed input kets (N, 2),
+    one (N, 2) target array per leading output qubit (1 or 2), and
+    isometries of ``rows`` rows.
 
-    Everything that depends only on those is built once: the output
-    qubits' folded vectors conj(t_n) x k_n, stacked (copies, 4, N), their
-    conjugate transposes, and the stacked index map that gathers each
+    Each fidelity is a squared norm, ||(<t_n| x 1) V |k_n>||^2. Everything
+    that depends only on the kets, targets and row count is built once: the
+    output qubits' folded vectors conj(t_n) x k_n, stacked (copies, 4, N),
+    their conjugate transposes, and the stacked index map that gathers each
     qubit's (rest, qubit x input) rows from V's flat entries, with its
     inverse. ``amplitudes`` is one gather and one stacked product, which
     numpy takes as one small (rest, 4) @ (4, N) product per isometry and
@@ -258,13 +249,8 @@ class FidelityKernel:
         # (N, 4) block: BLAS rounds differently for a row-major (4, N)
         # operand, and the bitwise oracle tests pin these bits
         self.folds = _fold(targets, kets).swapaxes(-1, -2)
+        self.folds_h = self.folds.conj().swapaxes(-1, -2)
         self.size = 2 * rows
-
-    @functools.cached_property
-    def folds_h(self) -> np.ndarray:
-        """Conjugate transposes of the folds, (copies, N, 4), for the
-        adjoint only."""
-        return self.folds.conj().swapaxes(-1, -2)
 
     def amplitudes(self, v: np.ndarray) -> np.ndarray:
         """(<t_n| x 1) V |k_n> for each output qubit, shape (..., copies,
@@ -293,28 +279,13 @@ class FidelityKernel:
         return grad.reshape(lead + (-1, 2))
 
 
-def output_fidelities(v, kets: np.ndarray, targets) -> np.ndarray:
-    """Fidelities <t_n|rho_n|t_n> of the leading output qubits, without rho.
-
-    ``v`` and ``kets`` are as for ``output_states``; ``targets`` holds one
-    (N, 2) array of target kets per leading output qubit (1 or 2). Each
-    fidelity is a squared norm, ||(<t_n| x 1) V |k_n>||^2, so qubit q takes
-    one matrix product of V's (rest, qubit q x input) rows with the folded
-    vectors conj(t_n) x k_n (``FidelityKernel``). Returns shape
-    (..., copies * N), qubit-major.
-    """
-    v = _isometries(v, len(targets))
-    kernel = FidelityKernel(kets, targets, v.shape[-2])
-    return kernel.fidelities(kernel.amplitudes(v))
-
-
 def anticlone(psi: QubitState, v: np.ndarray) -> CloneOutput:
     """Send one qubit through the machine and reduce to the two clones.
 
     ``v`` is an isometry from the input qubit into (clone 1, clone 2,
-    ancilla); the ancilla may have dimension 1, 2 or 4. Fidelities are taken
-    against the input ket for clone 1 and its spin flip for clone 2, by
-    ``output_fidelities``, the kernel the optimizer uses.
+    ancilla); the ancilla may have dimension 1, 2 or 4. The fidelities are
+    read from the two reduced states: Re<k|rho1|k> against the input ket k
+    for clone 1, and Re<k'|rho2|k'> against its spin flip k' for clone 2.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 2:
@@ -322,9 +293,9 @@ def anticlone(psi: QubitState, v: np.ndarray) -> CloneOutput:
     require_isometry(v, "the machine")
 
     check_density_matrix(psi.density())
-    k, k_opp = psi.ket()[None], antiunitary_flip(psi).ket()[None]
-    rho1, rho2 = (check_density_matrix(rho[0]) for rho in output_states(v, k, 2))
-    f1, f2 = (float(f) for f in output_fidelities(v, k, (k, k_opp)))
+    k, k_opp = psi.ket(), antiunitary_flip(psi).ket()
+    rho1, rho2 = (check_density_matrix(rho[0]) for rho in output_states(v, k[None], 2))
+    f1, f2 = (float(np.real(t.conj() @ rho @ t)) for t, rho in ((k, rho1), (k_opp, rho2)))
     return CloneOutput(rho1=rho1, rho2=rho2, f1=f1, f2=f2)
 
 

@@ -17,17 +17,17 @@ whole sphere, not a lower bound. Two campaigns:
 Each softmin stage is one L-BFGS ascent (Nocedal and Wright, Numerical
 Optimization, 2006: the two-loop recursion, Alg. 7.4, and Armijo
 backtracking, Sec. 3.1). The gradient is plain calculus of the generic
-fidelity functional: softmax weights of the softmin, the adjoint of
-``machine.output_fidelities`` and the pullback of the Gram-Schmidt
-projection. It presumes nothing of the anti-cloner algebra being
-re-derived, and the tests check it against a central-difference oracle.
-Every candidate's fidelities come from one ``machine.FidelityKernel``,
-prepared once per ascent, which takes each as the squared norm of the
-output projected onto the target ket and forms no reduced state; the
-gradient reuses the candidate's amplitudes. Each stage start and each
-line-search trial is one call on one flat parameter vector, and the
-projection hands the pullback a record of the norms and overlap it took.
-The gradient is taken lazily, at an accepted point.
+fidelity functional: softmax weights of the softmin, the adjoint of the
+fidelity kernel and the pullback of the Gram-Schmidt projection. It
+presumes nothing of the anti-cloner algebra being re-derived, and the
+tests check it against a central-difference oracle. Every candidate's
+fidelities come from one ``machine.FidelityKernel``, prepared once per
+ascent, which takes each as the squared norm of the output projected onto
+the target ket and forms no reduced state; the gradient reuses the
+candidate's amplitudes. Each stage start and each line-search trial is
+one call on one flat parameter vector, and the projection hands the
+pullback a record of the norms and overlap it took. The gradient is taken
+lazily, at an accepted point.
 """
 
 from __future__ import annotations

@@ -201,21 +201,32 @@ def max_feasible_f(states: list[QubitState], mu: CopySpec = CopySpec(1, 1)) -> F
 
     State j repeats an earlier state i up to a phase when |<flip(i)|j>|,
     which is sqrt(1 - |<i|j>|^2) without the cancellation, is at most
-    ``RANK_TOL``. Qubit states span at most two dimensions, so G's rank must
-    be min(distinct, 2). Raises ``ValueError`` when it is not: the rank cut
+    ``RANK_TOL``. It then takes the first occurrence's row and column of G,
+    so repeats keep the f of the distinct states at every L and M. Qubit
+    states span at most two dimensions, so G's rank must be
+    min(distinct, 2). Raises ``ValueError`` when it is not: the rank cut
     then merged two distinct states too close for it to tell apart.
     """
     if not states:
         raise ValueError("state set must be non-empty")
     kets = _aligned_kets(states)
     n = len(kets)
-    g = np.array([[np.vdot(kets[i], kets[j]) for j in range(n)] for i in range(n)])
-    h = g**mu.L * g.conj() ** mu.M
-
     # <flip(i)|j> = a_i b_j - b_i a_j for kets (a, b)
     a, b = np.array(kets).T
-    repeats = np.triu(np.abs(np.outer(a, b) - np.outer(b, a)) <= RANK_TOL, 1).any(axis=0)
+    upper = np.triu(np.abs(np.outer(a, b) - np.outer(b, a)) <= RANK_TOL, 1)
+    repeats = upper.any(axis=0)
     distinct = n - int(repeats.sum())
+    first = np.where(repeats, upper.argmax(axis=0), np.arange(n))
+    for j in range(n):
+        first[j] = first[first[j]]
+
+    g = np.array([[np.vdot(kets[i], kets[j]) for j in range(n)] for i in range(n)])
+    # The inputs are unit rays, and a repeat is the ray of its first
+    # occurrence: a diagonal or repeat entry rounded off 1 would grow as its
+    # L-th power in H
+    np.fill_diagonal(g, 1.0)
+    g = g[np.ix_(first, first)]
+    h = g**mu.L * g.conj() ** mu.M
 
     lam, q = np.linalg.eigh(g)
     in_range = lam > RANK_TOL

@@ -2,10 +2,12 @@
 
 Everything here is deliberately written the dumb way (explicit index sums,
 hand-transcribed closed forms) and must not import the code paths it checks.
-``fidelities_from_states`` builds on ``machine.output_states``, the reduced-
-state path that the explicit partial-trace sums here check in turn.
-``fidelities_by_bloch`` goes through a Bloch round trip, which the fidelity
-kernel in ``machine`` does not use: the input's Bloch vector by Pauli traces
+``fidelities_from_states`` checks ``machine.FidelityKernel``, which forms
+no state, against contractions of the states ``machine.output_states``
+forms, the reduced-state path that the explicit partial-trace sums here
+check in turn. ``fidelities_by_bloch`` checks ``machine.anticlone``, which
+reads each fidelity as Re<k|rho|k> from the state it formed, through a Bloch
+round trip: the input's Bloch vector by Pauli traces
 (``bloch_vector_by_trace``), then overlaps with the kets that
 ``qubit.bloch_to_state`` rebuilds from it (``fidelity_along``).
 ``two_state_unitary_by_correspondence`` is the two-state probabilistic
@@ -25,10 +27,11 @@ norms and overlap recomputed in the pullback. ``bfgs_inverse_hessian`` is
 the optimizer's L-BFGS model as a dense matrix, built by the BFGS update
 formula in place of the two-loop recursion.
 
-``parameterize_isometry``, ``objective_universal`` and ``objective_spinflip``
-are not oracles but thin wrappers over the library for the tests: the
-optimizer's projection of one flat vector, and the worst fidelity over a
-direction net from ``machine.output_fidelities``.
+``parameterize_isometry``, ``kernel_fidelities``, ``objective_universal``
+and ``objective_spinflip`` are not oracles but thin wrappers over the
+library for the tests: the optimizer's projection of one flat vector, the
+fidelities of ``machine.FidelityKernel`` (the optimizer's kernel) in one
+call, and the worst fidelity over a direction net from that kernel.
 """
 
 import numpy as np
@@ -38,7 +41,7 @@ from anticlone.machine import (
     BASELINE_BLOCK,
     AnticlonerParams,
     BaselineReport,
-    output_fidelities,
+    FidelityKernel,
     output_states,
 )
 from anticlone.optimize import _isometry_batch
@@ -464,8 +467,9 @@ def _fold(targets, kets):
 
 
 def fidelities_by_moved_axes(v, kets, targets):
-    """``machine.output_fidelities`` with each qubit's (rest, qubit x input)
-    rows gathered by ``np.moveaxis`` and the targets folded on every call."""
+    """``machine.FidelityKernel``'s fidelities with each qubit's (rest,
+    qubit x input) rows gathered by ``np.moveaxis`` and the targets folded
+    on every call."""
     lead = v.shape[:-2]
     regs = v.reshape(lead + (2,) * len(targets) + (-1, 2))
     fidelities = []
@@ -609,15 +613,24 @@ def parameterize_isometry(x, out_dim: int) -> np.ndarray:
     return _isometry_batch(np.asarray(x, dtype=float), out_dim)[0]
 
 
+def kernel_fidelities(v, kets: np.ndarray, targets) -> np.ndarray:
+    """Fidelities <t_n|rho_n|t_n> of isometries ``v`` (..., rows, 2) from a
+    ``machine.FidelityKernel`` built for this one call, shape
+    (..., copies * N), qubit-major."""
+    v = np.asarray(v, dtype=complex)
+    kernel = FidelityKernel(kets, targets, v.shape[-2])
+    return kernel.fidelities(kernel.amplitudes(v))
+
+
 def objective_universal(v: np.ndarray, directions) -> float:
     """Worst-direction anti-cloning fidelity of one isometry: the minimum
     over the directions n of the two outputs' fidelities against n and -n."""
     d = np.atleast_2d(np.asarray(directions, dtype=float))
     k_in = direction_kets(d)
-    return float(output_fidelities(v, k_in, (k_in, direction_kets(-d))).min())
+    return float(kernel_fidelities(v, k_in, (k_in, direction_kets(-d))).min())
 
 
 def objective_spinflip(v: np.ndarray, directions) -> float:
     """Worst-direction flip fidelity <-n|rho_out|-n> of a (2 x anc) isometry."""
     d = np.atleast_2d(np.asarray(directions, dtype=float))
-    return float(output_fidelities(v, direction_kets(d), (direction_kets(-d),)).min())
+    return float(kernel_fidelities(v, direction_kets(d), (direction_kets(-d),)).min())

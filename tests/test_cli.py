@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,12 +270,21 @@ class TestFeasibilityCampaign:
         assert report.parameters["dependent"] is False
 
     def test_huge_copy_count_pair_meets_closed_form_quickly(self, tmp_path):
-        # both kets have norm exactly 1 in floats: G's diagonal is raised
-        # to the L-th power
         path = write_states(tmp_path / "pair.json", [[[1, 0], [0, 0]], [[0.6, 0], [0, 0.8]]])
         start = time.perf_counter()
         report, code = run(parse_args(["feasibility", "--states", path, "--L", str(10**18), "--M", "1"]))
         assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK, report.metrics
+        metrics = {m.name: m for m in report.metrics}
+        assert metrics["closed_form_deviation"].value < 1e-9
+
+    @pytest.mark.parametrize("L", [10**8, 10**18])
+    def test_renormalized_pair_meets_closed_form_at_huge_copy_counts(self, tmp_path, L):
+        # the second ket's squared norm rounds to 1 + 2^-52 after
+        # renormalization: raised to the L-th power in H, it would miss the
+        # closed form by 5.6e-9 at L = 1e8 and give f_max ~ 3e-97 at 1e18
+        path = write_states(tmp_path / "pair.json", PAIR_60)
+        report, code = run(parse_args(["feasibility", "--states", path, "--L", str(L), "--M", "1"]))
         assert code == EXIT_OK, report.metrics
         metrics = {m.name: m for m in report.metrics}
         assert metrics["closed_form_deviation"].value < 1e-9
@@ -361,6 +371,38 @@ class TestFeasibilityCampaign:
         f_max = {m.name: m.value for m in report.metrics}["f_max"]
         assert abs(f_max - two_state_efficiency(0.5, 2, 1)) <= 1e-12
 
+    @pytest.mark.parametrize("L", [10**6, 10**18])
+    @pytest.mark.parametrize(
+        "kets",
+        [[PAIR_60[1], PAIR_60[1]],
+         as_state_list([np.array([0.6, 0.8j]), np.exp(1.1j) * np.array([0.6, 0.8j])])],
+        ids=["renormalized-twice", "phase-duplicate"],
+    )
+    def test_repeated_state_clones_with_certainty_at_huge_copy_counts(self, tmp_path, kets, L):
+        # a repeat's overlap rounded off 1 would grow as its L-th power in H
+        # and leave H's null-space block past RANK_TOL
+        path = write_states(tmp_path / "dup.json", kets)
+        report, code = run(parse_args(["feasibility", "--states", path, "--L", str(L), "--M", "1"]))
+        assert code == EXIT_OK
+        assert {m.name: m.value for m in report.metrics}["f_max"] >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize(
+        "trio, L, M",
+        [([PAIR_60[0], PAIR_60[1], PAIR_60[1]], 10**8, 1),
+         (as_state_list([np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0j])]), 1, 1)],
+        ids=["renormalized-repeat-1e8", "repeat-orthogonal-to-first-L1M1"],
+    )
+    def test_repeat_in_trio_keeps_pair_value(self, tmp_path, trio, L, M):
+        # the second case's repeat is orthogonal to the first state, so
+        # aligning against the first state leaves its phase i
+        path = write_states(tmp_path / "trio.json", trio)
+        report, code = run(parse_args(["feasibility", "--states", path, "--L", str(L), "--M", str(M)]))
+        assert code == EXIT_OK
+        kets = [np.array([complex(*z) for z in ket]) for ket in trio[:2]]
+        c = abs(np.vdot(kets[0], kets[1])) / np.linalg.norm(kets[1])
+        f_max = {m.name: m.value for m in report.metrics}["f_max"]
+        assert abs(f_max - two_state_efficiency(c, L, M)) <= 1e-9
+
 
 class TestProbCampaign:
     def test_pi_third(self):
@@ -443,6 +485,35 @@ class TestOptimizeCampaign:
         argv = ["optimize", "--spinflip", "--restarts", "1", "--seed", str(seed)]
         report, code = run(parse_args(argv))
         assert code == EXIT_OK, report.metrics
+
+
+PAIR_FILE = Path(__file__).parent / "golden" / "states" / "pair.json"
+
+
+class TestDevelopmentMode:
+    """Each subcommand once in a fresh interpreter in development mode with
+    warnings as errors, so a DeprecationWarning fails it. A ResourceWarning
+    (a leaked file descriptor) is raised in a finalizer, which only prints
+    it, so stderr must hold nothing but the timing line. The optimize budget
+    is too short to reach the optimum: it must exit 1, not 0 or 2."""
+
+    @pytest.mark.parametrize("want, args", [
+        (EXIT_OK, ["verify", "--samples", "50"]),
+        (EXIT_OK, ["baseline", "--samples", "70000"]),
+        (EXIT_OK, ["prob", "--theta", "1.0"]),
+        (EXIT_OK, ["feasibility", "--states", str(PAIR_FILE)]),
+        (EXIT_VERIFICATION_FAILED, ["optimize", "--restarts", "1", "--iters", "8"]),
+    ], ids=["verify", "baseline", "prob", "feasibility", "optimize"])
+    def test_runs_with_nothing_on_stderr_but_the_timing_line(self, tmp_path, want, args):
+        out = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "anticlone", *args,
+             "--output", str(tmp_path / "report")],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == want, out.stderr
+        extra = [line for line in out.stderr.splitlines()
+                 if not re.fullmatch(r"anticlone [a-z]*: [0-9.e+-]* s", line)]
+        assert extra == [], out.stderr
 
 
 class TestReports:
