@@ -11,8 +11,10 @@ Five subcommands, one per campaign:
 Every campaign emits a report whose metrics each carry the tolerance they
 were judged against. Exit code 0 means every check passed, 1 means some
 verification failed, 2 means bad input or usage. Reports are byte-identical
-for identical arguments and seed; ``main`` writes the campaign's wall time to
-standard error after the report, as ``anticlone <subcommand>: <seconds> s``.
+for identical arguments and seed. After the report, ``main`` writes to
+standard error one line per failed check, as ``anticlone <subcommand>: FAIL
+<metric> = <value> > <tolerance>``, then the campaign's wall time, as
+``anticlone <subcommand>: <seconds> s``.
 """
 
 from __future__ import annotations
@@ -415,7 +417,15 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"anticlone: cannot write report: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        # the duration stays out of the report, so reports stay byte-identical
+        # failures and the duration stay out of the report, so reports stay
+        # byte-identical
+        for m in report.metrics:
+            if m.passed is False:
+                print(
+                    f"anticlone {cfg.subcommand}: FAIL {m.name} = {float(m.value)!r}"
+                    f" > {float(m.tolerance)!r}",
+                    file=sys.stderr,
+                )
         print(f"anticlone {cfg.subcommand}: {report.duration_seconds:.4g} s", file=sys.stderr)
     return code
 

@@ -16,7 +16,10 @@ whole sphere, not a lower bound. Two campaigns:
 
 Each softmin stage is one L-BFGS ascent (Nocedal and Wright, Numerical
 Optimization, 2006: the two-loop recursion, Alg. 7.4, and Armijo
-backtracking, Sec. 3.1). The gradient is plain calculus of the generic
+backtracking, Sec. 3.1). A step taken with no (s, y) pairs, the first of
+each stage among them, has the length of the restart's last accepted step,
+the initial-step choice of Sec. 3.5; only a restart's first step is
+``STEP_SIZE`` long. The gradient is plain calculus of the generic
 fidelity functional: softmax weights of the softmin, the adjoint of the
 fidelity kernel and the pullback of the Gram-Schmidt projection. It
 presumes nothing of the anti-cloner algebra being re-derived, and the
@@ -52,7 +55,7 @@ __all__ = [
     "optimize_spinflip",
 ]
 
-STEP_SIZE = 0.25  # length of a stage's first step, along the gradient
+STEP_SIZE = 0.25  # length of a restart's first step, along the gradient
 STEP_FLOOR = 1e-9  # shortest trial step of the line search
 MEMORY = 8  # (s, y) pairs the L-BFGS model keeps
 ARMIJO = 1e-4  # sufficient-increase constant of the line search
@@ -295,8 +298,12 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
     Each stage is one L-BFGS loop on its own softmin, with a fresh memory of
     the newest ``MEMORY`` (s, y) pairs, y the change in the gradient of the
     negated softmin; a pair whose curvature s.y is not above
-    ``CURVATURE_TOL`` |s| |y| is skipped. The first step of a stage is
-    ``STEP_SIZE`` along the gradient, later ones follow the two-loop
+    ``CURVATURE_TOL`` |s| |y| is skipped. A step with no pairs, each
+    stage's first among them, goes along the gradient with the length of
+    the restart's last accepted step (Nocedal and Wright, Sec. 3.5): the
+    accepted trial's t |d|, which the line search keeps at least
+    ``STEP_FLOOR``. A restart's first step is ``STEP_SIZE`` long, so
+    restarts stay independent. Steps with pairs follow the two-loop
     direction. The line search backtracks from t = 1, halving t, to the
     first trial that meets the Armijo condition with constant ``ARMIJO``,
     scoring one trial per call. A stage ends at its share of ``max_iters``
@@ -324,6 +331,7 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
             x = philox_stream(cfg.seed, r).standard_normal(nparams)
 
         trace = []
+        carried = STEP_SIZE  # a pairless step's length: the last accepted step's
         for stage, (temperature, iters) in enumerate(zip(SCHEDULE, stage_iters)):
             s_cur, f_cur, gradient_at_x = objective.evaluate(x, temperature)
             max_seen = max(max_seen, f_cur)
@@ -347,7 +355,7 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
                 else:
                     # the arithmetic of np.linalg.norm(grad) without its dispatch
                     gnorm = math.sqrt(grad.dot(grad))
-                    direction = grad * (STEP_SIZE / gnorm) if gnorm > 0.0 else grad
+                    direction = grad * (carried / gnorm) if gnorm > 0.0 else grad
                 slope = grad.dot(direction)
                 length = math.sqrt(direction.dot(direction))
                 t = 1.0
@@ -361,6 +369,7 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
                 else:
                     break  # no step up above the floor, as at a zero gradient
                 gain = s_new - s_cur
+                carried = t * length  # at least STEP_FLOOR, by the loop test
                 step = (cand - x, grad)
                 x, s_cur, f_cur, gradient_at_x = cand, s_new, f_new, gradient_at_cand
                 trace.append(f_cur)

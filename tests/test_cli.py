@@ -25,6 +25,7 @@ from anticlone import machine, probclone
 from anticlone.optimize import OptimizerConfig
 from anticlone.probclone import two_state_efficiency
 from anticlone.qubit import QubitState
+from golden_reports import CASES, resolved
 from oracles import verify_metrics_by_direction
 
 
@@ -494,8 +495,9 @@ class TestDevelopmentMode:
     """Each subcommand once in a fresh interpreter in development mode with
     warnings as errors, so a DeprecationWarning fails it. A ResourceWarning
     (a leaked file descriptor) is raised in a finalizer, which only prints
-    it, so stderr must hold nothing but the timing line. The optimize budget
-    is too short to reach the optimum: it must exit 1, not 0 or 2."""
+    it, so stderr must hold nothing but one line per failed report row and
+    then the timing line. The optimize budget is too short to reach the
+    optimum: it must exit 1, not 0 or 2, and name its failed rows."""
 
     @pytest.mark.parametrize("want, args", [
         (EXIT_OK, ["verify", "--samples", "50"]),
@@ -511,9 +513,29 @@ class TestDevelopmentMode:
             capture_output=True, text=True,
         )
         assert out.returncode == want, out.stderr
-        extra = [line for line in out.stderr.splitlines()
-                 if not re.fullmatch(r"anticlone [a-z]*: [0-9.e+-]* s", line)]
-        assert extra == [], out.stderr
+        report = json.loads((tmp_path / "report").read_text())
+        failures = [f"anticlone {args[0]}: FAIL {m['metric']} = {m['value']!r} > {m['tolerance']!r}"
+                    for m in report["metrics"] if m["pass"] is False]
+        assert (failures == []) == (want == EXIT_OK)
+        *lines, timing = out.stderr.splitlines()
+        assert lines == failures, out.stderr
+        assert re.fullmatch(rf"anticlone {args[0]}: [0-9.e+-]* s", timing), out.stderr
+
+
+class TestFailureLines:
+    """On exit 1, ``main`` names each failed report row on stderr, before
+    the timing line, and no passing row."""
+
+    def test_golden_dependent_set_names_its_one_failed_row(self, capsys):
+        # the golden exit-1 case: for |0>, |1>, |+i> at (L, M) = (0, 1) the
+        # solve, which fixes the targets' phases, gets f_max = 0, so only
+        # the deficit row fails; the other three pass or are not judged
+        assert main(resolved(CASES["feasibility_zero_one_plus_i"])) == EXIT_VERIFICATION_FAILED
+        captured = capsys.readouterr()
+        assert [m["pass"] for m in json.loads(captured.out)["metrics"]] == [None, True, True, False]
+        *lines, timing = captured.err.splitlines()
+        assert lines == ["anticlone feasibility: FAIL dependent_set_f_max_deficit = 1.0 > 1e-09"]
+        assert re.fullmatch(r"anticlone feasibility: \S+ s", timing)
 
 
 class TestReports:

@@ -100,9 +100,11 @@ def replay(calls, cfg):
 
     A stage scores its start point, where the previous stage ended. Each
     iteration asks for the gradient g at the current point x, then searches
-    along a trial step p: STEP_SIZE along g while the stage has no (s, y)
-    pairs, else the two-loop direction of the pairs of its accepted steps
-    (s.y above CURVATURE_TOL |s| |y|, the newest MEMORY of them). A trial
+    along a trial step p: while the stage has no (s, y) pairs, p points
+    along g with the length of the restart's last accepted trial, carried
+    across stages (STEP_SIZE before the restart's first); else p is the
+    two-loop direction of the pairs of the stage's accepted steps (s.y
+    above CURVATURE_TOL |s| |y|, the newest MEMORY of them). A trial
     that fails the Armijo condition s(x + p) >= s(x) + ARMIJO g.p is
     followed by its half. A step that gains less than GAIN_TOL ends the
     stage. No stage exceeds its share of max_iters; one that ends short has
@@ -121,6 +123,7 @@ def replay(calls, cfg):
     for k, (start, *searches) in enumerate(stages):
         if k % len(SCHEDULE) == 0:
             restarts.append(([], [], []))
+            carried = STEP_SIZE
         else:
             assert start.x.tobytes() == x.tobytes()
         starts, trace, iterations = restarts[-1]
@@ -136,7 +139,7 @@ def replay(calls, cfg):
                 if s.dot(y) > CURVATURE_TOL * np.linalg.norm(s) * np.linalg.norm(y):
                     pairs = (pairs + [(s, y, 1.0 / s.dot(y))])[-MEMORY:]
             gnorm = np.linalg.norm(g)
-            trial = _two_loop(g, pairs) if pairs else STEP_SIZE * g / gnorm if gnorm else g
+            trial = _two_loop(g, pairs) if pairs else carried * g / gnorm if gnorm else g
             while True:
                 call = next(remaining, None)
                 if call is None:
@@ -151,6 +154,7 @@ def replay(calls, cfg):
             if stopped:
                 break
             iters += 1
+            carried = np.linalg.norm(trial)
             gain = call.search - s_cur
             previous = (call.x - x, g)
             x, s_cur, at = call.x, call.search, call
@@ -475,8 +479,9 @@ class TestTwoLoop:
 
 # (copies, seed, iterations): the restarts of optimize_plan(1) in
 # perfbench/workloads.py, cycles 0-9, and the iterations of the 600 that
-# the step ladder before the L-BFGS ascent ran on each, each of which scored
-# a row; the spin-flip restarts that ended short stopped at its step floor
+# the step-ladder ascent, which the L-BFGS ascent replaced, ran on each,
+# each of which scored a point; the spin-flip restarts that ended short
+# stopped at the ladder's step floor
 BENCHMARK_RESTARTS = [
     (2, 1016164991, 600), (1, 1099128568, 537), (2, 1621709874, 600), (1, 2041105244, 600),
     (2, 74845286, 600), (1, 309580410, 577), (2, 1767258088, 600), (1, 2037209174, 576),
@@ -533,9 +538,21 @@ class TestLadderIsTheOneRowAscent:
         # the bands the campaign judges
         assert target - 1e-3 <= headline <= target + 1e-6
         assert res.max_objective_seen <= TWO_THIRDS + 1e-6
-        # under half the points the ladder scored on this restart (71-104
+        # under half the points the ladder scored on this restart (46-80
         # points against 519-600)
         assert len(calls) < iterations / 2
+
+    def test_benchmark_restarts_score_at_most_1250_points(self, monkeypatch):
+        # a pairless step that starts from the restart's last accepted step
+        # length, not STEP_SIZE, saves the colder stages most of their
+        # halvings: the 20 restarts score 1150 points, against 1600 when
+        # every stage's first step was STEP_SIZE long
+        total = 0
+        for copies, seed, _ in BENCHMARK_RESTARTS:
+            run = optimize_universal if copies == 2 else optimize_spinflip
+            cfg = OptimizerConfig(restarts=1, seed=seed)
+            total += len(recorded_calls(monkeypatch, lambda: run(cfg))[1])
+        assert total <= 1250
 
     # spin-flip restarts of `perfbench/run.py --workload optimize` that a
     # step ladder left short of 2/3: at --seed 77 by 1.14e-2, at --seed 59
@@ -567,21 +584,27 @@ class TestLineSearch:
     the Armijo condition's ARMIJO a |x0|^2."""
 
     @staticmethod
-    def first_step(monkeypatch, a):
-        """The trace of that iteration, x0, and the point of each evaluate
-        call: the four stage starts, then the line search's trials."""
-        points = []
+    def scored(monkeypatch, a, cfg):
+        """The run of ``cfg`` from x0 = (STEP_SIZE / a) e0, x0, and the
+        temperature and point of each evaluate call."""
+        calls = []
 
         class Recorded(QuadraticObjective):
             def evaluate(self, x, temperature):
-                points.append(x)
+                calls.append((temperature, x))
                 return super().evaluate(x, temperature)
 
         monkeypatch.setattr(optimize, "_Objective", Recorded)
         x0 = np.zeros(64)
         x0[0] = STEP_SIZE / a
-        res = optimize_universal(OptimizerConfig(restarts=1, max_iters=1), init=x0)
-        return res.objective_trace, x0, points
+        return optimize_universal(cfg, init=x0), x0, calls
+
+    @classmethod
+    def first_step(cls, monkeypatch, a):
+        """The trace of that iteration, x0, and the point of each evaluate
+        call: the four stage starts, then the line search's trials."""
+        res, x0, calls = cls.scored(monkeypatch, a, OptimizerConfig(restarts=1, max_iters=1))
+        return res.objective_trace, x0, [x for _, x in calls]
 
     def test_takes_the_full_trial_that_meets_armijo(self, monkeypatch):
         trace, x0, points = self.first_step(monkeypatch, 1.5)
@@ -600,6 +623,29 @@ class TestLineSearch:
             trace, x0, points = self.first_step(monkeypatch, a)
             assert trace == [pytest.approx(-0.5 * ((1 - t * a) * x0[0]) ** 2, rel=1e-9)]
             assert len(points) == len(SCHEDULE) + trials
+
+    def test_a_stage_starts_at_the_last_accepted_step_length(self, monkeypatch):
+        # with one iteration per stage (max_iters=4), stage 0 takes its
+        # third trial, t = 1/4 of STEP_SIZE, as above; stage 1 has no pairs,
+        # so its first trial goes along its gradient with that length,
+        # STEP_SIZE / 4, and restart 1 starts again from STEP_SIZE
+        _, x0, calls = self.scored(monkeypatch, 3.9999, OptimizerConfig(restarts=2, max_iters=4))
+        temperatures = [t for t, _ in calls]
+        assert temperatures[:5] == [SCHEDULE[0]] * 4 + [SCHEDULE[1]]
+        stage1_start, first_trial = calls[4][1], calls[5][1]
+        assert stage1_start[0] == pytest.approx((1 - 0.25 * 3.9999) * x0[0], rel=1e-9)
+        assert first_trial - stage1_start == pytest.approx(
+            -(STEP_SIZE / 4) * stage1_start / np.linalg.norm(stage1_start), rel=1e-12, abs=1e-15
+        )
+        # the first call of restart 1 is its first at SCHEDULE[0] after a
+        # call at a colder temperature
+        k = next(i for i in range(1, len(calls))
+                 if temperatures[i] == SCHEDULE[0] and temperatures[i - 1] != SCHEDULE[0])
+        start, trial = calls[k][1], calls[k + 1][1]
+        assert not np.array_equal(start, x0)
+        assert trial - start == pytest.approx(
+            -STEP_SIZE * start / np.linalg.norm(start), rel=1e-12, abs=1e-15
+        )
 
     def test_a_direction_that_is_not_uphill_ends_the_stage(self, monkeypatch):
         # a model that turns the gradient around finds no Armijo step above
