@@ -233,8 +233,8 @@ def parse_args(argv) -> argparse.Namespace:
 
 def _campaign_verify(cfg: argparse.Namespace) -> tuple[dict, list[MetricCheck]]:
     tol = _UNIVERSALITY_TOL
-    params = machine.optimal_params()
-    v = machine.build_isometry(params)
+    blocks = machine.optimal_params()
+    v = machine.build_isometry(blocks)
     dirs = machine.haar_directions(cfg.samples, seed=cfg.seed)
 
     outs = [machine.anticlone(QubitState(*k), v) for k in direction_kets(dirs)]
@@ -243,7 +243,7 @@ def _campaign_verify(cfg: argparse.Namespace) -> tuple[dict, list[MetricCheck]]:
     t1, t2 = machine.target_forms(dirs, machine.OPTIMAL_ETA)
     bloch_sum = np.einsum("nab,kba->nk", rho1 + rho2, np.array(PAULI)).real
 
-    report = machine.constraint_residuals(params)
+    report = machine.constraint_residuals(blocks)
     metrics = [
         MetricCheck("max_universality_deviation_rho1", float(np.max(np.abs(rho1 - t1))), tol),
         MetricCheck("max_universality_deviation_rho2", float(np.max(np.abs(rho2 - t2))), tol),

@@ -1,4 +1,4 @@
-"""Basis kets, tensor products and the isometry gate.
+"""Basis kets and the isometry gate.
 
 Everything here operates on plain numpy arrays: 1-D complex arrays are kets,
 2-D complex arrays are isometries. All functions are pure; nothing mutates
@@ -9,17 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["basis_ket", "tensor", "isometry_residual", "require_isometry"]
+__all__ = ["basis_ket", "isometry_residual", "require_isometry"]
 
 # Largest entry of |A^+ A - I| that still counts as an isometry.
 ISOMETRY_TOL = 1e-10
-
-
-def _as_complex(a) -> np.ndarray:
-    out = np.asarray(a, dtype=complex)
-    if not np.isfinite(out).all():
-        raise ValueError("non-finite entries")
-    return out
 
 
 def basis_ket(dim: int, k: int) -> np.ndarray:
@@ -29,25 +22,6 @@ def basis_ket(dim: int, k: int) -> np.ndarray:
     return v
 
 
-def tensor(*kets) -> np.ndarray:
-    """Kronecker product of kets, leftmost factor most significant.
-
-    For kets a (dim m) and b (dim n) the result has entry (n*i + j) = a[i]*b[j],
-    so basis labels concatenate left to right: |i> x |j> = |ij>. Every entry is
-    one complex product of one entry per factor, as ``np.kron`` forms it.
-    Raises ``ValueError`` on an operand that is not 1-D.
-    """
-    if not kets:
-        raise ValueError("tensor() needs at least one ket")
-    factors = [_as_complex(k) for k in kets]
-    if any(k.ndim != 1 for k in factors):
-        raise ValueError("tensor() takes kets only")
-    out = factors[0]
-    for k in factors[1:]:
-        out = np.multiply.outer(out, k).reshape(-1)
-    return out
-
-
 def isometry_residual(a: np.ndarray) -> float:
     """Largest entry of |A^+ A - I|: how far the columns of ``a`` are from
     orthonormal."""
@@ -55,7 +29,11 @@ def isometry_residual(a: np.ndarray) -> float:
 
 
 def require_isometry(a: np.ndarray, what: str) -> None:
-    """Raise ``ValueError`` unless ``a`` is an isometry within ``ISOMETRY_TOL``, NaN included."""
+    """Raise ``ValueError`` unless ``a`` is an isometry within ``ISOMETRY_TOL``.
+    NaN and +-inf entries are rejected before any product is formed, so
+    they raise no numpy warning on the way."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} is not an isometry (non-finite entries)")
     err = isometry_residual(a)
     if not err <= ISOMETRY_TOL:
         raise ValueError(f"{what} is not an isometry (deviation {err:.3e})")

@@ -6,9 +6,13 @@ anti-aligned, both shrunk by the same factor eta. The machine is represented
 as a 16x2 isometry: the images of |0> and |1> as 4-qubit states ordered
 (clone 1, clone 2, ancilla qubit 1, ancilla qubit 2).
 
-The optimal machine reaches eta = 1/3 (fidelity 2/3) for every input
-direction; ``constraint_residuals`` evaluates the full constraint system that
-pins that solution down, and ``measure_prepare_baseline`` estimates the
+The paper writes the machine as two coefficient rows (a, b, c, d and their
+tilded twins) times eight ancilla kets. Here it is the (8, 4) block table
+of the products x_k = c_k |anc_k>, one row per ``COEFF_KEYS`` entry: the
+isometry's 4-vector blocks. The optimal machine reaches eta = 1/3
+(fidelity 2/3) for every input direction; ``constraint_residuals``
+evaluates the full constraint system that pins that solution down from
+the blocks' inner products, and ``measure_prepare_baseline`` estimates the
 measure-and-prepare strategy it has to beat.
 """
 
@@ -20,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import basis_ket, require_isometry, tensor
+from .linalg import require_isometry
 from .rng import philox_stream
 from .qubit import PAULI, QubitState, antiunitary_flip, check_density_matrix
 
 __all__ = [
     "COEFF_KEYS",
-    "AnticlonerParams",
     "CloneOutput",
     "ConstraintReport",
     "BaselineReport",
@@ -42,8 +45,8 @@ __all__ = [
     "haar_directions",
 ]
 
-# Coefficient slots of the two-row transform: plain row is the image of |0>,
-# "t"-suffixed (tilded) row the image of |1>.
+# Rows of the block table, one per coefficient of the two-row transform:
+# plain row is the image of |0>, "t"-suffixed (tilded) row the image of |1>.
 COEFF_KEYS = ("a", "b", "c", "d", "at", "bt", "ct", "dt")
 
 OPTIMAL_ETA = 1.0 / 3.0
@@ -51,42 +54,6 @@ OPTIMAL_FIDELITY = 2.0 / 3.0
 
 # Samples per Philox stream in ``measure_prepare_baseline``.
 BASELINE_BLOCK = 1 << 15
-
-
-@dataclass(frozen=True)
-class AnticlonerParams:
-    """Coefficients and 4-dim ancilla kets of the general two-row transform.
-
-    Ancillas must be normalized; the coefficient rows are *not* forced to be
-    normalized here, since ``constraint_residuals`` exists precisely to report
-    how far a parameter set is from satisfying the constraint system.
-    """
-
-    coeffs: dict[str, complex]
-    ancillas: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        if set(self.coeffs) != set(COEFF_KEYS):
-            raise ValueError(f"coeffs must have exactly the keys {COEFF_KEYS}")
-        if set(self.ancillas) != set(COEFF_KEYS):
-            raise ValueError(f"ancillas must have exactly the keys {COEFF_KEYS}")
-        object.__setattr__(
-            self, "coeffs", {k: complex(self.coeffs[k]) for k in COEFF_KEYS}
-        )
-        ancs = {}
-        for k in COEFF_KEYS:
-            v = np.asarray(self.ancillas[k], dtype=complex)
-            if v.shape != (4,):
-                raise ValueError(f"ancilla {k!r} must be a 4-dim ket, got shape {v.shape}")
-            if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
-                raise ValueError(f"ancilla {k!r} is not normalized")
-            ancs[k] = v
-        object.__setattr__(self, "ancillas", ancs)
-
-    def replace_coeff(self, key: str, value: complex) -> "AnticlonerParams":
-        coeffs = dict(self.coeffs)
-        coeffs[key] = complex(value)
-        return AnticlonerParams(coeffs, self.ancillas)
 
 
 @dataclass(frozen=True)
@@ -129,52 +96,41 @@ class BaselineReport:
     stderr: float
 
 
-def optimal_params() -> AnticlonerParams:
-    """The optimal anti-cloner solution: eta = 1/3 for every input direction.
+def optimal_params() -> np.ndarray:
+    """The optimal anti-cloner's (8, 4) block table: eta = 1/3 for every
+    input direction.
 
-    Moduli (1/sqrt(6) everywhere except |b| = 1/sqrt(2)), the two non-zero
-    phases pi and arccos(1/sqrt(3)), and one fixed orthogonality pattern for
-    the ancilla kets.
+    Moduli 1/sqrt(6) everywhere except |b| = |bt| = 1/sqrt(2), the two
+    non-zero phases pi (c, ct) and arccos(1/sqrt(3)) (b, bt), and one fixed
+    orthogonality pattern: each block is its coefficient times a basis ket.
     """
     r6 = np.sqrt(1.0 / 6.0)
     b = np.sqrt(0.5) * np.exp(1j * np.arccos(1.0 / np.sqrt(3.0)))
-    coeffs = {
-        "a": r6, "b": b, "c": -r6, "d": r6,
-        "at": r6, "bt": b, "ct": -r6, "dt": r6,
-    }
-    ancillas = {
-        "a": basis_ket(4, 0), "at": basis_ket(4, 1),
-        "b": basis_ket(4, 1), "bt": basis_ket(4, 0),
-        "c": basis_ket(4, 1), "ct": basis_ket(4, 0),
-        "d": basis_ket(4, 2), "dt": basis_ket(4, 3),
-    }
-    return AnticlonerParams(coeffs, ancillas)
+    blocks = np.zeros((8, 4), dtype=complex)
+    # rows a, b, c, d, at, bt, ct, dt; columns the ancilla basis kets
+    blocks[range(8), [0, 1, 1, 2, 1, 0, 0, 3]] = [r6, b, -r6, r6, r6, b, -r6, r6]
+    return blocks
 
 
-def build_isometry(p: AnticlonerParams) -> np.ndarray:
-    """Assemble the 16x2 isometry from a parameter set.
+def _block_table(blocks) -> np.ndarray:
+    x = np.asarray(blocks, dtype=complex)
+    if x.shape != (8, 4):
+        raise ValueError(f"expected an (8, 4) block table, got shape {x.shape}")
+    return x
 
-    Image of |0>: a|00>A + b|01>B + c|10>C + d|11>D; image of |1> is the
-    tilded row on the bit-flipped clone kets: at|11>At + bt|10>Bt + ct|01>Ct
-    + dt|00>Dt. Raises if the result is not an isometry within
-    ``linalg.ISOMETRY_TOL``.
+
+def build_isometry(blocks) -> np.ndarray:
+    """Assemble the 16x2 isometry from an (8, 4) block table.
+
+    Image of |0>: a|00>A + b|01>B + c|10>C + d|11>D, the blocks a, b, c, d
+    in clone-bit order; image of |1> is the tilded row on the bit-flipped
+    clone kets: at|11>At + bt|10>Bt + ct|01>Ct + dt|00>Dt, the blocks dt,
+    ct, bt, at in clone-bit order. Raises if the result is not an isometry
+    within ``linalg.ISOMETRY_TOL``.
     """
-    c, anc = p.coeffs, p.ancillas
-    e0, e1 = basis_ket(2, 0), basis_ket(2, 1)
-    col0 = (
-        c["a"] * tensor(e0, e0, anc["a"])
-        + c["b"] * tensor(e0, e1, anc["b"])
-        + c["c"] * tensor(e1, e0, anc["c"])
-        + c["d"] * tensor(e1, e1, anc["d"])
-    )
-    col1 = (
-        c["at"] * tensor(e1, e1, anc["at"])
-        + c["bt"] * tensor(e1, e0, anc["bt"])
-        + c["ct"] * tensor(e0, e1, anc["ct"])
-        + c["dt"] * tensor(e0, e0, anc["dt"])
-    )
-    v = np.stack([col0, col1], axis=1)
-    require_isometry(v, "the parameters' transform")
+    x = _block_table(blocks)
+    v = np.stack([x[:4].reshape(-1), x[:3:-1].reshape(-1)], axis=1)
+    require_isometry(v, "the blocks' transform")
     return v
 
 
@@ -313,65 +269,59 @@ def target_forms(n, eta: float) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (eye + eta * ndots), 0.5 * (eye - eta * ndots)
 
 
-def constraint_residuals(p: AnticlonerParams) -> ConstraintReport:
+def constraint_residuals(blocks) -> ConstraintReport:
     """Evaluate every constraint of the anti-cloner system as a residual.
 
     Normalization of both coefficient rows, orthogonality of the two images,
     the modulus ties, the z cross-term cancellation, consistency of the four
     expressions for eta, the eight cross-term zero conditions, and the
-    0 <-> 1 relabeling symmetry. Nothing raises; residuals just get reported.
+    0 <-> 1 relabeling symmetry. Each reads the blocks x_k = c_k |anc_k>
+    only through |c_k|^2 = ||x_k||^2 and c_i* c_j <anc_i|anc_j> =
+    <x_i|x_j>. Nothing raises on the values; residuals just get reported,
+    inf or NaN where a block overflows or holds a NaN.
     """
-    c = p.coeffs
-    ip = {k1 + k2: complex(np.vdot(p.ancillas[k1], p.ancillas[k2]))
-          for k1 in COEFF_KEYS for k2 in COEFF_KEYS}
+    x = _block_table(blocks)
+    a, b, c, d, at, bt, ct, dt = range(len(COEFF_KEYS))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = x.conj() @ x.T  # g[i, j] = <x_i|x_j>
+        sq = (x.real**2 + x.imag**2).sum(axis=1)
+        mod = np.sqrt(sq)
 
-    a, b, cc, d = c["a"], c["b"], c["c"], c["d"]
-    at, bt, ct, dt = c["at"], c["bt"], c["ct"], c["dt"]
-    # squared moduli as products: abs(x) ** 2 raises OverflowError where
-    # abs(x) * abs(x) overflows to inf
-    sq = {k: abs(x) * abs(x) for k, x in c.items()}
+        eta_moduli = sq[b] - sq[c]
+        eta_moduli_alt = 2 * sq[b] + 2 * sq[a] - 1
+        cross_aligned = g[a, bt] + g[b, at]
+        cross_flipped = g[a, ct] + g[c, at]
+        # The flipped copy's transverse terms enter with opposite sign, so this
+        # expression equals -eta when the system is satisfied.
+        eta_values = {
+            "moduli": float(eta_moduli),
+            "moduli_alt": float(eta_moduli_alt),
+            "aligned_cross": float(np.real(cross_aligned)),
+            "flipped_cross": float(-np.real(cross_flipped)),
+        }
+        etas = list(eta_values.values())
+        eta_spread = max(abs(p - q) for p in etas for q in etas)
 
-    eta_moduli = sq["b"] - sq["c"]
-    eta_moduli_alt = 2 * sq["b"] + 2 * sq["a"] - 1
-    cross_aligned = np.conj(a) * bt * ip["abt"] + np.conj(b) * at * ip["bat"]
-    cross_flipped = ct * np.conj(a) * ip["act"] + at * np.conj(cc) * ip["cat"]
-    # The flipped copy's transverse terms enter with opposite sign, so this
-    # expression equals -eta when the system is satisfied.
-    eta_values = {
-        "moduli": float(eta_moduli),
-        "moduli_alt": float(eta_moduli_alt),
-        "aligned_cross": float(np.real(cross_aligned)),
-        "flipped_cross": float(-np.real(cross_flipped)),
-    }
-    etas = list(eta_values.values())
-    eta_spread = max(abs(x - y) for x in etas for y in etas)
-
-    residuals = {
-        "norm_input0": abs(sq["a"] + sq["b"] + sq["c"] + sq["d"] - 1),
-        "norm_input1": abs(sq["at"] + sq["bt"] + sq["ct"] + sq["dt"] - 1),
-        "orthogonality": abs(
-            np.conj(a) * dt * ip["adt"] + np.conj(cc) * bt * ip["cbt"]
-            + np.conj(b) * ct * ip["bct"] + np.conj(d) * at * ip["dat"]
-        ),
-        "mod_a_d": abs(abs(a) - abs(d)),
-        "mod_at_dt": abs(abs(at) - abs(dt)),
-        "z_cross": abs(
-            a * np.conj(dt) * ip["dta"] + b * np.conj(ct) * ip["ctb"]
-            - cc * np.conj(bt) * ip["btc"] - d * np.conj(at) * ip["atd"]
-        ),
-        "eta_consistency": float(eta_spread),
-        "im_aligned_cross": abs(np.imag(cross_aligned)),
-        "im_flipped_cross": abs(np.imag(cross_flipped)),
-        "cross_b_dt": abs(b * np.conj(dt) * ip["dtb"] + d * np.conj(bt) * ip["btd"]),
-        "cross_c_a": abs(cc * np.conj(a) * ip["ac"] + d * np.conj(b) * ip["bd"]),
-        "cross_at_ct": abs(at * np.conj(ct) * ip["ctat"] + bt * np.conj(dt) * ip["dtbt"]),
-        "cross_c_dt": abs(cc * np.conj(dt) * ip["dtc"] + d * np.conj(ct) * ip["ctd"]),
-        "cross_a_b": abs(np.conj(a) * b * ip["ab"] + np.conj(cc) * d * ip["cd"]),
-        "cross_bt_at": abs(np.conj(bt) * at * ip["btat"] + np.conj(dt) * ct * ip["dtct"]),
-        "sym_a": abs(abs(a) - abs(at)),
-        "sym_b": abs(abs(b) - abs(bt)),
-        "sym_c": abs(abs(cc) - abs(ct)),
-    }
+        residuals = {
+            "norm_input0": abs(sq[a] + sq[b] + sq[c] + sq[d] - 1),
+            "norm_input1": abs(sq[at] + sq[bt] + sq[ct] + sq[dt] - 1),
+            "orthogonality": abs(g[a, dt] + g[c, bt] + g[b, ct] + g[d, at]),
+            "mod_a_d": abs(mod[a] - mod[d]),
+            "mod_at_dt": abs(mod[at] - mod[dt]),
+            "z_cross": abs(g[dt, a] + g[ct, b] - g[bt, c] - g[at, d]),
+            "eta_consistency": float(eta_spread),
+            "im_aligned_cross": abs(np.imag(cross_aligned)),
+            "im_flipped_cross": abs(np.imag(cross_flipped)),
+            "cross_b_dt": abs(g[dt, b] + g[bt, d]),
+            "cross_c_a": abs(g[a, c] + g[b, d]),
+            "cross_at_ct": abs(g[ct, at] + g[dt, bt]),
+            "cross_c_dt": abs(g[dt, c] + g[ct, d]),
+            "cross_a_b": abs(g[a, b] + g[c, d]),
+            "cross_bt_at": abs(g[bt, at] + g[dt, ct]),
+            "sym_a": abs(mod[a] - mod[at]),
+            "sym_b": abs(mod[b] - mod[bt]),
+            "sym_c": abs(mod[c] - mod[ct]),
+        }
     residuals = {k: float(v) for k, v in residuals.items()}
     return ConstraintReport(residuals=residuals, eta_values=eta_values)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import basis_ket, require_isometry, tensor
+from .linalg import basis_ket, require_isometry
 from .qubit import QubitState, antiunitary_flip
 from .rng import philox_stream
 
@@ -99,6 +99,8 @@ class ProbCloner:
         if u.shape != (8, 8):
             raise ValueError(f"expected an 8x8 unitary, got {u.shape}")
         require_isometry(u, "u")
+        if not 0.0 < self.theta <= np.pi / 2:
+            raise ValueError(f"theta must lie in (0, pi/2], got {self.theta}")
         expected = two_state_efficiency(np.cos(self.theta))
         if not abs(self.f - expected) <= 1e-12:
             raise ValueError(f"f={self.f!r} does not match the efficiency bound {expected!r}")
@@ -305,14 +307,14 @@ def run_prob_anticlone(pc: ProbCloner, which: int, shots: int, seed: int = 0) ->
     m = pc.input_state(which)
     if not 0 <= shots <= COUNT_MAX:
         raise ValueError(f"shots must lie in [0, {COUNT_MAX}], got {shots}")
-    start = tensor(m.ket(), basis_ket(2, 0), PROBE_SUCCESS)
+    start = np.outer(np.outer(m.ket(), basis_ket(2, 0)), PROBE_SUCCESS).ravel()
     out = pc.u @ start
     # probe is the last register: amplitudes reshape to (copies, probe)
     amps = out.reshape(4, 2)
     success_branch = amps @ PROBE_SUCCESS.conj()
     p_success = float(np.vdot(success_branch, success_branch).real)
 
-    target = tensor(m.ket(), antiunitary_flip(m).ket())
+    target = np.outer(m.ket(), antiunitary_flip(m).ket()).ravel()
     if p_success > 1e-15:
         post = success_branch / np.sqrt(p_success)
         fidelity = float(abs(np.vdot(target, post)) ** 2)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from anticlone.cli import parse_args, run
+from anticlone.machine import COEFF_KEYS
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes oracles importable
 
@@ -48,3 +49,21 @@ def random_density(rng, dim):
 def random_direction(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+def coefficients(blocks) -> np.ndarray:
+    """The coefficient c_k of each block x_k = c_k |anc_k> of a block table
+    whose ancillas are basis kets, such as ``machine.optimal_params()``: the
+    block's one non-zero entry."""
+    nonzero = blocks != 0
+    assert (nonzero.sum(axis=1) == 1).all(), "each block must hold one non-zero entry"
+    return blocks[nonzero]
+
+
+def with_coefficient(blocks, key: str, value: complex) -> np.ndarray:
+    """A copy of a block table from ``coefficients`` with block ``key``'s
+    coefficient set to ``value``: the block scaled by value / c_key."""
+    k = COEFF_KEYS.index(key)
+    out = blocks.copy()
+    out[k] *= value / coefficients(blocks)[k]
+    return out

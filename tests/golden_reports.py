@@ -15,6 +15,7 @@ from fixed values and a seeded generator.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
 import json
 import math
@@ -107,10 +108,25 @@ _DRAWN = {
 NEEDS_RECORDED_NUMPY = {metric: why for why, metrics in _DRAWN.items() for metric in metrics}
 
 
+def _openblas_core() -> str:
+    """The core type whose kernels numpy's bundled OpenBLAS runs: the one it
+    detected at load time, or the one ``OPENBLAS_CORETYPE`` forces; "unknown"
+    where numpy bundles no OpenBLAS that names it."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
 def environment() -> dict:
-    """What decides a report's last bits: the numpy version, its BLAS, and
-    the SIMD extensions numpy found on this CPU (they pick numpy's and the
-    BLAS's kernels)."""
+    """What decides a report's last bits: the numpy version, its BLAS, the
+    SIMD extensions numpy found on this CPU (they pick numpy's kernels) and
+    the core type the BLAS picked its kernels for."""
     try:
         config = np.show_config(mode="dicts")
         blas = config["Build Dependencies"]["blas"]
@@ -122,6 +138,7 @@ def environment() -> dict:
         "numpy": np.__version__,
         "blas": blas,
         "simd": sorted(simd),
+        "openblas_core": _openblas_core(),
         "machine": platform.machine(),
     }
 

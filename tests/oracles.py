@@ -39,7 +39,7 @@ import numpy as np
 from anticlone.linalg import basis_ket
 from anticlone.machine import (
     BASELINE_BLOCK,
-    AnticlonerParams,
+    COEFF_KEYS,
     BaselineReport,
     FidelityKernel,
     output_states,
@@ -250,20 +250,21 @@ def flip_density(rho: np.ndarray) -> np.ndarray:
 
 
 def reduced_outputs_from_coefficients(
-    p: AnticlonerParams, alpha: complex, beta: complex
+    blocks: np.ndarray, alpha: complex, beta: complex
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form reduced outputs of the general two-row transform.
 
-    Hand-derived entry by entry from the coefficient/ancilla inner products;
-    independent of any partial-trace code. Valid for normalized (alpha, beta)
-    and parameter sets satisfying the isometry conditions.
+    Hand-derived entry by entry from the coefficient/ancilla inner products
+    conj(c_i) c_j <anc_i|anc_j>, each of which is the inner product
+    <x_i|x_j> of the blocks x_k = c_k |anc_k> (rows of the (8, 4) block
+    table, in ``COEFF_KEYS`` order); independent of any partial-trace code.
+    Valid for normalized (alpha, beta) and block tables satisfying the
+    isometry conditions.
     """
-    c = p.coeffs
-    a, b, cc, d = c["a"], c["b"], c["c"], c["d"]
-    at, bt, ct, dt = c["at"], c["bt"], c["ct"], c["dt"]
+    x = dict(zip(COEFF_KEYS, np.asarray(blocks, dtype=complex)))
 
-    def ip(x, y):
-        return complex(np.vdot(p.ancillas[x], p.ancillas[y]))
+    def ip(i, j):
+        return complex(np.vdot(x[i], x[j]))
 
     aa = abs(alpha) ** 2
     bb = abs(beta) ** 2
@@ -272,54 +273,54 @@ def reduced_outputs_from_coefficients(
 
     rho1 = np.zeros((2, 2), dtype=complex)
     rho1[0, 0] = (
-        (abs(a) ** 2 + abs(b) ** 2) * aa
-        + (a * np.conj(dt) * ip("dt", "a") + b * np.conj(ct) * ip("ct", "b")) * ab
-        + (ct * np.conj(b) * ip("b", "ct") + dt * np.conj(a) * ip("a", "dt")) * ba
-        + (abs(ct) ** 2 + abs(dt) ** 2) * bb
+        (ip("a", "a") + ip("b", "b")) * aa
+        + (ip("dt", "a") + ip("ct", "b")) * ab
+        + (ip("b", "ct") + ip("a", "dt")) * ba
+        + (ip("ct", "ct") + ip("dt", "dt")) * bb
     )
     rho1[0, 1] = (
-        (a * np.conj(cc) * ip("c", "a") + b * np.conj(d) * ip("d", "b")) * aa
-        + (a * np.conj(bt) * ip("bt", "a") + b * np.conj(at) * ip("at", "b")) * ab
-        + (ct * np.conj(d) * ip("d", "ct") + dt * np.conj(cc) * ip("c", "dt")) * ba
-        + (ct * np.conj(at) * ip("at", "ct") + dt * np.conj(bt) * ip("bt", "dt")) * bb
+        (ip("c", "a") + ip("d", "b")) * aa
+        + (ip("bt", "a") + ip("at", "b")) * ab
+        + (ip("d", "ct") + ip("c", "dt")) * ba
+        + (ip("at", "ct") + ip("bt", "dt")) * bb
     )
     rho1[1, 0] = (
-        (cc * np.conj(a) * ip("a", "c") + d * np.conj(b) * ip("b", "d")) * aa
-        + (cc * np.conj(dt) * ip("dt", "c") + d * np.conj(ct) * ip("ct", "d")) * ab
-        + (at * np.conj(b) * ip("b", "at") + bt * np.conj(a) * ip("a", "bt")) * ba
-        + (at * np.conj(ct) * ip("ct", "at") + bt * np.conj(dt) * ip("dt", "bt")) * bb
+        (ip("a", "c") + ip("b", "d")) * aa
+        + (ip("dt", "c") + ip("ct", "d")) * ab
+        + (ip("b", "at") + ip("a", "bt")) * ba
+        + (ip("ct", "at") + ip("dt", "bt")) * bb
     )
     rho1[1, 1] = (
-        (abs(cc) ** 2 + abs(d) ** 2) * aa
-        + (cc * np.conj(bt) * ip("bt", "c") + d * np.conj(at) * ip("at", "d")) * ab
-        + (at * np.conj(d) * ip("d", "at") + bt * np.conj(cc) * ip("c", "bt")) * ba
-        + (abs(at) ** 2 + abs(bt) ** 2) * bb
+        (ip("c", "c") + ip("d", "d")) * aa
+        + (ip("bt", "c") + ip("at", "d")) * ab
+        + (ip("d", "at") + ip("c", "bt")) * ba
+        + (ip("at", "at") + ip("bt", "bt")) * bb
     )
 
     rho2 = np.zeros((2, 2), dtype=complex)
     rho2[0, 0] = (
-        (abs(a) ** 2 + abs(cc) ** 2) * aa
-        + (a * np.conj(dt) * ip("dt", "a") + cc * np.conj(bt) * ip("bt", "c")) * ab
-        + (bt * np.conj(cc) * ip("c", "bt") + dt * np.conj(a) * ip("a", "dt")) * ba
-        + (abs(bt) ** 2 + abs(dt) ** 2) * bb
+        (ip("a", "a") + ip("c", "c")) * aa
+        + (ip("dt", "a") + ip("bt", "c")) * ab
+        + (ip("c", "bt") + ip("a", "dt")) * ba
+        + (ip("bt", "bt") + ip("dt", "dt")) * bb
     )
     rho2[0, 1] = (
-        (a * np.conj(b) * ip("b", "a") + cc * np.conj(d) * ip("d", "c")) * aa
-        + (a * np.conj(ct) * ip("ct", "a") + cc * np.conj(at) * ip("at", "c")) * ab
-        + (bt * np.conj(d) * ip("d", "bt") + dt * np.conj(b) * ip("b", "dt")) * ba
-        + (bt * np.conj(at) * ip("at", "bt") + dt * np.conj(ct) * ip("ct", "dt")) * bb
+        (ip("b", "a") + ip("d", "c")) * aa
+        + (ip("ct", "a") + ip("at", "c")) * ab
+        + (ip("d", "bt") + ip("b", "dt")) * ba
+        + (ip("at", "bt") + ip("ct", "dt")) * bb
     )
     rho2[1, 0] = (
-        (b * np.conj(a) * ip("a", "b") + d * np.conj(cc) * ip("c", "d")) * aa
-        + (b * np.conj(dt) * ip("dt", "b") + d * np.conj(bt) * ip("bt", "d")) * ab
-        + (at * np.conj(cc) * ip("c", "at") + ct * np.conj(a) * ip("a", "ct")) * ba
-        + (at * np.conj(bt) * ip("bt", "at") + ct * np.conj(dt) * ip("dt", "ct")) * bb
+        (ip("a", "b") + ip("c", "d")) * aa
+        + (ip("dt", "b") + ip("bt", "d")) * ab
+        + (ip("c", "at") + ip("a", "ct")) * ba
+        + (ip("bt", "at") + ip("dt", "ct")) * bb
     )
     rho2[1, 1] = (
-        (abs(b) ** 2 + abs(d) ** 2) * aa
-        + (b * np.conj(ct) * ip("ct", "b") + d * np.conj(at) * ip("at", "d")) * ab
-        + (at * np.conj(d) * ip("d", "at") + ct * np.conj(b) * ip("b", "ct")) * ba
-        + (abs(at) ** 2 + abs(ct) ** 2) * bb
+        (ip("b", "b") + ip("d", "d")) * aa
+        + (ip("ct", "b") + ip("at", "d")) * ab
+        + (ip("d", "at") + ip("b", "ct")) * ba
+        + (ip("at", "at") + ip("ct", "ct")) * bb
     )
     return rho1, rho2
 

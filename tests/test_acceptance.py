@@ -31,6 +31,7 @@ from anticlone.probclone import (
     two_state_efficiency,
 )
 from anticlone.qubit import BlochVector, QubitState, antiunitary_flip, bloch_to_state
+from conftest import coefficients, with_coefficient
 from oracles import clone_outputs_by_sum
 
 THETA_GRID = (np.pi / 6, np.pi / 4, np.pi / 3, np.pi / 2)
@@ -70,8 +71,8 @@ def test_criterion_2_constraint_system():
     params = optimal_params()
     at_solution = constraint_residuals(params).max_residual
     weakest = np.inf
-    for key in COEFF_KEYS:
-        perturbed = params.replace_coeff(key, params.coeffs[key] + 1e-3)
+    for key, c in zip(COEFF_KEYS, coefficients(params)):
+        perturbed = with_coefficient(params, key, c + 1e-3)
         weakest = min(weakest, constraint_residuals(perturbed).max_residual)
     report(
         2,

@@ -1,6 +1,7 @@
-"""Every validity gate rejects NaN: `not (x <= tol)` fails where `x > tol`
-would let a NaN deviation through. The qubit-state gates also reject
-amplitudes whose squared norm overflows with `ValueError`."""
+"""Every validity gate rejects NaN and +-inf with `ValueError` and without a
+warning: `not (x <= tol)` fails where `x > tol` would let a NaN deviation
+through. The qubit-state gates also reject amplitudes whose squared norm
+overflows with `ValueError`."""
 
 import numpy as np
 import pytest
@@ -11,9 +12,16 @@ from anticlone.qubit import QubitState
 NAN = float("nan")
 
 
-def _nan_ancilla():
-    p = machine.optimal_params()
-    return machine.AnticlonerParams(p.coeffs, {**p.ancillas, "a": np.array([NAN, 0, 0, 0])})
+def _block(x):
+    blocks = machine.optimal_params()
+    blocks[0] = x
+    return machine.build_isometry(blocks)
+
+
+def _coefficient(x):
+    blocks = machine.optimal_params()
+    blocks[0, 0] = x  # block a is a * |0>
+    return machine.build_isometry(blocks)
 
 
 def _prob_cloner(**change):
@@ -22,26 +30,36 @@ def _prob_cloner(**change):
     return probclone.ProbCloner(**fields)
 
 
-NAN_CASES = {
-    "qubit-state": lambda: QubitState(NAN, 0),
-    "qubit-state-normalized": lambda: QubitState.normalized(NAN, 1),
-    "ancilla": _nan_ancilla,
-    "target-forms": lambda: machine.target_forms([NAN, 0, 0], 1 / 3),
-    "build-isometry": lambda: machine.build_isometry(
-        machine.optimal_params().replace_coeff("a", NAN)
-    ),
-    "prob-cloner-u": lambda: _prob_cloner(u=np.full((8, 8), NAN)),
-    "prob-cloner-f": lambda: _prob_cloner(f=NAN),
-    "optimizer-init": lambda: optimize.optimize_universal(
-        optimize.OptimizerConfig(restarts=1, max_iters=4), init=np.full(64, NAN)
+# each case feeds one non-finite value x to a gate
+NONFINITE_CASES = {
+    "qubit-state": lambda x: QubitState(x, 0),
+    "qubit-state-normalized": lambda x: QubitState.normalized(x, 1),
+    "block": _block,
+    "target-forms": lambda x: machine.target_forms([x, 0, 0], 1 / 3),
+    "build-isometry": _coefficient,
+    "anticlone": lambda x: machine.anticlone(QubitState(1, 0), np.full((16, 2), x)),
+    "prob-cloner-u": lambda x: _prob_cloner(u=np.full((8, 8), x)),
+    "prob-cloner-theta": lambda x: _prob_cloner(theta=x),
+    "prob-cloner-f": lambda x: _prob_cloner(f=x),
+    "optimizer-init": lambda x: optimize.optimize_universal(
+        optimize.OptimizerConfig(restarts=1, max_iters=4), init=np.full(64, x)
     ),
 }
 
 
-@pytest.mark.parametrize("make", NAN_CASES.values(), ids=NAN_CASES.keys())
+@pytest.mark.parametrize("make", NONFINITE_CASES.values(), ids=NONFINITE_CASES.keys())
 def test_nan_is_rejected(make):
     with pytest.raises(ValueError):
-        make()
+        make(NAN)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["+inf", "-inf"])
+@pytest.mark.parametrize("make", NONFINITE_CASES.values(), ids=NONFINITE_CASES.keys())
+def test_infinity_is_rejected(make, value):
+    # with every RuntimeWarning an error, a gate that lets inf reach a
+    # product first fails here with the warning, not with ValueError
+    with pytest.raises(ValueError):
+        make(value)
 
 
 OVERFLOW_CASES = {

@@ -13,6 +13,10 @@ where the environment equals the recorded one.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,21 @@ def _values(text: str, argv: list[str]) -> list[tuple[str, float]]:
 @pytest.fixture(scope="module")
 def outcomes():
     return {name: run_case(case["argv"]) for name, case in RECORDED.items()}
+
+
+def test_a_forced_openblas_core_is_another_environment():
+    # OPENBLAS_CORETYPE=Sandybridge runs other BLAS kernels, which move the
+    # last bits of 8 reports: the byte check must not take that for the
+    # recorded environment
+    tests = Path(__file__).resolve().parent
+    src = tests.parent / "src"
+    code = "import json, golden_reports; print(json.dumps(golden_reports.environment()))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)]),
+           "OPENBLAS_CORETYPE": "Sandybridge"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    forced = json.loads(out.stdout)
+    assert forced != INDEX["environment"], forced
 
 
 def test_index_lists_every_case_with_its_argv():

@@ -1,13 +1,11 @@
-"""Tests of ``anticlone.linalg``, and of the partial trace and the
-Gram-Schmidt in ``oracles`` that other tests check the library against."""
+"""Tests of the partial trace and the Gram-Schmidt in ``oracles`` that
+other tests check the library against."""
 
 import numpy as np
 import pytest
 
-from anticlone.linalg import tensor
 from conftest import random_ket
 from oracles import (
-    kron_by_index,
     orthonormal_complete,
     partial_trace_by_sum,
     tensor_by_kron,
@@ -16,47 +14,6 @@ from oracles import (
 
 E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
-
-
-class TestTensor:
-    def test_basis_kets(self):
-        assert np.array_equal(tensor(E0, E1), np.array([0, 1, 0, 0], dtype=complex))
-
-    def test_matches_index_formula(self, rng):
-        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert np.allclose(tensor(a, b), kron_by_index(a, b), atol=1e-14)
-
-    def test_associative_up_to_flattening(self, rng):
-        ops = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (2, 3, 2)]
-        left = tensor(tensor(ops[0], ops[1]), ops[2])
-        right = tensor(ops[0], tensor(ops[1], ops[2]))
-        assert np.allclose(left, right, atol=1e-14)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            tensor(np.array([1.0, np.inf]), E0)
-        with pytest.raises(ValueError):
-            tensor(E0, np.array([np.nan, 1.0]))
-
-    @pytest.mark.parametrize(
-        "shapes",
-        [[(2,), (3,)], [(2,), (2,), (4,)], [(5,)]],
-        ids=["kets", "three-kets", "one-ket"],
-    )
-    def test_bytes_equal_kron(self, rng, shapes):
-        for _ in range(20):
-            ops = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
-            mine, kron = tensor(*ops), tensor_by_kron(*ops)
-            assert mine.shape == kron.shape
-            assert mine.tobytes() == kron.tobytes()
-
-    def test_rejects_kets_mixed_with_operators(self):
-        # kets only: an operator or a scalar is rejected in any position
-        for operands in [(E0, np.eye(2)), (np.eye(2), E0), (np.eye(2), np.eye(2)), (np.eye(2),),
-                         (np.complex128(1.0), E0)]:
-            with pytest.raises(ValueError, match="kets only"):
-                tensor(*operands)
 
 
 class TestPartialTrace:

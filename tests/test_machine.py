@@ -13,7 +13,6 @@ from anticlone.machine import (
     BASELINE_BLOCK,
     COEFF_KEYS,
     OPTIMAL_ETA,
-    AnticlonerParams,
     FidelityKernel,
     anticlone,
     build_isometry,
@@ -33,7 +32,7 @@ from anticlone.qubit import (
     bloch_to_state,
     direction_kets,
 )
-from conftest import DELETED_LAYERS
+from conftest import DELETED_LAYERS, coefficients, with_coefficient
 from oracles import (
     bloch_vector_by_trace,
     fd_gradient,
@@ -59,31 +58,39 @@ def params():
 
 
 @pytest.fixture(scope="module")
+def coeffs(params):
+    return dict(zip(COEFF_KEYS, coefficients(params)))
+
+
+@pytest.fixture(scope="module")
 def isometry(params):
     return build_isometry(params)
 
 
 class TestOptimalParams:
     def test_moduli(self, params):
-        c = params.coeffs
-        assert abs(abs(c["b"]) ** 2 - 0.5) < 1e-15
-        assert abs(abs(c["bt"]) ** 2 - 0.5) < 1e-15
+        norms = dict(zip(COEFF_KEYS, np.linalg.norm(params, axis=1)))
+        assert abs(norms["b"] ** 2 - 0.5) < 1e-15
+        assert abs(norms["bt"] ** 2 - 0.5) < 1e-15
         for k in ("a", "c", "d", "at", "ct", "dt"):
-            assert abs(abs(c[k]) - ROOT6) < 1e-15
+            assert abs(norms[k] - ROOT6) < 1e-15
 
-    def test_phases(self, params):
-        c = params.coeffs
-        assert abs(np.angle(c["c"]) - np.pi) < 1e-15
-        assert abs(np.angle(c["b"]) - np.arccos(1 / np.sqrt(3))) < 1e-15
+    def test_phases(self, coeffs):
+        assert abs(np.angle(coeffs["c"]) - np.pi) < 1e-15
+        assert abs(np.angle(coeffs["b"]) - np.arccos(1 / np.sqrt(3))) < 1e-15
         for k in ("a", "d", "at", "dt"):
-            assert abs(np.angle(c[k])) < 1e-15
+            assert abs(np.angle(coeffs[k])) < 1e-15
 
     def test_all_residuals_vanish(self, params):
         assert constraint_residuals(params).max_residual < 1e-12
 
-    def test_structural_validation(self):
-        with pytest.raises(ValueError):
-            AnticlonerParams({k: 0.1 for k in COEFF_KEYS}, {k: np.ones(4) for k in COEFF_KEYS})
+    def test_structural_validation(self, params):
+        # one row per coefficient key, one column per ancilla basis ket
+        for table in (params[:, :3], params[:7]):
+            with pytest.raises(ValueError, match=r"expected an \(8, 4\) block table"):
+                build_isometry(table)
+            with pytest.raises(ValueError, match=r"expected an \(8, 4\) block table"):
+                constraint_residuals(table)
 
 
 class TestBuildIsometry:
@@ -109,7 +116,7 @@ class TestBuildIsometry:
         assert np.max(np.abs(isometry.conj().T @ isometry - np.eye(2))) < 1e-12
 
     def test_invalid_parameters_raise(self, params):
-        broken = params.replace_coeff("a", 0.9)
+        broken = with_coefficient(params, "a", 0.9)
         with pytest.raises(ValueError):
             build_isometry(broken)
 
@@ -161,26 +168,16 @@ class TestAnticlone:
 
     def test_closed_form_oracle_on_generic_parameters(self, rng):
         # closed form must track the partial trace for any valid machine,
-        # not just the optimal one: build a random isometry-compatible set
+        # not just the optimal one: a random isometry's 4-vector blocks, a,
+        # b, c, d down column 0 and at, bt, ct, dt up column 1
         qs = np.linalg.qr(rng.standard_normal((16, 16))
                           + 1j * rng.standard_normal((16, 16)))[0][:, :2]
-        # decompose columns back into coefficients and normalized ancillas
-        coeffs, ancillas = {}, {}
-        order = ((0, "a"), (1, "b"), (2, "c"), (3, "d"))
-        order_t = ((3, "at"), (2, "bt"), (1, "ct"), (0, "dt"))
-        for block, key in order:
-            chunk = qs[4 * block: 4 * block + 4, 0]
-            coeffs[key] = np.linalg.norm(chunk)
-            ancillas[key] = chunk / coeffs[key]
-        for block, key in order_t:
-            chunk = qs[4 * block: 4 * block + 4, 1]
-            coeffs[key] = np.linalg.norm(chunk)
-            ancillas[key] = chunk / coeffs[key]
-        p = AnticlonerParams(coeffs, ancillas)
-        v = build_isometry(p)
+        blocks = np.concatenate([qs[:, 0].reshape(4, 4), qs[:, 1].reshape(4, 4)[::-1]])
+        v = build_isometry(blocks)
+        assert np.array_equal(v, qs)
         psi = QubitState.normalized(0.6, 0.8j)
         out = anticlone(psi, v)
-        r1, r2 = reduced_outputs_from_coefficients(p, psi.alpha, psi.beta)
+        r1, r2 = reduced_outputs_from_coefficients(blocks, psi.alpha, psi.beta)
         assert np.allclose(out.rho1, r1, atol=1e-12)
         assert np.allclose(out.rho2, r2, atol=1e-12)
 
@@ -383,9 +380,9 @@ class TestTargetForms:
 
 
 class TestConstraintResiduals:
-    def test_modified_modulus_hits_normalization(self, params):
-        b = params.coeffs["b"]
-        modified = params.replace_coeff("b", np.sqrt(0.6) * b / abs(b))
+    def test_modified_modulus_hits_normalization(self, params, coeffs):
+        b = coeffs["b"]
+        modified = with_coefficient(params, "b", np.sqrt(0.6) * b / abs(b))
         rep = constraint_residuals(modified)
         # hand computation: 1/6 + 0.6 + 1/6 + 1/6 = 1.1
         assert abs(rep.residuals["norm_input0"] - 0.1) < 1e-12
@@ -393,31 +390,30 @@ class TestConstraintResiduals:
         assert abs(rep.residuals["sym_b"] - abs(np.sqrt(0.6) - np.sqrt(0.5))) < 1e-12
 
     def test_all_zero_coefficients(self, params):
-        p = AnticlonerParams({k: 0.0 for k in COEFF_KEYS}, params.ancillas)
-        rep = constraint_residuals(p)
+        rep = constraint_residuals(np.zeros_like(params))
         assert abs(rep.residuals["norm_input0"] - 1.0) < 1e-15
         assert abs(rep.residuals["norm_input1"] - 1.0) < 1e-15
 
     @pytest.mark.parametrize("key", COEFF_KEYS)
-    def test_real_perturbation_detected(self, params, key):
-        rep = constraint_residuals(params.replace_coeff(key, params.coeffs[key] + 1e-3))
+    def test_real_perturbation_detected(self, params, coeffs, key):
+        rep = constraint_residuals(with_coefficient(params, key, coeffs[key] + 1e-3))
         assert rep.max_residual > 1e-4
 
     @pytest.mark.parametrize("key", ("a", "b", "c", "at", "bt", "ct"))
-    def test_imaginary_perturbation_detected(self, params, key):
+    def test_imaginary_perturbation_detected(self, params, coeffs, key):
         # d and dt are excluded: their phases are gauge freedom (every cross
         # term involving them carries a vanishing ancilla overlap), so a pure
         # phase rotation of those two coefficients changes nothing physical.
-        rep = constraint_residuals(params.replace_coeff(key, params.coeffs[key] + 1e-3j))
+        rep = constraint_residuals(with_coefficient(params, key, coeffs[key] + 1e-3j))
         assert rep.max_residual > 1e-4
 
     @pytest.mark.parametrize("key", COEFF_KEYS)
     def test_huge_coefficient_reports_inf_without_a_warning(self, params, key):
-        # each squared modulus of 1e200 overflows; it must read inf, with
-        # every warning an error, not raise OverflowError
+        # the squared norm of a block of 1e200 overflows, in the norms and
+        # in the Gram product; it must read inf, with every warning an error
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = constraint_residuals(params.replace_coeff(key, 1e200))
+            rep = constraint_residuals(with_coefficient(params, key, 1e200))
         norm = "norm_input1" if key.endswith("t") else "norm_input0"
         assert rep.residuals[norm] == np.inf
         # inf, or NaN where two eta expressions are both infinite
@@ -425,7 +421,7 @@ class TestConstraintResiduals:
 
     @pytest.mark.parametrize("key", COEFF_KEYS)
     def test_nan_coefficient_gives_nan_max_residual(self, params, key):
-        rep = constraint_residuals(params.replace_coeff(key, float("nan")))
+        rep = constraint_residuals(with_coefficient(params, key, float("nan")))
         assert np.isnan(rep.max_residual)
 
     def test_eta_values_agree_at_optimum(self, params):

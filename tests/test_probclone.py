@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from anticlone.linalg import basis_ket, tensor
+from anticlone.linalg import basis_ket
 from anticlone.probclone import (
     COUNT_MAX,
     PROBE_SUCCESS,
@@ -244,10 +244,10 @@ class TestBuildTwoStateAnticloner:
         pc = build_two_state_anticloner(theta)
         for which in (1, 2):
             m = pc.input_state(which)
-            out = pc.u @ tensor(m.ket(), [1, 0], PROBE_SUCCESS)
-            target = np.sqrt(pc.f) * tensor(
-                m.ket(), antiunitary_flip(m).ket(), PROBE_SUCCESS
-            ) + np.sqrt(1 - pc.f) * tensor(basis_ket(4, 0), basis_ket(2, 1))
+            out = pc.u @ np.kron(np.kron(m.ket(), [1, 0]), PROBE_SUCCESS)
+            target = np.sqrt(pc.f) * np.kron(
+                np.kron(m.ket(), antiunitary_flip(m).ket()), PROBE_SUCCESS
+            ) + np.sqrt(1 - pc.f) * np.kron(basis_ket(4, 0), basis_ket(2, 1))
             assert np.linalg.norm(out - target) < 1e-10
 
     @pytest.mark.parametrize("theta", COMPLETION_GRID)
