@@ -86,19 +86,20 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizerResult:
-    """Best shrinking factor found, with per-restart and per-iteration detail.
+    """The two values the ``optimize`` campaign reports.
 
-    ``max_objective_seen`` is the largest hard-min objective over every
-    point the run evaluated: stage start points, the first of which is the
-    restart's start point, and every line-search trial, rejected ones
-    included (the gradient is analytic, so there are no probe points). It
-    staying at or below the analytic bound is itself a verification result.
+    ``best_eta`` is 2 f - 1 for the largest hard-min objective f at a point
+    the ascent stood on: a stage start, the first of which is the restart's
+    start point, or an accepted step, over all restarts. Softmin acceptance
+    may trade a little hard minimum for average gains, so an ascent's
+    endpoint is not always its peak. ``max_objective_seen`` is the largest
+    hard-min objective over every point the run evaluated: those, and every
+    line-search trial, rejected ones included (the gradient is analytic, so
+    there are no probe points). It staying at or below the analytic bound
+    is itself a verification result.
     """
 
     best_eta: float
-    best_params: np.ndarray
-    per_restart_etas: list[float]
-    objective_trace: list[float]
     max_objective_seen: float
 
     @property
@@ -287,8 +288,11 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
-def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
-    """Multi-restart projected L-BFGS ascent. Returns per-restart results.
+def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None) -> OptimizerResult:
+    """Multi-restart projected L-BFGS ascent. Keeps one running peak, the
+    largest hard value at a stage start or an accepted point over all
+    restarts, and the largest hard value at any point scored, and returns
+    them as an ``OptimizerResult``.
 
     Searches on a softmin surrogate annealed over the four ``SCHEDULE``
     stages: the hard worst-case objective is kinked wherever directions tie,
@@ -318,9 +322,7 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
     stage_iters = [cfg.max_iters // len(SCHEDULE)] * len(SCHEDULE)
     stage_iters[-1] += cfg.max_iters % len(SCHEDULE)
 
-    per_restart = []
-    best = (-np.inf, None, None)  # objective, params, trace
-    max_seen = -np.inf
+    best = max_seen = -np.inf
 
     for r in range(cfg.restarts):
         if init is not None and r == 0:
@@ -330,16 +332,11 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
         else:
             x = philox_stream(cfg.seed, r).standard_normal(nparams)
 
-        trace = []
         carried = STEP_SIZE  # a pairless step's length: the last accepted step's
-        for stage, (temperature, iters) in enumerate(zip(SCHEDULE, stage_iters)):
+        for temperature, iters in zip(SCHEDULE, stage_iters):
             s_cur, f_cur, gradient_at_x = objective.evaluate(x, temperature)
             max_seen = max(max_seen, f_cur)
-            if stage == 0:
-                # best point *visited*: softmin acceptance may trade a little
-                # hard minimum for average gains, so the endpoint is not
-                # always the peak
-                x_peak, f_peak = x.copy(), f_cur
+            best = max(best, f_cur)
             pairs = deque(maxlen=MEMORY)
             step = None  # the last accepted step and the gradient before it
             for _ in range(iters):
@@ -372,28 +369,11 @@ def _ascend(cfg: OptimizerConfig, copies: int, init: np.ndarray | None):
                 carried = t * length  # at least STEP_FLOOR, by the loop test
                 step = (cand - x, grad)
                 x, s_cur, f_cur, gradient_at_x = cand, s_new, f_new, gradient_at_cand
-                trace.append(f_cur)
-                if f_cur > f_peak:
-                    x_peak, f_peak = x.copy(), f_cur
+                best = max(best, f_cur)
                 if not gain >= GAIN_TOL:
                     break
 
-        per_restart.append((f_peak, x_peak, trace))
-        if f_peak > best[0]:
-            best = (f_peak, x_peak, trace)
-
-    return per_restart, best, max_seen
-
-
-def _result_from(per_restart, best, max_seen) -> OptimizerResult:
-    etas = [2.0 * f - 1.0 for f, _, _ in per_restart]
-    return OptimizerResult(
-        best_eta=2.0 * best[0] - 1.0,
-        best_params=best[1],
-        per_restart_etas=etas,
-        objective_trace=list(best[2]),
-        max_objective_seen=float(max_seen),
-    )
+    return OptimizerResult(2.0 * best - 1.0, float(max_seen))
 
 
 def optimize_universal(cfg: OptimizerConfig, init: np.ndarray | None = None) -> OptimizerResult:
@@ -403,10 +383,10 @@ def optimize_universal(cfg: OptimizerConfig, init: np.ndarray | None = None) -> 
     restarts stay random); useful for checking that a claimed optimum is
     actually stationary.
     """
-    return _result_from(*_ascend(cfg, 2, init))
+    return _ascend(cfg, 2, init)
 
 
 def optimize_spinflip(cfg: OptimizerConfig, init: np.ndarray | None = None) -> OptimizerResult:
     """Search flip isometries qubit -> (2 x ancilla) for the best worst-case
     flipped fidelity. ``best_fidelity`` on the result is the headline F."""
-    return _result_from(*_ascend(cfg, 1, init))
+    return _ascend(cfg, 1, init)

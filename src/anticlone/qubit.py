@@ -3,6 +3,7 @@ and the density-matrix gate."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,19 +97,25 @@ class QubitState:
 
 def check_density_matrix(rho) -> np.ndarray:
     """Validate a 2x2 density matrix: Hermitian, unit trace and PSD, each to
-    ``DENSITY_TOL``, and no NaN or infinite entries."""
+    ``DENSITY_TOL``, and no NaN or infinite entries. The tests run in Python
+    float arithmetic, which turns inf - inf into NaN without a warning."""
     tol = DENSITY_TOL
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {rho.shape}")
-    # `not (x <= tol)` rather than `x > tol`: a NaN entry must fail the test
-    if not np.max(np.abs(rho - rho.conj().T)) <= tol:
+    (a, b), (c, d) = rho.tolist()
+    # `not (x <= tol)` rather than `x > tol`: a NaN entry must fail the test;
+    # moduli by math.hypot, which gives inf where abs() of a complex raises
+    # OverflowError
+    deviations = (a - a.conjugate(), b - c.conjugate(), d - d.conjugate())
+    if not all(math.hypot(z.real, z.imag) <= tol for z in deviations):
         raise ValueError("density matrix is not Hermitian")
-    if not (abs(np.trace(rho).real - 1.0) <= tol and abs(np.trace(rho).imag) <= tol):
+    trace = a + d
+    if not (abs(trace.real - 1.0) <= tol and abs(trace.imag) <= tol):
         raise ValueError("density matrix does not have unit trace")
     # smaller eigenvalue of a Hermitian 2x2: (tr - sqrt((a - d)^2 + 4|b|^2)) / 2
-    min_eig = 0.5 * (rho[0, 0].real + rho[1, 1].real
-                     - np.hypot(rho[0, 0].real - rho[1, 1].real, 2.0 * abs(rho[0, 1])))
+    min_eig = 0.5 * (a.real + d.real
+                     - math.hypot(a.real - d.real, 2.0 * math.hypot(b.real, b.imag)))
     if not min_eig >= -tol:
         raise ValueError("density matrix is not positive semidefinite")
     return rho

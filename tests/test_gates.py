@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from anticlone import machine, optimize, probclone
-from anticlone.qubit import QubitState
+from anticlone.qubit import QubitState, check_density_matrix
 
 NAN = float("nan")
 
@@ -34,6 +34,8 @@ def _prob_cloner(**change):
 NONFINITE_CASES = {
     "qubit-state": lambda x: QubitState(x, 0),
     "qubit-state-normalized": lambda x: QubitState.normalized(x, 1),
+    "check-density-matrix-diagonal": lambda x: check_density_matrix([[x, 0], [0, 1]]),
+    "check-density-matrix-off-diagonal": lambda x: check_density_matrix([[0.5, x], [x, 0.5]]),
     "block": _block,
     "target-forms": lambda x: machine.target_forms([x, 0, 0], 1 / 3),
     "build-isometry": _coefficient,

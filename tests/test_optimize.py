@@ -64,10 +64,10 @@ class Scored(NamedTuple):
     gradients: list
 
 
-def recorded_calls(monkeypatch, run):
-    """``run()`` and every ``_Objective.evaluate`` call it made, in order."""
+def recorded_calls(monkeypatch, run, objective=_Objective):
+    """``run()`` and every ``objective.evaluate`` call it made, in order."""
     calls = []
-    original = _Objective.evaluate
+    original = objective.evaluate
 
     def recorded(self, x, temperature):
         search, hard, gradient = original(self, x, temperature)
@@ -80,11 +80,21 @@ def recorded_calls(monkeypatch, run):
 
         return search, hard, recorded_gradient
 
-    monkeypatch.setattr(_Objective, "evaluate", recorded)
+    monkeypatch.setattr(objective, "evaluate", recorded)
     try:
         return run(), calls
     finally:
-        monkeypatch.setattr(_Objective, "evaluate", original)
+        monkeypatch.setattr(objective, "evaluate", original)
+
+
+def call_bytes(calls):
+    """The bits of each recorded call: temperature, point, search and hard
+    values, and the gradients asked of it."""
+    return [
+        (c.temperature, c.x.tobytes(), np.float64(c.search).tobytes(),
+         np.float64(c.hard).tobytes(), [g.tobytes() for g in c.gradients])
+        for c in calls
+    ]
 
 
 def stage_shares(max_iters):
@@ -172,16 +182,13 @@ def replay(calls, cfg):
 
 def check_ascent(monkeypatch, run, cfg, init=None):
     """Runs the ascent, replays its calls and checks the result against the
-    replay: each restart's peak over its stage starts and accepted points,
-    the best restart's trace, the largest hard value of every point scored,
-    and no (temperature, point) scored twice. Returns the result, the calls
-    and the replay."""
+    replay: the peak over every restart's stage starts and accepted points,
+    the largest hard value of every point scored, and no (temperature,
+    point) scored twice. Returns the result, the calls and the replay."""
     res, calls = recorded_calls(monkeypatch, lambda: run(cfg, init))
     restarts = replay(calls, cfg)
     peaks = [max(starts + trace) for starts, trace, _ in restarts]
-    assert res.per_restart_etas == [2.0 * f - 1.0 for f in peaks]
-    best = peaks.index(max(peaks))
-    assert res.objective_trace == restarts[best][1]
+    assert res.best_eta == 2.0 * max(peaks) - 1.0
     assert res.max_objective_seen == max(c.hard for c in calls)
     scored = [(c.temperature, c.x.tobytes()) for c in calls]
     assert len(set(scored)) == len(scored)
@@ -397,12 +404,11 @@ class TestPreparedKernelIsBitwiseOracle:
 
     @staticmethod
     def assert_same_ascent(monkeypatch, run, cfg):
-        got = run(cfg)
+        got, got_calls = recorded_calls(monkeypatch, lambda: run(cfg))
         monkeypatch.setattr(optimize, "_Objective", ObjectiveByMovedAxes)
-        want = run(cfg)
-        assert got.best_params.tobytes() == want.best_params.tobytes()
-        assert got.objective_trace == want.objective_trace
-        assert got.max_objective_seen == want.max_objective_seen
+        want, want_calls = recorded_calls(monkeypatch, lambda: run(cfg), ObjectiveByMovedAxes)
+        assert call_bytes(got_calls) == call_bytes(want_calls)
+        assert got == want
 
     @pytest.mark.parametrize("run", [optimize_universal, optimize_spinflip])
     def test_short_ascent(self, monkeypatch, run):
@@ -494,7 +500,7 @@ BENCHMARK_RESTARTS = [
 class TestLadderIsTheOneRowAscent:
     """Whole ascents replayed against the contract in ``replay``: one row
     per call, the halving line search and its Armijo acceptance, the L-BFGS
-    pairs, the stage shares and stop rules, and the reported peak, trace and
+    pairs, the stage shares and stop rules, and the reported peak and
     largest value seen."""
 
     @staticmethod
@@ -528,8 +534,11 @@ class TestLadderIsTheOneRowAscent:
         res, _, restarts = self.replayed(monkeypatch, 2, cfg, x_opt)
         assert all(iters < share for iters, share in zip(restarts[0][2], stage_shares(600)))
         assert res.best_eta >= 1 / 3 - 1e-9
-        # the spin flip from the best point a full ascent found
-        self.replayed(monkeypatch, 1, cfg, optimize_spinflip(cfg).best_params)
+        # the spin flip from the best point a full ascent found: the first
+        # point scored at the replay's peak value
+        _, calls, restarts = self.replayed(monkeypatch, 1, cfg)
+        peak = max(max(starts + trace) for starts, trace, _ in restarts)
+        self.replayed(monkeypatch, 1, cfg, next(c.x for c in calls if c.hard == peak))
 
     @pytest.mark.parametrize("copies, seed, iterations", BENCHMARK_RESTARTS)
     def test_benchmark_restart(self, monkeypatch, copies, seed, iterations):
@@ -585,26 +594,25 @@ class TestLineSearch:
 
     @staticmethod
     def scored(monkeypatch, a, cfg):
-        """The run of ``cfg`` from x0 = (STEP_SIZE / a) e0, x0, and the
-        temperature and point of each evaluate call."""
-        calls = []
-
-        class Recorded(QuadraticObjective):
-            def evaluate(self, x, temperature):
-                calls.append((temperature, x))
-                return super().evaluate(x, temperature)
-
-        monkeypatch.setattr(optimize, "_Objective", Recorded)
+        """x0 = (STEP_SIZE / a) e0 and the evaluate calls of the run of
+        ``cfg`` from it."""
+        monkeypatch.setattr(optimize, "_Objective", QuadraticObjective)
         x0 = np.zeros(64)
         x0[0] = STEP_SIZE / a
-        return optimize_universal(cfg, init=x0), x0, calls
+        _, calls = recorded_calls(
+            monkeypatch, lambda: optimize_universal(cfg, init=x0), QuadraticObjective
+        )
+        return x0, calls
 
     @classmethod
     def first_step(cls, monkeypatch, a):
-        """The trace of that iteration, x0, and the point of each evaluate
-        call: the four stage starts, then the line search's trials."""
-        res, x0, calls = cls.scored(monkeypatch, a, OptimizerConfig(restarts=1, max_iters=1))
-        return res.objective_trace, x0, [x for _, x in calls]
+        """The trace of that iteration from its replay, x0, and the point
+        of each evaluate call: the four stage starts, then the line
+        search's trials."""
+        cfg = OptimizerConfig(restarts=1, max_iters=1)
+        x0, calls = cls.scored(monkeypatch, a, cfg)
+        ((_, trace, _),) = replay(calls, cfg)
+        return trace, x0, [c.x for c in calls]
 
     def test_takes_the_full_trial_that_meets_armijo(self, monkeypatch):
         trace, x0, points = self.first_step(monkeypatch, 1.5)
@@ -629,10 +637,10 @@ class TestLineSearch:
         # third trial, t = 1/4 of STEP_SIZE, as above; stage 1 has no pairs,
         # so its first trial goes along its gradient with that length,
         # STEP_SIZE / 4, and restart 1 starts again from STEP_SIZE
-        _, x0, calls = self.scored(monkeypatch, 3.9999, OptimizerConfig(restarts=2, max_iters=4))
-        temperatures = [t for t, _ in calls]
+        x0, calls = self.scored(monkeypatch, 3.9999, OptimizerConfig(restarts=2, max_iters=4))
+        temperatures = [c.temperature for c in calls]
         assert temperatures[:5] == [SCHEDULE[0]] * 4 + [SCHEDULE[1]]
-        stage1_start, first_trial = calls[4][1], calls[5][1]
+        stage1_start, first_trial = calls[4].x, calls[5].x
         assert stage1_start[0] == pytest.approx((1 - 0.25 * 3.9999) * x0[0], rel=1e-9)
         assert first_trial - stage1_start == pytest.approx(
             -(STEP_SIZE / 4) * stage1_start / np.linalg.norm(stage1_start), rel=1e-12, abs=1e-15
@@ -641,7 +649,7 @@ class TestLineSearch:
         # call at a colder temperature
         k = next(i for i in range(1, len(calls))
                  if temperatures[i] == SCHEDULE[0] and temperatures[i - 1] != SCHEDULE[0])
-        start, trial = calls[k][1], calls[k + 1][1]
+        start, trial = calls[k].x, calls[k + 1].x
         assert not np.array_equal(start, x0)
         assert trial - start == pytest.approx(
             -STEP_SIZE * start / np.linalg.norm(start), rel=1e-12, abs=1e-15
@@ -649,23 +657,35 @@ class TestLineSearch:
 
     def test_a_direction_that_is_not_uphill_ends_the_stage(self, monkeypatch):
         # a model that turns the gradient around finds no Armijo step above
-        # the floor, so each stage ends after its first, gradient step
+        # the floor, so each stage ends after its first, gradient step: the
+        # one trial of the stage at which the ascent asks for a gradient,
+        # where the next stage starts, and above every trial after it
         monkeypatch.setattr(optimize, "_two_loop", lambda g, pairs: -g)
         monkeypatch.setattr(optimize, "_Objective", QuadraticObjective)
         x0 = np.full(64, 0.1)
-        res = optimize_universal(OptimizerConfig(restarts=1, max_iters=8), init=x0)
+        cfg = OptimizerConfig(restarts=1, max_iters=8)
+        _, calls = recorded_calls(
+            monkeypatch, lambda: optimize_universal(cfg, init=x0), QuadraticObjective
+        )
+        stages = [[c for c in calls if c.temperature == t] for t in SCHEDULE]
+        trace = []
+        for k, (_, *trials) in enumerate(stages):
+            (i,) = [i for i, c in enumerate(trials) if c.gradients]
+            trace.append(trials[i].hard)
+            assert all(c.hard < trace[-1] for c in trials[i + 1:])
+            if k + 1 < len(stages):
+                assert stages[k + 1][0].x.tobytes() == trials[i].x.tobytes()
         start = -0.5 * x0.dot(x0)
-        assert res.objective_trace[0] > start
-        assert all(f >= start for f in res.objective_trace)
-        assert len(res.objective_trace) == 4
+        assert trace[0] > start
+        assert all(f >= start for f in trace)
 
 
 class TestOptimizeUniversal:
-    def test_short_run_reaches_band(self):
-        res = optimize_universal(OptimizerConfig(restarts=2, seed=5))
+    def test_short_run_reaches_band(self, monkeypatch):
+        cfg = OptimizerConfig(restarts=2, seed=5)
+        res, _, _ = check_ascent(monkeypatch, optimize_universal, cfg)
         assert 1 / 3 - 1e-3 <= res.best_eta <= 1 / 3 + 1e-6
         assert res.max_objective_seen <= TWO_THIRDS + 1e-6
-        assert res.best_eta == max(res.per_restart_etas)
 
     def test_seeded_at_optimum_stays_there(self, x_opt):
         res = optimize_universal(OptimizerConfig(restarts=1, seed=0), init=x_opt)
@@ -678,25 +698,25 @@ class TestOptimizeUniversal:
         assert res.best_eta <= 1 / 3 + 1e-6
         assert res.max_objective_seen <= TWO_THIRDS + 1e-6
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
         cfg = OptimizerConfig(restarts=1, max_iters=40, seed=3)
-        a = optimize_universal(cfg)
-        b = optimize_universal(cfg)
-        assert a.best_eta == b.best_eta
-        assert np.array_equal(a.best_params, b.best_params)
+        a, calls_a = recorded_calls(monkeypatch, lambda: optimize_universal(cfg))
+        b, calls_b = recorded_calls(monkeypatch, lambda: optimize_universal(cfg))
+        assert a == b
+        assert call_bytes(calls_a) == call_bytes(calls_b)
 
-    def test_result_invariants(self):
-        res = optimize_universal(OptimizerConfig(restarts=2, max_iters=40, seed=1))
-        assert res.best_eta == max(res.per_restart_etas)
-        assert len(res.objective_trace) >= 1
+    def test_result_invariants(self, monkeypatch):
+        cfg = OptimizerConfig(restarts=2, max_iters=40, seed=1)
+        res, _, restarts = check_ascent(monkeypatch, optimize_universal, cfg)
+        assert all(len(trace) >= 1 for _, trace, _ in restarts)
         assert abs(res.best_fidelity - 0.5 * (1 + res.best_eta)) < 1e-15
 
     @pytest.mark.parametrize("iters", [3, 5, 7, 13, 100])
     def test_no_stage_exceeds_its_share(self, monkeypatch, iters):
         cfg = OptimizerConfig(restarts=1, max_iters=iters, seed=0)
-        res, _, restarts = check_ascent(monkeypatch, optimize_universal, cfg)
+        _, _, restarts = check_ascent(monkeypatch, optimize_universal, cfg)
         assert all(n <= share for n, share in zip(restarts[0][2], stage_shares(iters)))
-        assert len(res.objective_trace) == sum(restarts[0][2]) <= iters
+        assert sum(restarts[0][2]) <= iters
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
         # a call scores one point, a stage start or a line-search trial; no
@@ -756,8 +776,9 @@ class TestTracedRun:
         untraced, calls = recorded_calls(monkeypatch, lambda: run(cfg))
         tracer = Tracer()
         with patched(tracer, LAYERS):
-            res = run(cfg)
-        assert res.objective_trace == untraced.objective_trace
+            res, traced_calls = recorded_calls(monkeypatch, lambda: run(cfg))
+        assert res == untraced
+        assert call_bytes(traced_calls) == call_bytes(calls)
         per_layer = self_times(tracer.spans)
         for name in ("optimize._isometry_batch", "optimize._softmin", values_layer):
             assert per_layer[name][0] == len(calls), name

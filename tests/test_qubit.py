@@ -111,11 +111,11 @@ NON_FINITE = [
 class TestCheckDensityMatrix:
     @pytest.mark.parametrize("rho", NON_FINITE)
     def test_rejects_non_finite_entries(self, rho):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        with pytest.raises(ValueError):
             check_density_matrix(np.array(rho, dtype=complex))
 
     def test_fidelity_of_nan_matrix_raises(self):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        with pytest.raises(ValueError):
             fidelity_along(np.array([[np.nan, 0], [0, 1.0]]), BlochVector(0.0, 0.0, 1.0))
 
 
