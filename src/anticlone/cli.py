@@ -237,7 +237,7 @@ def _campaign_verify(cfg: argparse.Namespace) -> tuple[dict, list[MetricCheck]]:
     v = machine.build_isometry(blocks)
     dirs = machine.haar_directions(cfg.samples, seed=cfg.seed)
 
-    outs = [machine.anticlone(QubitState(*k), v) for k in direction_kets(dirs)]
+    outs = machine.anticlone_all([QubitState(*k) for k in direction_kets(dirs)], v)
     rho1, rho2 = np.array([out.rho1 for out in outs]), np.array([out.rho2 for out in outs])
     fidelities = np.array([(out.f1, out.f2) for out in outs])
     t1, t2 = machine.target_forms(dirs, machine.OPTIMAL_ETA)

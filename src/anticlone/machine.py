@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "output_states",
     "FidelityKernel",
     "anticlone",
+    "anticlone_all",
     "target_forms",
     "constraint_residuals",
     "measure_prepare_baseline",
@@ -54,6 +56,12 @@ OPTIMAL_FIDELITY = 2.0 / 3.0
 
 # Samples per Philox stream in ``measure_prepare_baseline``.
 BASELINE_BLOCK = 1 << 15
+# Blocks per scoring round of ``measure_prepare_baseline``: only one round's
+# streams exist at a time, so memory does not grow with the sample count.
+# Each round starts and joins its scoring threads, ~2 ms on a 2-CPU
+# machine: 9% of a 10^8-sample call at 64 blocks a round, too little to
+# measure at 256. A 10^6-sample call (31 blocks) is a single round.
+BASELINE_ROUND = 256
 
 
 @dataclass(frozen=True)
@@ -235,24 +243,35 @@ class FidelityKernel:
         return grad.reshape(lead + (-1, 2))
 
 
-def anticlone(psi: QubitState, v: np.ndarray) -> CloneOutput:
-    """Send one qubit through the machine and reduce to the two clones.
+def anticlone_all(states: Iterable[QubitState], v: np.ndarray) -> list[CloneOutput]:
+    """Send each qubit in ``states`` through the machine and reduce to the
+    two clones, one ``CloneOutput`` per state, in order.
 
     ``v`` is an isometry from the input qubit into (clone 1, clone 2,
-    ancilla); the ancilla may have dimension 1, 2 or 4. The fidelities are
-    read from the two reduced states: Re<k|rho1|k> against the input ket k
-    for clone 1, and Re<k'|rho2|k'> against its spin flip k' for clone 2.
+    ancilla); the ancilla may have dimension 1, 2 or 4. It is checked once,
+    before any state, so an empty ``states`` still raises for a machine
+    that is not an isometry. The fidelities are read from the two reduced
+    states: Re<k|rho1|k> against the input ket k for clone 1, and
+    Re<k'|rho2|k'> against its spin flip k' for clone 2.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 2:
         raise ValueError(f"expected an isometry with two columns, got {v.shape}")
     require_isometry(v, "the machine")
 
-    check_density_matrix(psi.density())
-    k, k_opp = psi.ket(), antiunitary_flip(psi).ket()
-    rho1, rho2 = (check_density_matrix(rho[0]) for rho in output_states(v, k[None], 2))
-    f1, f2 = (float(np.real(t.conj() @ rho @ t)) for t, rho in ((k, rho1), (k_opp, rho2)))
-    return CloneOutput(rho1=rho1, rho2=rho2, f1=f1, f2=f2)
+    outs = []
+    for psi in states:
+        check_density_matrix(psi.density())
+        k, k_opp = psi.ket(), antiunitary_flip(psi).ket()
+        rho1, rho2 = (check_density_matrix(rho[0]) for rho in output_states(v, k[None], 2))
+        f1, f2 = (float(np.real(t.conj() @ rho @ t)) for t, rho in ((k, rho1), (k_opp, rho2)))
+        outs.append(CloneOutput(rho1=rho1, rho2=rho2, f1=f1, f2=f2))
+    return outs
+
+
+def anticlone(psi: QubitState, v: np.ndarray) -> CloneOutput:
+    """``anticlone_all`` for the one input ``psi``."""
+    return anticlone_all([psi], v)[0]
 
 
 def target_forms(n, eta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -350,26 +369,30 @@ def measure_prepare_baseline(samples: int, seed: int = 0) -> BaselineReport:
     draws its t values and then its outcome uniforms from Philox stream
     (seed, b), so the result depends only on (samples, seed).
 
-    Every stream is built on the calling thread. The blocks are then scored
-    on one thread per usable CPU, each pinned to its own CPU and taking the
-    next unscored block until none is left, and the per-block sums are added
-    in block order. So the report does not depend on the thread count or on
-    which thread scored which block.
+    The blocks go in rounds of ``BASELINE_ROUND``. Each round's streams are
+    built on the calling thread; its blocks are then scored on one thread
+    per usable CPU, each pinned to its own CPU and taking the next unscored
+    block until none is left, and the per-block sums are added in block
+    order before the next round's streams are built. So the report does not
+    depend on the thread count or on which thread scored which block, and
+    memory does not grow with the number of blocks.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    streams = [philox_stream(seed, block) for block in range(-(-samples // BASELINE_BLOCK))]
-    sums: list[tuple[float, float]] = [(0.0, 0.0)] * len(streams)
-    cpus = _usable_cpus()[: len(streams)]
+    blocks = -(-samples // BASELINE_BLOCK)
+    cpus = _usable_cpus()[: min(blocks, BASELINE_ROUND)]
     # the calling thread allocates every draw buffer, so the scoring threads
     # grow no heap arena of their own (peak RSS stays flat)
     draws = [np.empty(2 * min(BASELINE_BLOCK, samples)) for _ in cpus]
-    _score_baseline_in_parallel(streams, cpus, samples, sums, draws)
 
     total = total_sq = 0.0
-    for block_total, block_sq in sums:
-        total += block_total
-        total_sq += block_sq
+    for first in range(0, blocks, BASELINE_ROUND):
+        streams = {b: philox_stream(seed, b) for b in range(first, min(first + BASELINE_ROUND, blocks))}
+        sums = dict.fromkeys(streams)
+        _score_baseline_in_parallel(streams, cpus[: len(streams)], samples, sums, draws)
+        for block_total, block_sq in sums.values():
+            total += block_total
+            total_sq += block_sq
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
     return BaselineReport(avg_fidelity_anticlone=mean, stderr=float(np.sqrt(var / samples)))
@@ -384,17 +407,18 @@ def _usable_cpus() -> list[int]:
         return list(range(os.cpu_count() or 1))
 
 
-def _score_baseline_in_parallel(streams, cpus: list[int], samples: int, sums: list,
+def _score_baseline_in_parallel(streams: dict, cpus: list[int], samples: int, sums: dict,
                                 draws: list[np.ndarray]) -> None:
-    """Score every block on one thread per CPU in ``cpus``, each with its
-    own draw buffer; the calling thread waits and raises the first error a
-    thread met.
+    """Score every block of ``streams``, a dict from block index to its
+    stream, on one thread per CPU in ``cpus``, each with its own draw
+    buffer; the calling thread waits and raises the first error a thread
+    met.
 
     Each thread pins itself to its CPU: a kernel may otherwise keep a new
     thread on its parent's CPU for the whole call. The threads claim blocks
     one at a time, so a thread on a busy CPU scores fewer of them.
     """
-    pending = iter(range(len(streams)))
+    pending = iter(streams)
     claim = threading.Lock()
     errors: list[BaseException] = []
 
@@ -424,7 +448,7 @@ def _score_baseline_in_parallel(streams, cpus: list[int], samples: int, sums: li
         raise errors[0]
 
 
-def _score_baseline_blocks(streams, blocks, samples: int, sums: list, draws: np.ndarray) -> None:
+def _score_baseline_blocks(streams: dict, blocks, samples: int, sums: dict, draws: np.ndarray) -> None:
     """Score each block in ``blocks`` of ``measure_prepare_baseline`` into
     ``sums[block]`` as (sum of fidelities, sum of their squares).
 

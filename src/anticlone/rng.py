@@ -3,8 +3,9 @@
 Philox streams keyed by (seed, stream index) make every Monte Carlo result a
 pure function of its seed: batches can run in any order, or in parallel, and
 merge deterministically by index. ``machine.measure_prepare_baseline`` does
-so: it builds its block streams on the calling thread, scores the blocks on
-one thread per usable CPU and adds their sums in block order.
+so: round by round, it builds its block streams on the calling thread,
+scores the blocks on one thread per usable CPU and adds their sums in block
+order.
 """
 
 from __future__ import annotations

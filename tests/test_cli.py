@@ -242,6 +242,24 @@ class TestVerifyCampaign:
         for name, value in oracle.items():
             assert abs(metrics[name] - value) <= 1e-12, name
 
+    def test_the_machine_gate_runs_a_fixed_number_of_times(self, monkeypatch):
+        # build_isometry checks the machine once and anticlone_all once more,
+        # however many directions the campaign scores
+        gate = machine.require_isometry
+        calls = []
+
+        def counted(a, what):
+            calls.append(what)
+            gate(a, what)
+
+        monkeypatch.setattr(machine, "require_isometry", counted)
+        counts = []
+        for samples in ("5", "50"):
+            calls.clear()
+            assert run(parse_args(["verify", "--samples", samples]))[1] == EXIT_OK
+            counts.append(len(calls))
+        assert counts == [2, 2]
+
     def test_non_universal_machine_fails_with_exit_1(self, rng, monkeypatch, capsys):
         m = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
         v = np.linalg.qr(m)[0]

@@ -40,6 +40,7 @@ NONFINITE_CASES = {
     "target-forms": lambda x: machine.target_forms([x, 0, 0], 1 / 3),
     "build-isometry": _coefficient,
     "anticlone": lambda x: machine.anticlone(QubitState(1, 0), np.full((16, 2), x)),
+    "anticlone-all": lambda x: machine.anticlone_all([], np.full((16, 2), x)),
     "prob-cloner-u": lambda x: _prob_cloner(u=np.full((8, 8), x)),
     "prob-cloner-theta": lambda x: _prob_cloner(theta=x),
     "prob-cloner-f": lambda x: _prob_cloner(f=x),

@@ -3,6 +3,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,12 @@ import pytest
 from anticlone import machine
 from anticlone.machine import (
     BASELINE_BLOCK,
+    BASELINE_ROUND,
     COEFF_KEYS,
     OPTIMAL_ETA,
     FidelityKernel,
     anticlone,
+    anticlone_all,
     build_isometry,
     constraint_residuals,
     haar_directions,
@@ -211,6 +214,46 @@ class TestAnticlone:
     def test_rejects_non_isometry(self):
         with pytest.raises(ValueError):
             anticlone(QubitState(1, 0), np.ones((16, 2)))
+
+
+def _same_outputs(a, b) -> bool:
+    def key(out):
+        return out.rho1.tobytes(), out.rho2.tobytes(), out.f1, out.f2
+
+    return key(a) == key(b)
+
+
+class TestAnticloneAll:
+    """One machine gate for many inputs; each input's output must equal, to
+    the bit, what ``anticlone`` gives for that input alone."""
+
+    def test_optimal_machine_over_haar_states_equals_one_at_a_time(self, isometry):
+        states = [QubitState(*k) for k in direction_kets(haar_directions(200, seed=8))]
+        outs = anticlone_all(states, isometry)
+        assert len(outs) == len(states)
+        assert all(_same_outputs(out, anticlone(psi, isometry)) for psi, out in zip(states, outs))
+
+    @pytest.mark.parametrize("ancilla_dim", [1, 2, 4])
+    def test_random_isometries_equal_one_at_a_time(self, ancilla_dim, rng):
+        shape = (4 * ancilla_dim, 2)
+        v = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+        kets = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
+        states = [QubitState(*(k / np.linalg.norm(k))) for k in kets]
+        outs = anticlone_all(states, v)
+        assert all(_same_outputs(out, anticlone(psi, v)) for psi, out in zip(states, outs))
+
+    def test_empty_list_for_a_valid_machine(self, isometry):
+        assert anticlone_all([], isometry) == []
+
+    @pytest.mark.parametrize("states", [[], [QubitState(1, 0)]], ids=["empty", "one"])
+    @pytest.mark.parametrize("v, message", [
+        (np.ones((16, 2)), "the machine is not an isometry"),
+        (np.eye(16)[:, :3], "expected an isometry with two columns"),
+        (np.ones(16), "expected an isometry with two columns"),
+    ], ids=["non-isometry", "three-columns", "one-axis"])
+    def test_every_machine_goes_through_the_gate(self, states, v, message):
+        with pytest.raises(ValueError, match=message):
+            anticlone_all(states, v)
 
 
 class TestOutputStates:
@@ -528,6 +571,43 @@ class TestBaselineAcrossThreads:
         with pytest.raises(RuntimeError, match="block 2 failed"):
             measure_prepare_baseline(5 * BASELINE_BLOCK, seed=1)
         assert threading.active_count() == before
+
+
+class TestBaselineRounds:
+    """Only one round of ``BASELINE_ROUND`` block streams exists at a time,
+    so memory does not grow with the sample count."""
+
+    def test_the_benchmark_call_is_one_round(self):
+        assert BASELINE_ROUND >= 64
+        assert -(-10**6 // BASELINE_BLOCK) <= BASELINE_ROUND
+
+    def test_a_round_is_scored_before_the_next_is_built(self, monkeypatch):
+        monkeypatch.setattr(machine, "BASELINE_ROUND", 4)
+        events = []
+
+        class Recorded:
+            def __init__(self, block, stream):
+                self.block, self.stream = block, stream
+
+            def random(self, *args, **kwargs):
+                events.append(("draw", self.block))
+                return self.stream.random(*args, **kwargs)
+
+        def stream(seed, block):
+            events.append(("build", block))
+            return Recorded(block, philox_stream(seed, block))
+
+        monkeypatch.setattr(machine, "_usable_cpus", lambda: [0, 1])
+        monkeypatch.setattr(machine, "philox_stream", stream)
+        samples = 8 * BASELINE_BLOCK + 5
+        rep = measure_prepare_baseline(samples, seed=3)
+        assert rep == measure_prepare_baseline_serial(samples, seed=3)
+
+        # three rounds of 4, 4 and 1 blocks: every stream of a round is
+        # built, then every block of it drawn, before the next round
+        assert len(events) == 2 * 9
+        rounds = [key for key, _ in groupby((kind, block // 4) for kind, block in events)]
+        assert rounds == [(kind, r) for r in range(3) for kind in ("build", "draw")]
 
 
 class TestTracedBaseline:

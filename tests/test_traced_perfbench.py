@@ -15,6 +15,9 @@ no layer is missing. A call scores one point, a stage start or a
 line-search trial, which the values layers receive as a stack of one
 isometry, so their rows must equal their calls.
 
+For verify, every direction scored must still pass three density-matrix
+checks: its input state and its two clones.
+
 Each run is a fresh interpreter, run once per workload and shared by the
 tests that read it.
 """
@@ -30,6 +33,9 @@ import pytest
 from conftest import DELETED_LAYERS
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import VERIFY_SAMPLES  # noqa: E402
+
 WORKLOADS = ["optimize", "verify", "certify"]
 
 
@@ -77,3 +83,8 @@ def test_optimize_values_layer_rows_equal_calls():
         for n in ("calls", "rows")
     )
     assert 0 < calls == rows, (calls, rows)
+
+
+def test_verify_checks_three_density_matrices_per_direction():
+    directions = VERIFY_SAMPLES * metric("verify", "cli.run.calls")
+    assert metric("verify", "qubit.check_density_matrix.calls") == 3 * directions > 0
