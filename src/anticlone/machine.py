@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import require_isometry
-from .rng import philox_stream
+from .rng import pcg_stream, philox_stream
 from .qubit import PAULI, QubitState, antiunitary_flip, check_density_matrix
 
 __all__ = [
@@ -54,13 +54,14 @@ COEFF_KEYS = ("a", "b", "c", "d", "at", "bt", "ct", "dt")
 OPTIMAL_ETA = 1.0 / 3.0
 OPTIMAL_FIDELITY = 2.0 / 3.0
 
-# Samples per Philox stream in ``measure_prepare_baseline``.
+# Samples per PCG64DXSM block stream in ``measure_prepare_baseline``.
 BASELINE_BLOCK = 1 << 15
 # Blocks per scoring round of ``measure_prepare_baseline``: only one round's
 # streams exist at a time, so memory does not grow with the sample count.
 # Each round starts and joins its scoring threads, ~2 ms on a 2-CPU
-# machine: 9% of a 10^8-sample call at 64 blocks a round, too little to
-# measure at 256. A 10^6-sample call (31 blocks) is a single round.
+# machine. A 10^8-sample call took 0.51 s at 64 blocks a round (+18%),
+# 0.44 s at 256 (+5%) and 0.42 s as one round (medians of 15 rotated
+# calls). A 10^6-sample call (31 blocks) is a single round.
 BASELINE_ROUND = 256
 
 
@@ -366,8 +367,12 @@ def measure_prepare_baseline(samples: int, seed: int = 0) -> BaselineReport:
     hat-box theorem t is exactly uniform on [-1, 1] for independent uniform
     n and m. So each sample draws t = 2u - 1 directly, then the outcome by
     the Born rule, P(+m) = (1 + t)/2. Block b of ``BASELINE_BLOCK`` samples
-    draws its t values and then its outcome uniforms from Philox stream
-    (seed, b), so the result depends only on (samples, seed).
+    draws its t values and then its outcome uniforms from the PCG64DXSM
+    stream ``pcg_stream(seed, b)``, so the result depends only on
+    (samples, seed). The draws are most of a call's time, and PCG64DXSM
+    draws a double in about half the time of the counter-based Philox that
+    the other campaigns use; the baseline never needs Philox's random
+    access, only independent streams keyed by block.
 
     The blocks go in rounds of ``BASELINE_ROUND``. Each round's streams are
     built on the calling thread; its blocks are then scored on one thread
@@ -387,7 +392,7 @@ def measure_prepare_baseline(samples: int, seed: int = 0) -> BaselineReport:
 
     total = total_sq = 0.0
     for first in range(0, blocks, BASELINE_ROUND):
-        streams = {b: philox_stream(seed, b) for b in range(first, min(first + BASELINE_ROUND, blocks))}
+        streams = {b: pcg_stream(seed, b) for b in range(first, min(first + BASELINE_ROUND, blocks))}
         sums = dict.fromkeys(streams)
         _score_baseline_in_parallel(streams, cpus[: len(streams)], samples, sums, draws)
         for block_total, block_sq in sums.values():

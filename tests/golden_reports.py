@@ -8,13 +8,16 @@ regenerates the files, so the diff lists every move:
 
     PYTHONPATH=src python tests/golden_reports.py
 
-The script also rewrites the state files under ``tests/golden/states/``
+While it regenerates, the script prints each report row whose value moved,
+as case, metric, old -> new and |delta|, so a change can quote the list.
+It also rewrites the state files under ``tests/golden/states/``
 from fixed values and a seeded generator.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import ctypes
 import io
 import json
@@ -76,25 +79,25 @@ CASES = {
 # need the recorded numpy version; on another version ``tests/test_golden.py``
 # names them and compares every other row, and no bound is widened for them.
 _DRAWN = {
-    "verify's Haar input directions (Generator.standard_normal)": (
+    "verify's Haar input directions (Philox Generator.standard_normal)": (
         "max_universality_deviation_rho1",
         "max_universality_deviation_rho2",
         "max_fidelity_deviation",
         "max_bloch_opposition_deviation",
         "fidelity_stddev_across_inputs",
     ),
-    "baseline's Monte Carlo directions and outcomes (Generator.random)": (
+    "baseline's Monte Carlo t = n.m values and outcomes (PCG64DXSM Generator.random)": (
         "avg_fidelity_clone",
         "avg_fidelity_anticlone",
         "stderr",
         "anticlone_deviation_from_two_thirds",
         "anticlone_deviation_sigma",
     ),
-    "prob's binomial success counts (Generator.binomial)": (
+    "prob's binomial success counts (Philox Generator.binomial)": (
         "shot_frequency_sigma_input1",
         "shot_frequency_sigma_input2",
     ),
-    "optimize's random restart start points (Generator.standard_normal)": (
+    "optimize's random restart start points (Philox Generator.standard_normal)": (
         "best_eta",
         "best_eta_below_optimum",
         "best_eta_above_optimum",
@@ -148,6 +151,31 @@ def resolved(argv: list[str]) -> list[str]:
     return [str(GOLDEN / a) if a.startswith("states/") else a for a in argv]
 
 
+def report_values(text: str, argv: list[str]) -> list[tuple[str, float]]:
+    """(metric, value) of each row of a report written for ``argv``."""
+    if not text:
+        return []
+    if "csv" in argv:
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        return [(name, float(value)) for name, value, _tolerance, _passed in rows]
+    return [(m["metric"], float(m["value"])) for m in json.loads(text)["metrics"]]
+
+
+def moved_rows(name: str, argv: list[str], old: str, new: str) -> list[str]:
+    """One line per row of case ``name`` whose value differs between the
+    report texts ``old`` and ``new``; a row only one of them has reads
+    None on the other side."""
+    before, after = dict(report_values(old, argv)), dict(report_values(new, argv))
+    lines = []
+    for metric in [*before, *(m for m in after if m not in before)]:
+        was, now = before.get(metric), after.get(metric)
+        if was == now:
+            continue
+        delta = abs(now - was) if was is not None and now is not None else None
+        lines.append(f"{name}  {metric}  {was!r} -> {now!r}  |delta| {delta!r}")
+    return lines
+
+
 def run_case(argv: list[str]) -> tuple[int, str]:
     """(exit code, report text) of one invocation of ``anticlone.cli.main``,
     run in-process with state file paths resolved against tests/golden."""
@@ -162,11 +190,16 @@ def regenerate() -> None:
     for name, states in STATE_SETS.items():
         (STATES / f"{name}.json").write_text(json.dumps({"states": states}) + "\n")
     index = {"environment": environment(), "cases": []}
+    moved = []
     for name, argv in CASES.items():
         code, text = run_case(argv)
-        (GOLDEN / f"{name}.txt").write_text(text, encoding="utf-8")
+        path = GOLDEN / f"{name}.txt"
+        old = path.read_text(encoding="utf-8") if path.exists() else ""
+        moved += moved_rows(name, argv, old, text)
+        path.write_text(text, encoding="utf-8")
         index["cases"].append({"name": name, "argv": argv, "exit_code": code})
     (GOLDEN / "index.json").write_text(json.dumps(index, indent=2) + "\n")
+    print("\n".join(moved) if moved else "no report value moved")
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ from anticlone.qubit import (
     check_density_matrix,
     direction_kets,
 )
-from anticlone.rng import philox_stream
+from anticlone.rng import pcg_stream
 
 
 def kron_by_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -199,7 +199,7 @@ def measure_prepare_baseline_serial(samples: int, seed: int = 0) -> BaselineRepo
     total = total_sq = 0.0
     for block, start in enumerate(range(0, samples, BASELINE_BLOCK)):
         size = min(BASELINE_BLOCK, samples - start)
-        rng = philox_stream(seed, block)
+        rng = pcg_stream(seed, block)
         nm = 2.0 * rng.random(size) - 1.0
         got_up = rng.random(size) < 0.5 * (1.0 + nm)
         f = 0.5 * (1.0 + np.where(got_up, nm, -nm))

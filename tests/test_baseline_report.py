@@ -1,6 +1,6 @@
 """The baseline report does not depend on the CPU count or on an old file.
 
-The baseline Monte Carlo scores its Philox blocks on one thread per usable
+The baseline Monte Carlo scores its PCG64DXSM blocks on one thread per usable
 CPU and adds the block sums in block order, so a run pinned to one CPU must
 write the same bytes as an unpinned one. Reports are rewritten in place and
 cut to length, so the unpinned run writes over 64 KiB of junk and the

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -481,6 +482,35 @@ class TestBaselineCampaign:
         exact = metrics["exact_measure_prepare_deviation"]
         assert exact.tolerance == 1e-15 and exact.passed
 
+    def test_seed_sweep_fails_no_more_seeds_than_the_3_sigma_tail_allows(self):
+        # seeds 0-99 at the default 10^6 samples. The 0.002 bound is 8.5
+        # standard errors there, so a correct program exits 1 only on the
+        # sigma row, with the two-sided normal tail at 3 sigma. Allow the
+        # smallest failure count whose binomial tail is below 1e-3: 3 of 100
+        # (P(X >= 4) = 1.7e-4 under Binomial(100, 0.0027)).
+        seeds, p, allowed = range(100), math.erfc(3 / math.sqrt(2)), 3
+
+        def tail(k):  # P(X >= k) for X ~ Binomial(len(seeds), p)
+            n = len(seeds)
+            return sum(math.comb(n, j) * p**j * (1 - p)**(n - j) for j in range(k, n + 1))
+
+        assert tail(allowed + 1) < 1e-3 <= tail(allowed)
+
+        means, stderrs, failed = [], [], []
+        for seed in seeds:
+            report, code = run(parse_args(["baseline", "--seed", str(seed)]))
+            assert code in (EXIT_OK, EXIT_VERIFICATION_FAILED), seed
+            metrics = {m.name: m for m in report.metrics}
+            assert metrics["anticlone_deviation_from_two_thirds"].passed, seed
+            means.append(metrics["avg_fidelity_anticlone"].value)
+            stderrs.append(metrics["stderr"].value)
+            if code == EXIT_VERIFICATION_FAILED:
+                failed.append(seed)
+        assert len(failed) <= allowed, failed
+        # the pooled mean of all 10^8 samples, within 4 pooled standard errors
+        pooled_stderr = math.sqrt(sum(s * s for s in stderrs)) / len(seeds)
+        assert abs(sum(means) / len(seeds) - 2 / 3) <= 4 * pooled_stderr
+
 
 class TestOptimizeCampaign:
     def test_twenty_restarts_reach_optimum(self, universal_optimize_run):
@@ -538,6 +568,26 @@ class TestDevelopmentMode:
         *lines, timing = out.stderr.splitlines()
         assert lines == failures, out.stderr
         assert re.fullmatch(rf"anticlone {args[0]}: [0-9.e+-]* s", timing), out.stderr
+
+    @pytest.mark.parametrize("want, first, message", [
+        (EXIT_OK, [[1, 0], [5e-324, 0]], None),
+        (EXIT_INPUT_ERROR, [[5e-324, 0], [0, 0]], "state 0 has norm 0.0, outside tolerance 1e-8"),
+    ], ids=["subnormal-part", "subnormal-norm"])
+    def test_subnormal_amplitudes_raise_no_warning(self, tmp_path, want, first, message):
+        # a subnormal part of a unit state is kept; a state whose only
+        # nonzero part is subnormal has norm 0.0 and is an input error
+        states = write_states(tmp_path / "s.json", [first, [[0, 0], [1, 0]]])
+        out = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "anticlone", "feasibility",
+             "--states", states, "--output", str(tmp_path / "report")],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == want, out.stderr
+        [line] = out.stderr.splitlines()
+        if message is None:
+            assert re.fullmatch(r"anticlone feasibility: [0-9.e+-]* s", line), out.stderr
+        else:
+            assert line == f"anticlone feasibility: {states}: {message}"
 
 
 class TestFailureLines:

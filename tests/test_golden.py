@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from golden_reports import CASES, GOLDEN, NEEDS_RECORDED_NUMPY, environment, run_case
+from golden_reports import (CASES, GOLDEN, NEEDS_RECORDED_NUMPY, environment, moved_rows,
+                            report_values, run_case)
 
 INDEX = json.loads((GOLDEN / "index.json").read_text())
 RECORDED = {case["name"]: case for case in INDEX["cases"]}
@@ -38,16 +39,6 @@ def _judged(text: str, argv: list[str]):
     for m in payload["metrics"]:
         del m["value"]
     return payload
-
-
-def _values(text: str, argv: list[str]) -> list[tuple[str, float]]:
-    """(metric, value) of each report row."""
-    if not text:
-        return []
-    if "csv" in argv:
-        rows = list(csv.reader(io.StringIO(text)))[1:]
-        return [(name, float(value)) for name, value, _tolerance, _passed in rows]
-    return [(m["metric"], float(m["value"])) for m in json.loads(text)["metrics"]]
 
 
 @pytest.fixture(scope="module")
@@ -85,15 +76,15 @@ def test_exit_code_and_judged_structure(name, outcomes):
 
 def test_every_row_named_as_drawn_is_a_golden_row(outcomes):
     rows = {metric for name, case in RECORDED.items()
-            for metric, _ in _values(outcomes[name][1], case["argv"])}
+            for metric, _ in report_values(outcomes[name][1], case["argv"])}
     assert set(NEEDS_RECORDED_NUMPY) <= rows
 
 
 @pytest.mark.parametrize("name", list(RECORDED))
 def test_report_values(name, outcomes):
     argv = RECORDED[name]["argv"]
-    got = _values(outcomes[name][1], argv)
-    want = _values((GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), argv)
+    got = report_values(outcomes[name][1], argv)
+    want = report_values((GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), argv)
     assert [metric for metric, _ in got] == [metric for metric, _ in want]
     recorded_numpy = INDEX["environment"]["numpy"]
     same_numpy = environment()["numpy"] == recorded_numpy
@@ -116,3 +107,26 @@ def test_report_bytes(name, outcomes):
         pytest.skip(f"byte check needs the recorded environment, (recorded, here) differ in "
                     f"{differs}; test_report_values compared the values within {VALUE_BOUND}")
     assert outcomes[name][1] == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def test_moved_rows_names_each_moved_value_and_nothing_else():
+    argv = CASES["baseline"]
+    old = (GOLDEN / "baseline.txt").read_text(encoding="utf-8")
+    assert moved_rows("baseline", argv, old, old) == []
+    payload = json.loads(old)
+    payload["metrics"][1]["value"] = 0.5
+    was = json.loads(old)["metrics"][1]["value"]
+    assert moved_rows("baseline", argv, old, json.dumps(payload)) == [
+        f"baseline  avg_fidelity_clone  {was!r} -> 0.5  |delta| {abs(0.5 - was)!r}"]
+    # a first regeneration has no old report: every row reads None before
+    assert len(moved_rows("baseline", argv, "", old)) == len(payload["metrics"])
+
+
+def test_moved_rows_reads_csv_reports():
+    argv = CASES["verify_csv"]
+    old = (GOLDEN / "verify_csv.txt").read_text(encoding="utf-8")
+    header, first, *rest = old.splitlines(keepends=True)
+    name, _value, tolerance, passed = first.strip().split(",")
+    new = "".join([header, f"{name},1.0,{tolerance},{passed}\n", *rest])
+    [line] = moved_rows("verify_csv", argv, old, new)
+    assert line.startswith(f"verify_csv  {name}  ") and " -> 1.0  |delta| " in line
