@@ -19,6 +19,14 @@ DELETED_LAYERS = [
     "qubit.state_to_bloch",
 ]
 
+# A pair whose H has a subnormal off-diagonal entry (~5e-322) at
+# (L, M) = (576, 1101), as state-file rows [[re, im], [re, im]]
+SUBNORMAL_H_PAIR = [
+    [[0.4784811114036781, -0.42044414019009474], [-0.34503989025797877, -0.6893692951825422]],
+    [[-0.33875779317041366, -0.33648043185252585], [0.6727426095379639, 0.5651915231659971]],
+]
+SUBNORMAL_H_COPIES = (576, 1101)
+
 
 @pytest.fixture
 def rng():

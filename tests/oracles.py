@@ -17,7 +17,7 @@ construction the library used before the QR completion.
 ``test_linalg.py`` and ``test_qubit.py`` check these partial-trace,
 Gram-Schmidt and Bloch oracles against closed forms.
 ``measure_prepare_baseline_serial`` is the baseline Monte Carlo as one loop
-over its Philox blocks, scored with the Born-rule comparison and the +-t
+over its PCG64DXSM block streams, scored with the Born-rule comparison and the +-t
 fidelity written out. ``ObjectiveByMovedAxes``
 is the optimizer's search objective as it was before the fidelity kernel
 was prepared once per ascent: every call folds the targets again, gathers
@@ -427,8 +427,10 @@ def unitary_by_correspondence(inputs, images) -> np.ndarray:
     The Gram matrices must agree to ``GRAM_SCHMIDT_TOL``, else ``ValueError``.
     Both lists shrink by the projection coefficients of the inputs, so a
     vector dependent on its predecessors must be dependent in both lists.
-    The two orthonormal lists are completed to bases, and U maps basis to
-    basis.
+    U is linear, so it maps the input residual divided by its norm to the
+    image residual divided by the same norm: an image whose norm rounds off
+    the input's is kept as it is, not rescaled. The two lists are completed
+    to bases, and U maps basis to basis.
     """
     g_in = np.array([[np.vdot(a, b) for b in inputs] for a in inputs])
     g_out = np.array([[np.vdot(a, b) for b in images] for a in images])
@@ -447,10 +449,12 @@ def unitary_by_correspondence(inputs, images) -> np.ndarray:
         if nu < GRAM_SCHMIDT_TOL or nw < GRAM_SCHMIDT_TOL:
             raise ValueError(f"vector {i} is dependent in one list but not the other")
         in_basis.append(u / nu)
-        out_basis.append(w / nw)
+        out_basis.append(w / nu)
     dim = len(inputs[0])
     out = np.zeros((dim, dim), dtype=complex)
-    for b_in, b_out in zip(orthonormal_complete(in_basis, dim), orthonormal_complete(out_basis, dim)):
+    ins = in_basis + orthonormal_complete(in_basis, dim)[len(in_basis):]
+    outs = out_basis + orthonormal_complete(out_basis, dim)[len(out_basis):]
+    for b_in, b_out in zip(ins, outs):
         out += np.outer(b_out, b_in.conj())
     return out
 

@@ -26,6 +26,7 @@ from anticlone import machine, probclone
 from anticlone.optimize import OptimizerConfig
 from anticlone.probclone import two_state_efficiency
 from anticlone.qubit import QubitState
+from conftest import SUBNORMAL_H_COPIES, SUBNORMAL_H_PAIR
 from golden_reports import CASES, resolved
 from oracles import verify_metrics_by_direction
 
@@ -511,6 +512,17 @@ class TestBaselineCampaign:
         pooled_stderr = math.sqrt(sum(s * s for s in stderrs)) / len(seeds)
         assert abs(sum(means) / len(seeds) - 2 / 3) <= 4 * pooled_stderr
 
+        # the spread: a fidelity has density 2x on [0, 1], so Var f = 1/18,
+        # and the sample variance n stderr^2 has standard error
+        # sqrt((mu_4 - sigma^4) / n) with mu_4 - sigma^4 = 1/135 - 1/324 = 7/1620.
+        # A scorer that keeps the mean but not the law, such as the
+        # conditional mean u^2 + (1 - u)^2, reads z of about -500 here.
+        n = parse_args(["baseline"]).samples
+        z = [(n * s * s - 1 / 18) / math.sqrt(7 / (1620 * n)) for s in stderrs]
+        wide = [seed for seed, zs in zip(seeds, z) if abs(zs) > 3]
+        assert len(wide) <= allowed, wide
+        assert abs(sum(z) / math.sqrt(len(seeds))) <= 4, sum(z) / math.sqrt(len(seeds))
+
 
 class TestOptimizeCampaign:
     def test_twenty_restarts_reach_optimum(self, universal_optimize_run):
@@ -569,17 +581,22 @@ class TestDevelopmentMode:
         assert lines == failures, out.stderr
         assert re.fullmatch(rf"anticlone {args[0]}: [0-9.e+-]* s", timing), out.stderr
 
-    @pytest.mark.parametrize("want, first, message", [
-        (EXIT_OK, [[1, 0], [5e-324, 0]], None),
-        (EXIT_INPUT_ERROR, [[5e-324, 0], [0, 0]], "state 0 has norm 0.0, outside tolerance 1e-8"),
-    ], ids=["subnormal-part", "subnormal-norm"])
-    def test_subnormal_amplitudes_raise_no_warning(self, tmp_path, want, first, message):
+    @pytest.mark.parametrize("want, states, copies, message", [
+        (EXIT_OK, [[[1, 0], [5e-324, 0]], [[0, 0], [1, 0]]], (1, 1), None),
+        (EXIT_INPUT_ERROR, [[[5e-324, 0], [0, 0]], [[0, 0], [1, 0]]], (1, 1),
+         "state 0 has norm 0.0, outside tolerance 1e-8"),
+        (EXIT_OK, SUBNORMAL_H_PAIR, SUBNORMAL_H_COPIES, None),
+    ], ids=["subnormal-part", "subnormal-norm", "subnormal-h-entry"])
+    def test_subnormal_amplitudes_raise_no_warning(self, tmp_path, want, states, copies, message):
         # a subnormal part of a unit state is kept; a state whose only
-        # nonzero part is subnormal has norm 0.0 and is an input error
-        states = write_states(tmp_path / "s.json", [first, [[0, 0], [1, 0]]])
+        # nonzero part is subnormal has norm 0.0 and is an input error; the
+        # phase-equivalence check takes the phase of a subnormal entry of H
+        # without dividing by its modulus
+        path = write_states(tmp_path / "s.json", states)
+        L, M = (str(k) for k in copies)
         out = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error", "-m", "anticlone", "feasibility",
-             "--states", states, "--output", str(tmp_path / "report")],
+             "--states", path, "--L", L, "--M", M, "--output", str(tmp_path / "report")],
             capture_output=True, text=True,
         )
         assert out.returncode == want, out.stderr
@@ -587,7 +604,7 @@ class TestDevelopmentMode:
         if message is None:
             assert re.fullmatch(r"anticlone feasibility: [0-9.e+-]* s", line), out.stderr
         else:
-            assert line == f"anticlone feasibility: {states}: {message}"
+            assert line == f"anticlone feasibility: {path}: {message}"
 
 
 class TestFailureLines:
