@@ -19,7 +19,6 @@ measure-and-prepare strategy it has to beat.
 from __future__ import annotations
 
 import os
-import queue
 import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -57,6 +56,13 @@ OPTIMAL_FIDELITY = 2.0 / 3.0
 
 # Samples per PCG64DXSM block stream in ``measure_prepare_baseline``.
 BASELINE_BLOCK = 1 << 15
+# Blocks per scoring round of ``measure_prepare_baseline``: only one round's
+# streams exist at a time, so memory does not grow with the sample count.
+# Each round starts and joins its scoring threads, ~2 ms on a 2-CPU
+# machine. A 10^8-sample call took 0.51 s at 64 blocks a round (+18%),
+# 0.44 s at 256 (+5%) and 0.42 s as one round (medians of 15 rotated
+# calls). A 10^6-sample call (31 blocks) is a single round.
+BASELINE_ROUND = 256
 
 
 @dataclass(frozen=True)
@@ -368,23 +374,30 @@ def measure_prepare_baseline(samples: int, seed: int = 0) -> BaselineReport:
     the other campaigns use; the baseline never needs Philox's random
     access, only independent streams keyed by block.
 
-    The calling thread builds the streams in block order and queues them to
-    one pinned scoring thread per usable CPU, a few at a time. Each block's
-    two sums land in its row of one array, added in block order after the
-    threads end, so the report does not depend on which thread scored which
-    block.
+    The blocks go in rounds of ``BASELINE_ROUND``. Each round's streams are
+    built on the calling thread; its blocks are then scored on one thread
+    per usable CPU, each pinned to its own CPU and taking the next unscored
+    block until none is left, and the per-block sums are added in block
+    order before the next round's streams are built. So the report does not
+    depend on the thread count or on which thread scored which block, and
+    memory does not grow with the number of blocks.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     blocks = -(-samples // BASELINE_BLOCK)
-    cpus = _usable_cpus()[:blocks]
-    # the calling thread allocates every draw buffer, so no scoring thread
-    # grows a heap arena of its own to hold one (peak RSS stays flat)
+    cpus = _usable_cpus()[: min(blocks, BASELINE_ROUND)]
+    # the calling thread allocates every draw buffer, so the scoring threads
+    # grow no heap arena of their own (peak RSS stays flat)
     draws = [np.empty(2 * min(BASELINE_BLOCK, samples)) for _ in cpus]
-    sums = np.empty((blocks, 2))
-    _score_baseline_in_parallel(seed, cpus, samples, sums, draws)
-    # a running sum, row after row: the same additions as a loop in block order
-    total, total_sq = np.cumsum(sums, axis=0)[-1].tolist()
+
+    total = total_sq = 0.0
+    for first in range(0, blocks, BASELINE_ROUND):
+        streams = {b: pcg_stream(seed, b) for b in range(first, min(first + BASELINE_ROUND, blocks))}
+        sums = dict.fromkeys(streams)
+        _score_baseline_in_parallel(streams, cpus[: len(streams)], samples, sums, draws)
+        for block_total, block_sq in sums.values():
+            total += block_total
+            total_sq += block_sq
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
     return BaselineReport(avg_fidelity_anticlone=mean, stderr=float(np.sqrt(var / samples)))
@@ -399,66 +412,53 @@ def _usable_cpus() -> list[int]:
         return list(range(os.cpu_count() or 1))
 
 
-def _score_baseline_in_parallel(seed: int, cpus: list[int], samples: int, sums: np.ndarray,
+def _score_baseline_in_parallel(streams: dict, cpus: list[int], samples: int, sums: dict,
                                 draws: list[np.ndarray]) -> None:
-    """Score every block of ``sums`` on one thread per CPU in ``cpus``, each
-    with its own draw buffer, while the calling thread builds the block
-    streams and queues them; then raise the first error a thread met.
+    """Score every block of ``streams``, a dict from block index to its
+    stream, on one thread per CPU in ``cpus``, each with its own draw
+    buffer; the calling thread waits and raises the first error a thread
+    met.
 
-    Each thread pins itself to its CPU, where a kernel may otherwise keep a
-    new thread on its parent's, and takes the next queued block, so a thread
-    on a busy CPU takes fewer. With one stream per thread queued, the calling
-    thread waits until the threads have taken them all: at most 2 * threads
-    + 1 streams are alive (queued, held by a thread, or being built), and it
-    wakes once per ``len(cpus)`` blocks, not once per block, which took ~10%
-    longer at 10^6 samples on 2 CPUs. After an error the threads drain the
-    queue unscored.
+    Each thread pins itself to its CPU: a kernel may otherwise keep a new
+    thread on its parent's CPU for the whole call. The threads claim blocks
+    one at a time, so a thread on a busy CPU scores fewer of them.
     """
-    tasks = queue.SimpleQueue()
-    drained = threading.Condition()
+    pending = iter(streams)
+    claim = threading.Lock()
     errors: list[BaseException] = []
+
+    def next_block():
+        with claim:
+            return next(pending, None)
 
     def score(cpu: int, buf: np.ndarray) -> None:
         try:
             os.sched_setaffinity(0, {cpu})
         except (AttributeError, OSError):
             pass  # no pinning here: the kernel places the thread
-        while (task := tasks.get()) is not None:
-            if tasks.empty():
-                with drained:
-                    drained.notify()
-            if not errors:
-                try:
-                    _score_baseline_block(*task, samples, sums, buf)
-                except BaseException as exc:  # raised again on the calling thread
-                    errors.append(exc)
-            del task  # hold no stream while waiting for the next
+        try:
+            _score_baseline_blocks(streams, iter(next_block, None), samples, sums, buf)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
 
     threads = [threading.Thread(target=score, args=pair) for pair in zip(cpus, draws)]
     try:
         for thread in threads:
             thread.start()
-        for block in range(len(sums)):
-            tasks.put((block, pcg_stream(seed, block)))
-            if tasks.qsize() >= len(cpus):
-                with drained:
-                    drained.wait_for(tasks.empty)
     finally:
-        started = [thread for thread in threads if thread.ident is not None]
-        for _ in started:
-            tasks.put(None)
-        for thread in started:
-            thread.join()
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
     if errors:
         raise errors[0]
 
 
-def _score_baseline_block(block: int, stream, samples: int, sums: np.ndarray, draws: np.ndarray) -> None:
-    """Score block ``block`` from its ``stream`` into ``sums[block]`` as
-    (sum of fidelities, sum of their squares).
+def _score_baseline_blocks(streams: dict, blocks, samples: int, sums: dict, draws: np.ndarray) -> None:
+    """Score each block in ``blocks`` of ``measure_prepare_baseline`` into
+    ``sums[block]`` as (sum of fidelities, sum of their squares).
 
-    ``draws`` takes the block's t-uniforms u and then its outcome uniforms
-    r, drawn by one call in the stream's order. The outcome s = +-1 prepares
+    ``draws`` takes a block's t-uniforms u and then its outcome uniforms r,
+    drawn by one call in the stream's order. The outcome s = +-1 prepares
     the copy along s*m, scored against n, and the anti-copy along -s*m,
     scored against -n: both fidelities are (1 + s t)/2. As u = k 2^-53, the
     values t = 2u - 1, 1 + t and 1 - t are exact, so P(+m) = (1 + t)/2 is u
@@ -466,15 +466,16 @@ def _score_baseline_block(block: int, stream, samples: int, sums: np.ndarray, dr
     g = 1.0 when r >= u and 0.0 otherwise, that is |g - u|, bit for bit, and
     its square is (g - u)^2.
     """
-    size = min(BASELINE_BLOCK, samples - block * BASELINE_BLOCK)
-    buf = draws[: 2 * size]
-    stream.random(2 * size, out=buf)
-    u, r = buf[:size], buf[size:]
-    np.greater_equal(r, u, out=r)
-    np.subtract(r, u, out=r)
-    np.abs(r, out=u)
-    np.multiply(r, r, out=r)
-    sums[block] = np.sum(u), np.sum(r)
+    for block in blocks:
+        size = min(BASELINE_BLOCK, samples - block * BASELINE_BLOCK)
+        buf = draws[: 2 * size]
+        streams[block].random(2 * size, out=buf)
+        u, r = buf[:size], buf[size:]
+        np.greater_equal(r, u, out=r)
+        np.subtract(r, u, out=r)
+        np.abs(r, out=u)
+        np.multiply(r, r, out=r)
+        sums[block] = (float(np.sum(u)), float(np.sum(r)))
 
 
 def measure_prepare_pole_average(axis: np.ndarray) -> float:

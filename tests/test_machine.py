@@ -2,8 +2,8 @@ import sys
 import threading
 import time
 import warnings
-import weakref
 from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from anticlone import machine
 from anticlone.machine import (
     BASELINE_BLOCK,
+    BASELINE_ROUND,
     COEFF_KEYS,
     OPTIMAL_ETA,
     FidelityKernel,
@@ -570,66 +571,54 @@ class TestBaselineAcrossThreads:
         assert threading.active_count() == before
 
 
-class TestBaselineQueue:
-    """The calling thread builds the block streams and hands them to the
-    scoring threads through a queue of one stream per thread, so at most
-    2 * threads + 1 streams exist at a time and memory does not grow with
-    the sample count. An error, on a scoring thread or on the calling
-    thread, is raised on the calling thread once every scoring thread has
-    ended."""
+class TestBaselineRounds:
+    """Only one round of ``BASELINE_ROUND`` block streams exists at a time,
+    so memory does not grow with the sample count."""
 
-    class Tracked:
-        """A block stream that a weak reference can follow."""
+    def test_the_benchmark_call_is_one_round(self):
+        assert BASELINE_ROUND >= 64
+        assert -(-10**6 // BASELINE_BLOCK) <= BASELINE_ROUND
 
-        def __init__(self, stream):
-            self.stream = stream
+    def test_a_round_is_scored_before_the_next_is_built(self, monkeypatch):
+        monkeypatch.setattr(machine, "BASELINE_ROUND", 4)
+        events = []
 
-        def random(self, *args, **kwargs):
-            return self.stream.random(*args, **kwargs)
+        class Recorded:
+            def __init__(self, block, stream):
+                self.block, self.stream = block, stream
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_at_most_two_streams_a_thread_and_one_more_are_alive(self, monkeypatch, threads):
-        refs, most_alive = [], 0
-
-        def stream(seed, block):
-            nonlocal most_alive
-            tracked = self.Tracked(pcg_stream(seed, block))
-            refs.append(weakref.ref(tracked))
-            most_alive = max(most_alive, sum(ref() is not None for ref in refs))
-            return tracked
-
-        monkeypatch.setattr(machine, "_usable_cpus", lambda: list(range(threads)))
-        monkeypatch.setattr(machine, "pcg_stream", stream)
-        samples = 300 * BASELINE_BLOCK + 5
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # hand the interpreter over as often as it allows
-        try:
-            rep = measure_prepare_baseline(samples, seed=3)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(refs) == 301
-        assert most_alive <= 2 * threads + 1
-        assert all(ref() is None for ref in refs)
-        assert rep == measure_prepare_baseline_serial(samples, seed=3)
-
-    @pytest.mark.parametrize("where", ["draw", "build"])
-    def test_an_error_is_raised_on_the_calling_thread_and_threads_end(self, monkeypatch, where):
-        class BrokenStream:
             def random(self, *args, **kwargs):
-                raise RuntimeError("block 40 failed")
+                events.append(("draw", self.block))
+                return self.stream.random(*args, **kwargs)
 
         def stream(seed, block):
-            if block != 40:
-                return pcg_stream(seed, block)
-            if where == "build":
-                raise RuntimeError("block 40 failed")
-            return BrokenStream()
+            events.append(("build", block))
+            return Recorded(block, pcg_stream(seed, block))
 
         monkeypatch.setattr(machine, "_usable_cpus", lambda: [0, 1])
         monkeypatch.setattr(machine, "pcg_stream", stream)
+        samples = 8 * BASELINE_BLOCK + 5
+        rep = measure_prepare_baseline(samples, seed=3)
+        assert rep == measure_prepare_baseline_serial(samples, seed=3)
+
+        # three rounds of 4, 4 and 1 blocks: every stream of a round is
+        # built, then every block of it drawn, before the next round
+        assert len(events) == 2 * 9
+        rounds = [key for key, _ in groupby((kind, block // 4) for kind, block in events)]
+        assert rounds == [(kind, r) for r in range(3) for kind in ("build", "draw")]
+
+    def test_a_stream_that_fails_to_build_in_a_later_round_is_raised(self, monkeypatch):
+        def stream(seed, block):
+            if block == 6:
+                raise RuntimeError("block 6 failed")
+            return pcg_stream(seed, block)
+
+        monkeypatch.setattr(machine, "BASELINE_ROUND", 4)
+        monkeypatch.setattr(machine, "_usable_cpus", lambda: [0, 1])
+        monkeypatch.setattr(machine, "pcg_stream", stream)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="block 40 failed"):
-            measure_prepare_baseline(300 * BASELINE_BLOCK, seed=1)
+        with pytest.raises(RuntimeError, match="block 6 failed"):
+            measure_prepare_baseline(8 * BASELINE_BLOCK, seed=1)
         assert threading.active_count() == before
 
 
