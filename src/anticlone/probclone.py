@@ -15,6 +15,7 @@ explicit 8x8 unitary on (copy 1, copy 2, probe).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -183,7 +184,7 @@ def _phase_equivalent(g: np.ndarray, h: np.ndarray) -> bool:
         i, j = np.unravel_index(np.argmax(reach), reach.shape)
         twist = h[i, j] * np.conj(g[i, j])  # d_i conj(d_j) |g_ij|^2
         if twist != 0:
-            d[j] = d[i] * np.exp(-1j * np.angle(twist))  # no division by a subnormal modulus
+            d[j] = d[i] * cmath.rect(1.0, -cmath.phase(twist))  # no division by a subnormal modulus
         linked[j] = True
     return bool(np.max(np.abs(h - d[:, None] * g * d.conj())) <= PHASE_EQUIVALENCE_TOL)
 
