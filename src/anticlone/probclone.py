@@ -37,10 +37,10 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10  # Gram eigenvalues at or below this count as zero
-# Largest |H - D G D^†| entry for which the targets count as a phase-twisted
-# unitary image of the inputs: far above the rounding of G and H, and 70
-# times below the smallest residual, 7e-11, over 1945 random near-degenerate
-# sets of three distinct states at L + M >= 2.
+# Largest |H - G| entry, in the spanning-tree gauge, for which the targets
+# count as a phase-twisted unitary image of the inputs: far above the
+# rounding of G and H, and 70 times below the smallest residual, 7e-11, over
+# 1945 random near-degenerate sets of three distinct states at L + M >= 2.
 PHASE_EQUIVALENCE_TOL = 1e-12
 COUNT_MAX = 2**63 - 1  # largest copy or shot count: numpy draws int64 counts
 PROBE_SUCCESS = basis_ket(2, 0)  # probe state that flags exact copies
@@ -70,7 +70,10 @@ class FeasibilityResult:
     states that repeat no earlier state up to a phase. ``phase_equivalent``
     is whether H = D G D^† for a diagonal phase matrix D: the map from each
     input to its target, up to a phase, then keeps every overlap, a unitary
-    performs it, and exact anti-cloning succeeds with certainty.
+    performs it, and exact anti-cloning succeeds with certainty. In the gauge
+    of ``gram_G``, where every tree overlap is real and non-negative and so
+    is its H entry, that D is the identity and the test is H = G within
+    ``PHASE_EQUIVALENCE_TOL``.
     """
 
     f_max: float
@@ -155,40 +158,6 @@ def two_state_efficiency(overlap: float, L: int = 1, M: int = 1) -> float:
     return math.expm1(log_c) / math.expm1((mu.L + mu.M) * log_c)
 
 
-def _aligned_kets(states: list[QubitState]) -> list[np.ndarray]:
-    """Phase-redefine so every overlap against state 1 is real non-negative."""
-    kets = [s.ket() for s in states]
-    out = [kets[0]]
-    for k in kets[1:]:
-        ov = np.vdot(kets[0], k)
-        if abs(ov) > 1e-14:
-            k = k * (np.conj(ov) / abs(ov))
-        out.append(k)
-    return out
-
-
-def _phase_equivalent(g: np.ndarray, h: np.ndarray) -> bool:
-    """Whether h = D g D^† for a diagonal phase matrix D, within
-    ``PHASE_EQUIVALENCE_TOL``.
-
-    h_ij = d_i g_ij conj(d_j) fixes d_j from d_i wherever g_ij is non-zero,
-    so D is built along a maximum-overlap spanning tree from d_0 = 1 (states
-    orthogonal to all others keep d = 1) and then checked on every entry.
-    """
-    n = len(g)
-    d = np.ones(n, dtype=complex)
-    linked = np.zeros(n, dtype=bool)
-    linked[0] = True
-    for _ in range(n - 1):
-        reach = np.where(linked[:, None] & ~linked[None, :], np.abs(g), -1.0)
-        i, j = np.unravel_index(np.argmax(reach), reach.shape)
-        twist = h[i, j] * np.conj(g[i, j])  # d_i conj(d_j) |g_ij|^2
-        if twist != 0:
-            d[j] = d[i] * cmath.rect(1.0, -cmath.phase(twist))  # no division by a subnormal modulus
-        linked[j] = True
-    return bool(np.max(np.abs(h - d[:, None] * g * d.conj())) <= PHASE_EQUIVALENCE_TOL)
-
-
 def max_feasible_f(states: list[QubitState], mu: CopySpec = CopySpec(1, 1)) -> FeasibilityResult:
     """Largest f in [0, 1] with G - f H positive semidefinite, solved directly,
     for a non-empty list of known candidate input states.
@@ -209,13 +178,18 @@ def max_feasible_f(states: list[QubitState], mu: CopySpec = CopySpec(1, 1)) -> F
     states span at most two dimensions, so G's rank must be
     min(distinct, 2). Raises ``ValueError`` when it is not: the rank cut
     then merged two distinct states too close for it to tell apart.
+
+    The inputs' phases are fixed once: each state is rotated so its overlap
+    with its parent on a maximum-overlap spanning tree of |G| from state 0
+    is real and non-negative, and the result carries G in that gauge. The
+    answer then depends on the rays alone, not on any input's global phase.
     """
     if not states:
         raise ValueError("state set must be non-empty")
-    kets = _aligned_kets(states)
+    kets = np.array([s.ket() for s in states])
     n = len(kets)
     # <flip(i)|j> = a_i b_j - b_i a_j for kets (a, b)
-    a, b = np.array(kets).T
+    a, b = kets.T
     upper = np.triu(np.abs(np.outer(a, b) - np.outer(b, a)) <= RANK_TOL, 1)
     repeats = upper.any(axis=0)
     distinct = n - int(repeats.sum())
@@ -223,12 +197,25 @@ def max_feasible_f(states: list[QubitState], mu: CopySpec = CopySpec(1, 1)) -> F
     for j in range(n):
         first[j] = first[first[j]]
 
-    g = np.array([[np.vdot(kets[i], kets[j]) for j in range(n)] for i in range(n)])
+    g = kets.conj() @ kets.T
     # The inputs are unit rays, and a repeat is the ray of its first
     # occurrence: a diagonal or repeat entry rounded off 1 would grow as its
     # L-th power in H
     np.fill_diagonal(g, 1.0)
     g = g[np.ix_(first, first)]
+    # The tree gauge: a repeat joins the tree through an entry of exactly 1
+    # and takes its first occurrence's angle, and angles enter as
+    # differences, so every entry of 1 stays exactly 1
+    mag = np.abs(g)
+    angle = np.zeros(n)
+    linked = np.zeros(n, dtype=bool)
+    linked[0] = True
+    for _ in range(n - 1):
+        reach = np.where(linked[:, None] & ~linked[None, :], mag, -1.0)
+        i, j = np.unravel_index(np.argmax(reach), reach.shape)
+        angle[j] = angle[i] - cmath.phase(g[i, j])
+        linked[j] = True
+    g = g * np.exp(1j * (angle - angle[:, None]))
     h = g**mu.L * g.conj() ** mu.M
 
     lam, q = np.linalg.eigh(g)
@@ -253,7 +240,7 @@ def max_feasible_f(states: list[QubitState], mu: CopySpec = CopySpec(1, 1)) -> F
         gram_H=h,
         rank=rank,
         distinct=distinct,
-        phase_equivalent=_phase_equivalent(g, h),
+        phase_equivalent=bool(np.max(np.abs(h - g)) <= PHASE_EQUIVALENCE_TOL),
     )
 
 

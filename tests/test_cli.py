@@ -363,10 +363,25 @@ class TestFeasibilityCampaign:
         assert metrics["dependent_set_f_max_deficit"].passed
         assert "dependent_set_f_max" not in metrics
 
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), (2, 0, 1)], ids=lambda o: "%d%d%d" % o)
+    @pytest.mark.parametrize("phi", [0.0, np.pi / 2, np.pi, 1.0], ids=["0", "half-pi", "pi", "1"])
+    def test_flip_trio_clones_with_certainty_in_every_input_phase(self, tmp_path, phi, order):
+        # |0>, e^(i phi)|1>, |+> are the real trio's rays: a global phase on
+        # one input must not move the verdict, and e^(i phi)|1> is
+        # orthogonal to |0>, so no gauge fixed against |0> alone can phase it
+        r = np.sqrt(0.5)
+        kets = [np.array([1.0, 0.0]), np.array([0.0, np.exp(1j * phi)]), np.array([r, r])]
+        path = write_states(tmp_path / "trio.json", as_state_list([kets[i] for i in order]))
+        report, code = run(parse_args(["feasibility", "--states", path, "--L", "0", "--M", "1"]))
+        assert code == EXIT_OK, report.metrics
+        metrics = {m.name: m for m in report.metrics}
+        assert metrics["f_max"].value >= 1.0 - 1e-9
+        assert metrics["dependent_set_f_max_deficit"].passed
+
     def test_complex_trio_spin_flip_stays_zero(self, tmp_path):
-        # with the targets' phases fixed by the aligned inputs, the trio's
-        # spin flips are not a unitary image of it and the solve gives 0;
-        # free target phases would allow 2 - sqrt(3)
+        # with the targets' phases fixed by the inputs' spanning-tree gauge,
+        # the trio's spin flips are not a unitary image of it and the solve
+        # gives 0; free target phases would allow 2 - sqrt(3)
         path = write_states(tmp_path / "trio.json", COMPLEX_TRIO)
         report, code = run(parse_args(["feasibility", "--states", path, "--L", "0", "--M", "1"]))
         assert code == EXIT_OK
@@ -414,8 +429,8 @@ class TestFeasibilityCampaign:
         ids=["renormalized-repeat-1e8", "repeat-orthogonal-to-first-L1M1"],
     )
     def test_repeat_in_trio_keeps_pair_value(self, tmp_path, trio, L, M):
-        # the second case's repeat is orthogonal to the first state, so
-        # aligning against the first state leaves its phase i
+        # the second case's repeat, at phase i, is orthogonal to the first
+        # state: the spanning tree reaches it from its first occurrence
         path = write_states(tmp_path / "trio.json", trio)
         report, code = run(parse_args(["feasibility", "--states", path, "--L", str(L), "--M", str(M)]))
         assert code == EXIT_OK
@@ -611,16 +626,19 @@ class TestFailureLines:
     """On exit 1, ``main`` names each failed report row on stderr, before
     the timing line, and no passing row."""
 
-    def test_golden_dependent_set_names_its_one_failed_row(self, capsys):
-        # the golden exit-1 case: for |0>, |1>, |+i> at (L, M) = (0, 1) the
-        # solve, which fixes the targets' phases, gets f_max = 0, so only
-        # the deficit row fails; the other three pass or are not judged
-        assert main(resolved(CASES["feasibility_zero_one_plus_i"])) == EXIT_VERIFICATION_FAILED
+    def test_golden_no_ancilla_run_names_its_one_failed_row(self, capsys):
+        # the golden exit-1 case: three iterations without an ancilla leave
+        # the best eta far below the optimum, so only that row fails; the
+        # other three pass or are not judged
+        assert main(resolved(CASES["optimize_no_ancilla"])) == EXIT_VERIFICATION_FAILED
         captured = capsys.readouterr()
-        assert [m["pass"] for m in json.loads(captured.out)["metrics"]] == [None, True, True, False]
+        assert [m["pass"] for m in json.loads(captured.out)["metrics"]] == [None, False, True, True]
         *lines, timing = captured.err.splitlines()
-        assert lines == ["anticlone feasibility: FAIL dependent_set_f_max_deficit = 1.0 > 1e-09"]
-        assert re.fullmatch(r"anticlone feasibility: \S+ s", timing)
+        assert len(lines) == 1
+        assert re.fullmatch(
+            r"anticlone optimize: FAIL best_eta_below_optimum = \S+ > 0\.001", lines[0]
+        )
+        assert re.fullmatch(r"anticlone optimize: \S+ s", timing)
 
 
 class TestReports:

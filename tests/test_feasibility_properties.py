@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anticlone.probclone import CopySpec, max_feasible_f, two_state_efficiency
-from anticlone.qubit import QubitState
+from anticlone.qubit import QubitState, antiunitary_flip
 
 pytest.importorskip("hypothesis")
 
@@ -15,6 +15,7 @@ PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, 
 SEEDS = st.integers(0, 2**32 - 1)
 # copy counts log-uniform from 1 to 10^6
 COPIES = st.floats(0.0, 6.0).map(lambda e: int(10.0**e))
+SMALL_COPIES = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda mu: sum(mu) >= 1)
 
 
 def haar_kets(count: int, seed: int) -> np.ndarray:
@@ -71,3 +72,24 @@ class TestPairClosedFormProperty:
         res = max_feasible_f(states, CopySpec(L, M))
         c = abs(np.vdot(states[0].ket(), states[1].ket()))
         assert abs(res.f_max - two_state_efficiency(c, L, M)) <= 1e-9
+
+
+class TestPhaseOnlyInputsProperty:
+    """A global phase on an input changes no ray, so multiplying each state
+    by its own phase leaves the verdict: f_max and the certificate move only
+    by rounding, and the repeat count and phase equivalence not at all. The
+    flip of state 0, when added, is orthogonal to it."""
+
+    @PROPERTY_SETTINGS
+    @given(count=st.integers(2, 8), with_flip=st.booleans(), mu=SMALL_COPIES, seed=SEEDS)
+    def test_input_phases_move_nothing(self, count, with_flip, mu, seed):
+        states = states_of(haar_kets(count, seed))
+        if with_flip:
+            states.append(antiunitary_flip(states[0]))
+        phases = np.exp(2j * np.pi * np.random.default_rng([seed, 1]).uniform(size=len(states)))
+        rephased = states_of(p * s.ket() for p, s in zip(phases, states))
+        res, moved = (max_feasible_f(s, CopySpec(*mu)) for s in (states, rephased))
+        assert abs(moved.f_max - res.f_max) <= 1e-12
+        assert abs(moved.min_eigenvalue_at_f - res.min_eigenvalue_at_f) <= 1e-12
+        assert moved.distinct == res.distinct
+        assert moved.phase_equivalent == res.phase_equivalent

@@ -18,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from golden_reports import (CASES, GOLDEN, NEEDS_RECORDED_NUMPY, environment, moved_rows,
@@ -59,6 +60,16 @@ def test_a_forced_openblas_core_is_another_environment():
                          check=True, timeout=60)
     forced = json.loads(out.stdout)
     assert forced != INDEX["environment"], forced
+
+
+def test_environment_names_the_blas_without_a_simd_record(monkeypatch):
+    # a numpy build may record no SIMD extensions found on this CPU
+    config = {"Build Dependencies": {"blas": {"name": "openblas", "version": "0.3.27"}},
+              "SIMD Extensions": {"baseline": ["SSE", "SSE2"]}}
+    monkeypatch.setattr(np, "show_config", lambda mode=None: config)
+    env = environment()
+    assert env["blas"] == "openblas 0.3.27"
+    assert env["simd"] == []
 
 
 def test_index_lists_every_case_with_its_argv():

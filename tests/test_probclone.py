@@ -179,12 +179,19 @@ class TestMaxFeasibleF:
     def test_output_gram_matches_flipped_kets(self, mu, rng):
         for n in (2, 3, 5):
             # Any set is an SU(2) rotation, which commutes with the flip, of
-            # one that starts at |0>. Real non-negative first amplitudes make
-            # the library's phase alignment leave every ket bit for bit.
-            c = rng.uniform(size=n - 1)
-            z = np.sqrt(1 - c * c) * np.exp(2j * np.pi * rng.uniform(size=n - 1))
+            # one that starts at |0>. Real first amplitudes above 1/sqrt(2)
+            # and |1> amplitudes whose phases lie at least pi/2 apart make
+            # every overlap with |0> the largest in its column, so the
+            # maximum-overlap tree is the star from |0>, the real overlaps
+            # on it need no rotation, and the library leaves G bit for bit.
+            c = rng.uniform(np.sqrt(0.5), 1.0, size=n - 1)
+            spread = rng.uniform(0.5 * np.pi, 2.0 * np.pi / (n - 1))
+            phases = rng.uniform(0.0, 2.0 * np.pi) + spread * rng.permutation(n - 1)
+            z = np.sqrt(1 - c * c) * np.exp(1j * phases)
             states = [QubitState(1, 0), *(QubitState(*k) for k in zip(c, z))]
             res = max_feasible_f(states, CopySpec(*mu))
+            raw = [np.vdot(states[0].ket(), s.ket()) for s in states]
+            assert np.array_equal(res.gram_G[0], raw)
             oracle = output_gram_by_flipped_kets(states, *mu)
             assert np.max(np.abs(res.gram_H - oracle)) <= 1e-15
 
