@@ -28,9 +28,9 @@ fidelities come from one ``machine.FidelityKernel``, prepared once per
 ascent, which takes each as the squared norm of the output projected onto
 the target ket and forms no reduced state; the gradient reuses the
 candidate's amplitudes. Each stage start and each line-search trial is
-one call on one flat parameter vector, and the projection hands the
-pullback a record of the norms and overlap it took. The gradient is taken
-lazily, at an accepted point.
+one call on one flat parameter vector. The projection hands the pullback
+the two norms and the overlap it took, and the pullback is a 2x2 product
+V^H g and 2x2 coefficients on g and V, taken lazily, at an accepted point.
 """
 
 from __future__ import annotations
@@ -132,35 +132,37 @@ def _inner(a: np.ndarray, z: np.ndarray) -> complex:
 
 
 class _GramSchmidt(NamedTuple):
-    """What the projection computed that its pullback needs: the raw column
-    1, the raw norm of column 0, <e0, c1> and the raw norm of
-    c1 - <e0, c1> e0, both norms taken before any fallback."""
+    """What the projection computed that its pullback needs: the raw norm
+    of column 0, <e0, c1> and the raw norm n1 of c1 - <e0, c1> e0, both
+    taken before any fallback, so that c1 = <e0, c1> e0 + n1 e1."""
 
-    c1: np.ndarray
     n0: float
     overlap: complex
     n1: float
 
 
 def _isometry_batch(x: np.ndarray, out_dim: int) -> tuple[np.ndarray, _GramSchmidt]:
-    """Project ``x``, shape (4 * out_dim,), onto an isometry, shape
-    (out_dim, 2), and return it with the Gram-Schmidt record that
+    """Project ``x``, shape (4 * out_dim,) of float64, onto an isometry,
+    shape (out_dim, 2), and return it with the Gram-Schmidt record that
     ``_isometry_pullback`` reads.
 
-    Column 0 is normalized; column 1 is projected off column 0 and
-    normalized. A degenerate column falls back to a deterministic
-    computational-basis vector, so the map is total; the fallback divides by
-    no vanishing norm, and a NaN norm divides, as it is not under
-    ``DEGENERACY_TOL``.
+    Of ``x`` viewed as two complex columns, column 0 is normalized and
+    column 1 projected off column 0 and normalized, each into V. A
+    degenerate column falls back to a deterministic computational-basis
+    vector, so the map is total; the fallback divides by no vanishing norm,
+    and a NaN norm divides, as it is not under ``DEGENERACY_TOL``.
     """
-    if x.shape != (4 * out_dim,):
-        raise ValueError(f"expected {4 * out_dim} real parameters, got shape {x.shape}")
-    cols = x.reshape(2, out_dim, 2)
-    c0, c1 = cols[..., 0] + 1j * cols[..., 1]
-
+    if x.shape != (4 * out_dim,) or x.dtype != np.float64:  # as the complex view needs
+        raise ValueError(f"expected {4 * out_dim} real parameters, got {x.dtype} of shape {x.shape}")
+    # complex entries as (re, im) pairs: the flat parameter layout
+    c0, c1 = x.view(complex).reshape(2, out_dim)
+    v = np.empty((out_dim, 2), dtype=complex)
+    e0, e1 = v.T
     n0 = _norm(c0)
-    e0 = basis_ket(out_dim, 0) if n0 < DEGENERACY_TOL else c0 / n0
-
+    if n0 < DEGENERACY_TOL:
+        e0[...] = basis_ket(out_dim, 0)
+    else:
+        np.divide(c0, n0, out=e0)
     overlap = _inner(e0, c1)
     r1 = c1 - overlap * e0
     n1 = _norm(r1)
@@ -170,11 +172,11 @@ def _isometry_batch(x: np.ndarray, out_dim: int) -> tuple[np.ndarray, _GramSchmi
             cand = basis_ket(out_dim, k)
             cand = cand - np.vdot(e0, cand) * e0
             if np.linalg.norm(cand) > 0.5:  # always reachable: e0 overlaps most basis kets weakly
-                e1 = cand / _norm(cand)
+                np.divide(cand, _norm(cand), out=e1)
                 break
     else:
-        e1 = r1 / n1
-    return np.column_stack([e0, e1]), _GramSchmidt(c1, n0, overlap, n1)
+        np.divide(r1, n1, out=e1)
+    return v, _GramSchmidt(n0, overlap, n1)
 
 
 def _isometry_pullback(v: np.ndarray, record: _GramSchmidt, g: np.ndarray) -> np.ndarray:
@@ -182,27 +184,25 @@ def _isometry_pullback(v: np.ndarray, record: _GramSchmidt, g: np.ndarray) -> np
     ``record`` = ``_isometry_batch(x)`` and ``g``, shape (out_dim, 2), is
     the gradient with respect to V. Returns shape (4 * out_dim,).
 
-    Reverses the Gram-Schmidt steps from the projection's record, with no
-    recomputation: for e = u / |u| the gradient on u is (g - Re<e, g> e) /
-    |u|, and since column 1 is projected off column 0, column 0 also
-    collects the gradient of that projection. A column that fell back to a
-    basis vector does not move with its parameters, so it gets a zero
-    gradient and passes nothing on.
+    Reverses the Gram-Schmidt steps in the span of g and V. With M = V^H g
+    and a = <e0, c1>, grad c1 = (g1 - M01 e0 - Re M11 e1) / n1 and grad c0
+    = (g0 - conj(a) g1 / n1 + (conj(a) M01 / n1 - Re M00) e0 + (conj(a)
+    Re M11 / n1 - conj(M01)) e1) / n0: P^T g^T + Q^T V^T for two 2x2
+    coefficient matrices, taken as one product [P^T Q^T] [g V]^T. A column
+    that fell back to a basis vector does not move with its parameters, so
+    its coefficients, and column 1's part of column 0's, are zero.
     """
-    c1, n0, overlap, n1 = record
-    e0, e1 = v[:, 0], v[:, 1]
-    g0, g1 = g[:, 0], g[:, 1]
-    grad = np.empty((2, len(e0)), dtype=complex)
-    if n1 < DEGENERACY_TOL:
-        h1 = np.zeros(len(e0), dtype=complex)
-    else:
-        h1 = (g1 - _inner(e1, g1).real * e1) / n1
-    grad[1] = h1 - _inner(e0, h1) * e0
-    if n0 < DEGENERACY_TOL:
-        grad[0] = 0.0
-    else:
-        g0 = g0 - _inner(h1, e0) * c1 - overlap.conjugate() * h1
-        grad[0] = (g0 - _inner(e0, g0).real * e0) / n0
+    n0, overlap, n1 = record
+    (m00, m01), (_, m11) = (v.conj().T @ g).tolist()
+    inv0 = 0.0 if n0 < DEGENERACY_TOL else 1.0 / n0
+    inv1, m01 = (0.0, 0.0) if n1 < DEGENERACY_TOL else (1.0 / n1, m01)
+    b = overlap.conjugate() * inv1
+    # row k holds grad ck's coefficients of g0, g1, e0 and e1
+    coeffs = np.array([
+        [inv0, -b * inv0, (b * m01 - m00.real) * inv0, (b * m11.real - m01.conjugate()) * inv0],
+        [0.0, inv1, -m01 * inv1, -m11.real * inv1],
+    ])
+    grad = coeffs @ np.concatenate((g, v), axis=1).T
     # complex entries as (re, im) pairs: the flat parameter layout
     return grad.view(float).reshape(-1)
 

@@ -22,10 +22,15 @@ fidelity written out. ``ObjectiveByMovedAxes``
 is the optimizer's search objective as it was before the fidelity kernel
 was prepared once per ascent: every call folds the targets again, gathers
 each qubit's rows by ``np.moveaxis`` and recomputes the forward products
-for the gradient, and it projects and pulls back in batch form, with the
-norms and overlap recomputed in the pullback. ``bfgs_inverse_hessian`` is
-the optimizer's L-BFGS model as a dense matrix, built by the BFGS update
-formula in place of the two-loop recursion.
+for the gradient. It projects in batch form and pulls back row by row with
+the optimizer's 2x2 arithmetic (``isometry_pullback_by_products``), the
+norms and overlap recomputed. ``isometry_pullback_by_norm`` is the
+pullback as the vector steps the optimizer took before that arithmetic,
+through the raw column 1; it is the reference the 2x2 pullback is checked
+against within the projection's loss of orthogonality.
+``bfgs_inverse_hessian`` is the optimizer's L-BFGS model as a dense
+matrix, built by the BFGS update formula in place of the two-loop
+recursion.
 
 ``parameterize_isometry``, ``kernel_fidelities``, ``objective_universal``
 and ``objective_spinflip`` are not oracles but thin wrappers over the
@@ -536,8 +541,12 @@ def isometry_batch_by_norm(x, out_dim):
 
 
 def isometry_pullback_by_norm(x, v, g):
-    """The Gram-Schmidt pullback with ``np.linalg.norm``, ``np.sum`` and
-    ``np.stack``."""
+    """The Gram-Schmidt pullback as vector steps, with ``np.linalg.norm``,
+    ``np.sum`` and ``np.stack``: for e = u / |u| the gradient on u is
+    (g - Re<e, g> e) / |u|, and column 0 also collects the gradient of
+    column 1's projection off it, through the raw column 1. A column that
+    fell back to a basis vector gets a zero gradient and passes nothing
+    on."""
     b, out_dim = v.shape[:2]
     cols = x.reshape(b, 2, out_dim, 2)
     c0 = cols[:, 0, :, 0] + 1j * cols[:, 0, :, 1]
@@ -558,6 +567,32 @@ def isometry_pullback_by_norm(x, v, g):
     grad_c0 = np.where(live0, g0 - inner(e0, g0).real * e0, 0.0) / np.where(live0, n0, 1.0)
     grad = np.stack([grad_c0, grad_c1], axis=1)
     return np.stack([grad.real, grad.imag], axis=-1).reshape(b, -1)
+
+
+def isometry_pullback_by_products(x, v, g):
+    """The optimizer's Gram-Schmidt pullback, one row at a time: the 2x2
+    product M = V^H g and the coefficients of g and V that it and the
+    norms and overlap give, those recomputed with ``np.linalg.norm`` and
+    ``np.sum``."""
+    b, out_dim = v.shape[:2]
+    cols = x.reshape(b, 2, out_dim, 2)
+    c0 = cols[:, 0, :, 0] + 1j * cols[:, 0, :, 1]
+    c1 = cols[:, 1, :, 0] + 1j * cols[:, 1, :, 1]
+    overlap = np.sum(v[:, :, 0].conj() * c1, axis=1)
+    n0 = np.linalg.norm(c0, axis=1)
+    n1 = np.linalg.norm(c1 - overlap[:, None] * v[:, :, 0], axis=1)
+    grad = np.empty((b, 2, out_dim), dtype=complex)
+    for i in range(b):
+        (m00, m01), (_, m11) = (v[i].conj().T @ g[i]).tolist()
+        inv0 = 0.0 if n0[i] < DEGENERACY_TOL else 1.0 / n0[i]
+        inv1, m01 = (0.0, 0.0) if n1[i] < DEGENERACY_TOL else (1.0 / n1[i], m01)
+        a = overlap[i].conjugate() * inv1
+        coeffs = np.array([
+            [inv0, -a * inv0, (a * m01 - m00.real) * inv0, (a * m11.real - m01.conjugate()) * inv0],
+            [0.0, inv1, -m01 * inv1, -m11.real * inv1],
+        ])
+        grad[i] = coeffs @ np.concatenate((g[i], v[i]), axis=1).T
+    return grad.view(float).reshape(b, -1)
 
 
 def softmin(values, temperature):
@@ -588,7 +623,7 @@ class ObjectiveByMovedAxes:
             rows = slice(i, i + 1)
             weights = np.exp((search[rows, None] - values[rows]) / temperature)
             g = fidelities_adjoint_by_moved_axes(vb[rows], self.k_in, self.targets, weights)
-            return isometry_pullback_by_norm(x[rows], vb[rows], g)[0]
+            return isometry_pullback_by_products(x[rows], vb[rows], g)[0]
 
         return search, values.min(axis=1), gradient
 

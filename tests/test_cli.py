@@ -31,6 +31,12 @@ from golden_reports import CASES, resolved
 from oracles import verify_metrics_by_direction
 
 
+def binomial_tail(n, k, p=math.erfc(3 / math.sqrt(2))):
+    """P(X >= k) for X ~ Binomial(n, p); p defaults to the two-sided normal
+    tail beyond 3 sigma, a correct program's chance to fail a 3-sigma row."""
+    return sum(math.comb(n, j) * p**j * (1 - p)**(n - j) for j in range(k, n + 1))
+
+
 def cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "anticlone", *args], capture_output=True, text=True
@@ -468,6 +474,27 @@ class TestProbCampaign:
         assert code == EXIT_OK
         assert calls == [int(shots)] * 2
 
+    def test_seed_sweep_fails_no_more_rows_than_the_3_sigma_tail_allows(self):
+        # seeds 0-99 at pi/3 and the default 10^5 shots: two sigma rows per
+        # seed, from independent streams (seed, 1) and (seed, 2), each beyond
+        # 3 with the two-sided normal tail. Allow the smallest count of the
+        # 200 rows whose binomial tail is below 1e-3: 4 (P(X >= 5) = 2.4e-4
+        # under Binomial(200, 0.0027)).
+        seeds, allowed = range(100), 4
+        rows = [f"shot_frequency_sigma_input{which}" for which in (1, 2)]
+        assert binomial_tail(len(rows) * len(seeds), allowed + 1) < 1e-3
+        assert 1e-3 <= binomial_tail(len(rows) * len(seeds), allowed)
+
+        wide = []
+        for seed in seeds:
+            report, code = run(parse_args(["prob", "--theta", repr(math.pi / 3), "--seed", str(seed)]))
+            metrics = {m.name: m for m in report.metrics}
+            assert all(m.passed is not False for m in report.metrics if m.name not in rows), seed
+            beyond = [(seed, row) for row in rows if metrics[row].value > 3]
+            assert code == (EXIT_VERIFICATION_FAILED if beyond else EXIT_OK), seed
+            wide += beyond
+        assert len(wide) <= allowed, wide
+
     def test_bad_theta_is_input_error(self):
         report, code = run(parse_args(["prob", "--theta", "9.9"]))
         assert code == EXIT_INPUT_ERROR
@@ -504,13 +531,8 @@ class TestBaselineCampaign:
         # sigma row, with the two-sided normal tail at 3 sigma. Allow the
         # smallest failure count whose binomial tail is below 1e-3: 3 of 100
         # (P(X >= 4) = 1.7e-4 under Binomial(100, 0.0027)).
-        seeds, p, allowed = range(100), math.erfc(3 / math.sqrt(2)), 3
-
-        def tail(k):  # P(X >= k) for X ~ Binomial(len(seeds), p)
-            n = len(seeds)
-            return sum(math.comb(n, j) * p**j * (1 - p)**(n - j) for j in range(k, n + 1))
-
-        assert tail(allowed + 1) < 1e-3 <= tail(allowed)
+        seeds, allowed = range(100), 3
+        assert binomial_tail(len(seeds), allowed + 1) < 1e-3 <= binomial_tail(len(seeds), allowed)
 
         means, stderrs, failed = [], [], []
         for seed in seeds:
