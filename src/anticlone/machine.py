@@ -56,13 +56,6 @@ OPTIMAL_FIDELITY = 2.0 / 3.0
 
 # Samples per PCG64DXSM block stream in ``measure_prepare_baseline``.
 BASELINE_BLOCK = 1 << 15
-# Blocks per scoring round of ``measure_prepare_baseline``: only one round's
-# streams exist at a time, so memory does not grow with the sample count.
-# Each round starts and joins its scoring threads, ~2 ms on a 2-CPU
-# machine. A 10^8-sample call took 0.51 s at 64 blocks a round (+18%),
-# 0.44 s at 256 (+5%) and 0.42 s as one round (medians of 15 rotated
-# calls). A 10^6-sample call (31 blocks) is a single round.
-BASELINE_ROUND = 256
 
 
 @dataclass(frozen=True)
@@ -374,30 +367,24 @@ def measure_prepare_baseline(samples: int, seed: int = 0) -> BaselineReport:
     the other campaigns use; the baseline never needs Philox's random
     access, only independent streams keyed by block.
 
-    The blocks go in rounds of ``BASELINE_ROUND``. Each round's streams are
-    built on the calling thread; its blocks are then scored on one thread
-    per usable CPU, each pinned to its own CPU and taking the next unscored
-    block until none is left, and the per-block sums are added in block
-    order before the next round's streams are built. So the report does not
-    depend on the thread count or on which thread scored which block, and
-    memory does not grow with the number of blocks.
+    There are no rounds: one thread per usable CPU, each pinned to its own
+    CPU, claims the next unscored block until none is left, builds that
+    block's stream itself and writes the block's two sums into the block's
+    row of one array. The rows are added in block order, so the report does
+    not depend on the thread count or on which thread scored which block,
+    and memory grows by one 16-byte row per block of 32768 samples.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     blocks = -(-samples // BASELINE_BLOCK)
-    cpus = _usable_cpus()[: min(blocks, BASELINE_ROUND)]
-    # the calling thread allocates every draw buffer, so the scoring threads
-    # grow no heap arena of their own (peak RSS stays flat)
+    cpus = _usable_cpus()[:blocks]
+    # the calling thread allocates every draw buffer, so the scoring threads'
+    # heap arenas hold only their block streams (peak RSS stays flat)
     draws = [np.empty(2 * min(BASELINE_BLOCK, samples)) for _ in cpus]
-
-    total = total_sq = 0.0
-    for first in range(0, blocks, BASELINE_ROUND):
-        streams = {b: pcg_stream(seed, b) for b in range(first, min(first + BASELINE_ROUND, blocks))}
-        sums = dict.fromkeys(streams)
-        _score_baseline_in_parallel(streams, cpus[: len(streams)], samples, sums, draws)
-        for block_total, block_sq in sums.values():
-            total += block_total
-            total_sq += block_sq
+    sums = np.empty((blocks, 2))
+    _score_baseline_in_parallel(seed, cpus, samples, sums, draws)
+    # cumsum adds the rows one after another, in block order
+    total, total_sq = np.cumsum(sums, axis=0)[-1].tolist()
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
     return BaselineReport(avg_fidelity_anticlone=mean, stderr=float(np.sqrt(var / samples)))
@@ -412,24 +399,24 @@ def _usable_cpus() -> list[int]:
         return list(range(os.cpu_count() or 1))
 
 
-def _score_baseline_in_parallel(streams: dict, cpus: list[int], samples: int, sums: dict,
+def _score_baseline_in_parallel(seed: int, cpus: list[int], samples: int, sums: np.ndarray,
                                 draws: list[np.ndarray]) -> None:
-    """Score every block of ``streams``, a dict from block index to its
-    stream, on one thread per CPU in ``cpus``, each with its own draw
-    buffer; the calling thread waits and raises the first error a thread
-    met.
+    """Score every block, one per row of ``sums``, on one thread per CPU in
+    ``cpus``, each with its own draw buffer; the calling thread waits and
+    raises the first error a thread met.
 
     Each thread pins itself to its CPU: a kernel may otherwise keep a new
     thread on its parent's CPU for the whole call. The threads claim blocks
-    one at a time, so a thread on a busy CPU scores fewer of them.
+    one at a time, so a thread on a busy CPU scores fewer of them, and no
+    block is claimed once a thread has failed.
     """
-    pending = iter(streams)
+    pending = iter(range(len(sums)))
     claim = threading.Lock()
     errors: list[BaseException] = []
 
     def next_block():
         with claim:
-            return next(pending, None)
+            return None if errors else next(pending, None)
 
     def score(cpu: int, buf: np.ndarray) -> None:
         try:
@@ -437,9 +424,10 @@ def _score_baseline_in_parallel(streams: dict, cpus: list[int], samples: int, su
         except (AttributeError, OSError):
             pass  # no pinning here: the kernel places the thread
         try:
-            _score_baseline_blocks(streams, iter(next_block, None), samples, sums, buf)
+            _score_baseline_blocks(seed, iter(next_block, None), samples, sums, buf)
         except BaseException as exc:  # raised again on the calling thread
-            errors.append(exc)
+            with claim:
+                errors.append(exc)
 
     threads = [threading.Thread(target=score, args=pair) for pair in zip(cpus, draws)]
     try:
@@ -453,29 +441,29 @@ def _score_baseline_in_parallel(streams: dict, cpus: list[int], samples: int, su
         raise errors[0]
 
 
-def _score_baseline_blocks(streams: dict, blocks, samples: int, sums: dict, draws: np.ndarray) -> None:
+def _score_baseline_blocks(seed: int, blocks, samples: int, sums: np.ndarray, draws: np.ndarray) -> None:
     """Score each block in ``blocks`` of ``measure_prepare_baseline`` into
     ``sums[block]`` as (sum of fidelities, sum of their squares).
 
     ``draws`` takes a block's t-uniforms u and then its outcome uniforms r,
-    drawn by one call in the stream's order. The outcome s = +-1 prepares
-    the copy along s*m, scored against n, and the anti-copy along -s*m,
-    scored against -n: both fidelities are (1 + s t)/2. As u = k 2^-53, the
-    values t = 2u - 1, 1 + t and 1 - t are exact, so P(+m) = (1 + t)/2 is u
-    itself and the fidelity is u when r < u and 1 - u otherwise. With
-    g = 1.0 when r >= u and 0.0 otherwise, that is |g - u|, bit for bit, and
-    its square is (g - u)^2.
+    drawn by one call from the block's stream ``pcg_stream(seed, block)``.
+    The outcome s = +-1 prepares the copy along s*m, scored against n, and
+    the anti-copy along -s*m, scored against -n: both fidelities are
+    (1 + s t)/2. As u = k 2^-53, the values t = 2u - 1, 1 + t and 1 - t are
+    exact, so P(+m) = (1 + t)/2 is u itself and the fidelity is u when
+    r < u and 1 - u otherwise. With g = 1.0 when r >= u and 0.0 otherwise,
+    that is |g - u|, bit for bit, and its square is (g - u)^2.
     """
     for block in blocks:
         size = min(BASELINE_BLOCK, samples - block * BASELINE_BLOCK)
         buf = draws[: 2 * size]
-        streams[block].random(2 * size, out=buf)
+        pcg_stream(seed, block).random(2 * size, out=buf)
         u, r = buf[:size], buf[size:]
         np.greater_equal(r, u, out=r)
         np.subtract(r, u, out=r)
         np.abs(r, out=u)
         np.multiply(r, r, out=r)
-        sums[block] = (float(np.sum(u)), float(np.sum(r)))
+        sums[block] = np.sum(u), np.sum(r)
 
 
 def measure_prepare_pole_average(axis: np.ndarray) -> float:

@@ -7,9 +7,10 @@ merge deterministically by index. Both generators here take the same
 
 - ``pcg_stream`` (PCG64DXSM, NumPy's recommended generator for many
   parallel streams) feeds ``machine.measure_prepare_baseline``, where the
-  draws are most of the cost. Round by round, the baseline builds its block
-  streams on the calling thread, scores the blocks on one thread per usable
-  CPU and adds their sums in block order.
+  draws are most of the cost. The baseline has no rounds: each of its
+  scoring threads, one per usable CPU, builds the streams of the blocks it
+  claims, and the block sums, one 16-byte row per 32768-sample block, are
+  added in block order.
 - ``philox_stream`` (counter-based Philox) feeds every other draw: verify's
   Haar directions, optimize's restart start points and prob's binomial
   success counts.

@@ -16,6 +16,7 @@ from fixed values and a seeded generator.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import ctypes
@@ -210,4 +211,7 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
+    # no options: --help prints usage and any argument exits 2, before a write
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     regenerate()

@@ -62,6 +62,21 @@ def test_a_forced_openblas_core_is_another_environment():
     assert forced != INDEX["environment"], forced
 
 
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--force"], 2)])
+def test_golden_script_writes_nothing_for_help_or_an_argument(argv, code):
+    tests = Path(__file__).resolve().parent
+    script = tests / "golden_reports.py"
+    files = sorted(p for p in GOLDEN.rglob("*") if p.is_file())
+    before = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in files}
+    env = {**os.environ, "PYTHONPATH": str(tests.parent / "src")}
+    out = subprocess.run([sys.executable, str(script), *argv], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == code, out
+    assert (out.stdout if code == 0 else out.stderr).startswith("usage: golden_reports.py")
+    assert sorted(p for p in GOLDEN.rglob("*") if p.is_file()) == files
+    assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in files} == before
+
+
 def test_environment_names_the_blas_without_a_simd_record(monkeypatch):
     # a numpy build may record no SIMD extensions found on this CPU
     config = {"Build Dependencies": {"blas": {"name": "openblas", "version": "0.3.27"}},

@@ -3,7 +3,6 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,6 @@ import pytest
 from anticlone import machine
 from anticlone.machine import (
     BASELINE_BLOCK,
-    BASELINE_ROUND,
     COEFF_KEYS,
     OPTIMAL_ETA,
     FidelityKernel,
@@ -552,6 +550,9 @@ class TestBaselineAcrossThreads:
                 for seed in (0, 5, 9):
                     rep = measure_prepare_baseline(samples, seed=seed)
                     assert rep == measure_prepare_baseline_serial(samples, seed=seed), (samples, seed)
+            # 301 blocks, one seed: each thread claims many blocks
+            samples = 300 * BASELINE_BLOCK + 3
+            assert measure_prepare_baseline(samples, seed=2) == measure_prepare_baseline_serial(samples, seed=2)
         finally:
             sys.setswitchinterval(interval)
 
@@ -570,56 +571,25 @@ class TestBaselineAcrossThreads:
             measure_prepare_baseline(5 * BASELINE_BLOCK, seed=1)
         assert threading.active_count() == before
 
-
-class TestBaselineRounds:
-    """Only one round of ``BASELINE_ROUND`` block streams exists at a time,
-    so memory does not grow with the sample count."""
-
-    def test_the_benchmark_call_is_one_round(self):
-        assert BASELINE_ROUND >= 64
-        assert -(-10**6 // BASELINE_BLOCK) <= BASELINE_ROUND
-
-    def test_a_round_is_scored_before_the_next_is_built(self, monkeypatch):
-        monkeypatch.setattr(machine, "BASELINE_ROUND", 4)
-        events = []
-
-        class Recorded:
-            def __init__(self, block, stream):
-                self.block, self.stream = block, stream
-
-            def random(self, *args, **kwargs):
-                events.append(("draw", self.block))
-                return self.stream.random(*args, **kwargs)
+    def test_failed_build_is_raised_and_stops_new_blocks(self, monkeypatch):
+        cpus = [0, 1]
+        built = []
 
         def stream(seed, block):
-            events.append(("build", block))
-            return Recorded(block, pcg_stream(seed, block))
-
-        monkeypatch.setattr(machine, "_usable_cpus", lambda: [0, 1])
-        monkeypatch.setattr(machine, "pcg_stream", stream)
-        samples = 8 * BASELINE_BLOCK + 5
-        rep = measure_prepare_baseline(samples, seed=3)
-        assert rep == measure_prepare_baseline_serial(samples, seed=3)
-
-        # three rounds of 4, 4 and 1 blocks: every stream of a round is
-        # built, then every block of it drawn, before the next round
-        assert len(events) == 2 * 9
-        rounds = [key for key, _ in groupby((kind, block // 4) for kind, block in events)]
-        assert rounds == [(kind, r) for r in range(3) for kind in ("build", "draw")]
-
-    def test_a_stream_that_fails_to_build_in_a_later_round_is_raised(self, monkeypatch):
-        def stream(seed, block):
+            built.append(block)
             if block == 6:
                 raise RuntimeError("block 6 failed")
             return pcg_stream(seed, block)
 
-        monkeypatch.setattr(machine, "BASELINE_ROUND", 4)
-        monkeypatch.setattr(machine, "_usable_cpus", lambda: [0, 1])
+        monkeypatch.setattr(machine, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(machine, "pcg_stream", stream)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="block 6 failed"):
-            measure_prepare_baseline(8 * BASELINE_BLOCK, seed=1)
+            measure_prepare_baseline(64 * BASELINE_BLOCK, seed=1)
         assert threading.active_count() == before
+        # blocks 0 to 6, and at most one block per thread claimed before the
+        # failure was recorded
+        assert len(built) <= 6 + 1 + len(cpus)
 
 
 class TestTracedBaseline:
